@@ -1059,6 +1059,27 @@ func BenchmarkE10Serving(b *testing.B) {
 	})
 }
 
+// BenchmarkPilotLoad measures checkpoint decode, which every serve
+// register and hot swap, core evaluate and CLI command pays: one
+// pilot.Load of the 64x48 inferred checkpoint `autolearn pipeline` trains.
+func BenchmarkPilotLoad(b *testing.B) {
+	p, err := pilot.New(pilot.DefaultConfig(pilot.Inferred, 64, 48, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := p.Save(&ckpt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pilot.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPilotInference measures single-frame inference cost per
 // architecture — the number the placement model prices with ParamCount.
 func BenchmarkPilotInference(b *testing.B) {
@@ -1203,7 +1224,8 @@ func e12Run(b *testing.B, workers int, hier bool) {
 	b.Helper()
 	// A deliberately tiny pilot: at 10k workers the fleet holds two model
 	// copies per worker, and E12 measures coordination, not arithmetic.
-	pcfg := pilot.DefaultConfig(pilot.Linear, 12, 8, 1)
+	// 9 rows is the least the encoder's second 3x3 conv accepts.
+	pcfg := pilot.DefaultConfig(pilot.Linear, 12, 9, 1)
 	pcfg.ConvFilters1, pcfg.ConvFilters2, pcfg.DenseUnits = 2, 4, 8
 	samples := e11Samples(b, pcfg, 40)
 	// Single-sample shards that alias a small pool: fleet size is decoupled

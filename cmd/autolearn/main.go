@@ -17,7 +17,7 @@
 //	autolearn hybrid    [-shrink 8] [-blend 0.4] [-ticks 600]
 //	autolearn zero      [-image-mb 800]
 //	autolearn placement [-params 150000]
-//	autolearn serve     -models name=FILE[,name=FILE...] [-addr :8899] [-max-batch 32] [-batch-window 2ms] [-scenario FILE]
+//	autolearn serve     -models name=FILE[,name=FILE...] [-addr :8899] [-max-batch 32] [-batch-window 0] [-scenario FILE]
 //	autolearn obs       report -trace FILE
 //	autolearn scenario  check -file FILE | probe -file FILE [-at 90s] [-link NAME] [-tol 0.25]
 package main

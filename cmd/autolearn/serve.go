@@ -143,7 +143,8 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":8899", "listen address")
 	models := fs.String("models", "", "name=checkpoint pairs, comma-separated (required)")
 	maxBatch := fs.Int("max-batch", 0, "requests per mini-batch (0 = default)")
-	window := fs.Duration("batch-window", -1, "how long to hold an open batch (-1 = default)")
+	window := fs.Duration("batch-window", serve.DefaultConfig().BatchWindow,
+		"how long to hold an open batch for more requests; 0 dispatches as soon as a shard is idle (a window pays only on backends with a per-dispatch cost)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = default)")
 	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = default)")
 	replicas := fs.Int("replicas", 0, fmt.Sprintf("scheduler shards per model, each with its own pilot instance (0 = 1, max %d)", serve.MaxReplicas))
@@ -166,9 +167,7 @@ func cmdServe(args []string) error {
 	if *maxBatch > 0 {
 		cfg.MaxBatch = *maxBatch
 	}
-	if *window >= 0 {
-		cfg.BatchWindow = *window
-	}
+	cfg.BatchWindow = *window
 	if *queue > 0 {
 		cfg.QueueDepth = *queue
 	}

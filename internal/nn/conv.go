@@ -33,13 +33,14 @@ func NewConv2D(inC, outC, k, stride int, rng *rand.Rand) (*Conv2D, error) {
 	return c, nil
 }
 
+// outDims is the valid-convolution output size. An input shorter than
+// the kernel is rejected up front: integer division truncates toward
+// zero, so (h-K)/Stride+1 would report one output row for it.
 func (c *Conv2D) outDims(h, w int) (int, int, error) {
-	oh := (h-c.K)/c.Stride + 1
-	ow := (w-c.K)/c.Stride + 1
-	if oh <= 0 || ow <= 0 {
+	if h < c.K || w < c.K {
 		return 0, 0, fmt.Errorf("nn: conv2d input %dx%d too small for k=%d s=%d", h, w, c.K, c.Stride)
 	}
-	return oh, ow, nil
+	return (h-c.K)/c.Stride + 1, (w-c.K)/c.Stride + 1, nil
 }
 
 // Forward implements Layer.
@@ -364,12 +365,12 @@ func (c *Conv3D) Forward(x *Tensor, train bool) (*Tensor, error) {
 		return nil, fmt.Errorf("nn: conv3d expects [N,%d,T,H,W], got %v", c.InC, x.Shape)
 	}
 	n, t, h, w := x.Shape[0], x.Shape[2], x.Shape[3], x.Shape[4]
+	if t < c.KT || h < c.K || w < c.K {
+		return nil, fmt.Errorf("nn: conv3d input %dx%dx%d too small", t, h, w)
+	}
 	ot := t - c.KT + 1
 	oh := (h-c.K)/c.Stride + 1
 	ow := (w-c.K)/c.Stride + 1
-	if ot <= 0 || oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: conv3d input %dx%dx%d too small", t, h, w)
-	}
 	c.lastX, c.outT, c.outH, c.outW = x, ot, oh, ow
 	y := NewTensor(n, c.OutC, ot, oh, ow)
 	work := func(i0, i1 int) {

@@ -245,14 +245,29 @@ func TestConv2DNaiveMatchesIm2col(t *testing.T) {
 	}
 }
 
+// TestConv2DRejectsTooSmall includes inputs one short of the kernel
+// under stride 2, where truncating division computes (2-3)/2+1 = 1
+// output row and im2col would read past the input.
 func TestConv2DRejectsTooSmall(t *testing.T) {
-	c, err := NewConv2D(1, 1, 5, 1, rng(1))
+	for _, tc := range []struct{ k, stride, h, w int }{
+		{5, 1, 3, 3},
+		{3, 2, 2, 4},
+		{3, 2, 4, 2},
+	} {
+		c, err := NewConv2D(1, 1, tc.k, tc.stride, rng(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Forward(NewTensor(1, 1, tc.h, tc.w), false); err == nil {
+			t.Errorf("k=%d s=%d: undersized %dx%d input accepted", tc.k, tc.stride, tc.h, tc.w)
+		}
+	}
+	c3, err := NewConv3D(1, 1, 2, 3, 2, rng(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := NewTensor(1, 1, 3, 3)
-	if _, err := c.Forward(x, false); err == nil {
-		t.Error("undersized input accepted")
+	if _, err := c3.Forward(NewTensor(1, 1, 2, 2, 4), false); err == nil {
+		t.Error("conv3d: undersized 2x4 frame accepted")
 	}
 }
 
@@ -626,22 +641,6 @@ func TestLoadParamsShapeMismatch(t *testing.T) {
 	m3 := NewSequential(NewDense(3, 4, r), NewDense(4, 4, r))
 	if _, err := LoadParams(bytes.NewReader(buf.Bytes()), m3.Params()); err == nil {
 		t.Error("count mismatch accepted")
-	}
-}
-
-func TestLoadMeta(t *testing.T) {
-	r := rng(18)
-	m := NewSequential(NewDense(2, 2, r))
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, m.Params(), map[string]string{"pilot": "linear"}); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := LoadMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta["pilot"] != "linear" {
-		t.Errorf("meta = %v", meta)
 	}
 }
 

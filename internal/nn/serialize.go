@@ -37,9 +37,11 @@ func SaveParams(w io.Writer, params []*Param, meta map[string]string) error {
 	return nil
 }
 
-// LoadMeta reads only the metadata of a checkpoint stream. The stream is
-// consumed; callers wanting weights too should use LoadParams.
-func LoadMeta(r io.Reader) (map[string]string, error) {
+// LoadCheckpoint decodes a checkpoint stream once: it passes the metadata
+// to build, which returns the parameters of a model built from it, and
+// copies the saved weights into them. The parameters must match the
+// checkpoint in count and size. It returns the checkpoint metadata.
+func LoadCheckpoint(r io.Reader, build func(meta map[string]string) ([]*Param, error)) (map[string]string, error) {
 	var cp checkpoint
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
@@ -47,19 +49,9 @@ func LoadMeta(r io.Reader) (map[string]string, error) {
 	if cp.Magic != checkpointMagic {
 		return nil, fmt.Errorf("nn: not a checkpoint (magic %q)", cp.Magic)
 	}
-	return cp.Meta, nil
-}
-
-// LoadParams decodes a checkpoint into the given parameters, which must
-// match in count and shape (i.e. the model must already be built with the
-// right architecture). It returns the checkpoint metadata.
-func LoadParams(r io.Reader, params []*Param) (map[string]string, error) {
-	var cp checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	if cp.Magic != checkpointMagic {
-		return nil, fmt.Errorf("nn: not a checkpoint (magic %q)", cp.Magic)
+	params, err := build(cp.Meta)
+	if err != nil {
+		return nil, err
 	}
 	if len(cp.Params) != len(params) {
 		return nil, fmt.Errorf("nn: checkpoint has %d params, model has %d", len(cp.Params), len(params))
@@ -73,4 +65,11 @@ func LoadParams(r io.Reader, params []*Param) (map[string]string, error) {
 		p.Grad.Zero()
 	}
 	return cp.Meta, nil
+}
+
+// LoadParams decodes a checkpoint into the given parameters, which must
+// match in count and shape (i.e. the model must already be built with the
+// right architecture). It returns the checkpoint metadata.
+func LoadParams(r io.Reader, params []*Param) (map[string]string, error) {
+	return LoadCheckpoint(r, func(map[string]string) ([]*Param, error) { return params, nil })
 }

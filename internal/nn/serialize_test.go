@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -116,13 +117,16 @@ func TestGoldenCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	// LoadMeta on the same blob sees the same metadata.
-	m2, err := LoadMeta(bytes.NewReader(blob))
-	if err != nil {
+	// LoadCheckpoint hands its builder the same metadata.
+	var m2 map[string]string
+	if _, err := LoadCheckpoint(bytes.NewReader(blob), func(m map[string]string) ([]*Param, error) {
+		m2 = m
+		return goldenParams(), nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if m2["arch"] != goldenMeta["arch"] {
-		t.Errorf("LoadMeta arch = %q, want %q", m2["arch"], goldenMeta["arch"])
+		t.Errorf("LoadCheckpoint arch = %q, want %q", m2["arch"], goldenMeta["arch"])
 	}
 }
 
@@ -236,8 +240,50 @@ func TestLoadParamsRejects(t *testing.T) {
 		}
 	})
 	t.Run("garbage stream", func(t *testing.T) {
-		if _, err := LoadMeta(bytes.NewReader([]byte("not gob"))); err == nil {
+		if _, err := LoadParams(bytes.NewReader([]byte("not gob")), goldenParams()); err == nil {
 			t.Fatal("garbage accepted")
 		}
 	})
+}
+
+// TestLoadCheckpoint covers the one-pass decoder's contract with its
+// builder: build sees the stored metadata, a build error is returned
+// as is, and a stream that is not a checkpoint never reaches build.
+func TestLoadCheckpoint(t *testing.T) {
+	var good bytes.Buffer
+	if err := SaveParams(&good, goldenParams(), map[string]string{"pilot": "linear"}); err != nil {
+		t.Fatal(err)
+	}
+	var seen map[string]string
+	meta, err := LoadCheckpoint(bytes.NewReader(good.Bytes()), func(m map[string]string) ([]*Param, error) {
+		seen = m
+		return goldenParams(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen["pilot"] != "linear" || meta["pilot"] != "linear" {
+		t.Errorf("build saw %v, LoadCheckpoint returned %v", seen, meta)
+	}
+
+	errBuild := errors.New("no such architecture")
+	if _, err := LoadCheckpoint(bytes.NewReader(good.Bytes()), func(map[string]string) ([]*Param, error) {
+		return nil, errBuild
+	}); !errors.Is(err, errBuild) {
+		t.Errorf("build error = %v, want %v", err, errBuild)
+	}
+
+	var wrongMagic bytes.Buffer
+	if err := gob.NewEncoder(&wrongMagic).Encode(checkpoint{Magic: "not-a-checkpoint"}); err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{"wrong magic": wrongMagic.Bytes(), "not gob": []byte("not gob")} {
+		_, err := LoadCheckpoint(bytes.NewReader(blob), func(map[string]string) ([]*Param, error) {
+			t.Errorf("%s: build called", name)
+			return nil, nil
+		})
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

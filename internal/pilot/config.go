@@ -100,6 +100,11 @@ func (c Config) Validate() error {
 	if c.ConvFilters1 < 1 || c.ConvFilters2 < 1 || c.DenseUnits < 1 {
 		return fmt.Errorf("pilot: encoder sizes must be positive")
 	}
+	if c.Kind != Conv3D {
+		if _, err := c.encoderDims(); err != nil {
+			return err
+		}
+	}
 	if c.DropoutRate < 0 || c.DropoutRate >= 1 {
 		return fmt.Errorf("pilot: dropout rate must be in [0,1)")
 	}

@@ -7,8 +7,15 @@ import (
 	"repro/internal/nn"
 )
 
-// convOut returns the output length of a valid convolution.
-func convOut(in, k, stride int) int { return (in-k)/stride + 1 }
+// convOut returns the output length of a valid convolution, 0 when the
+// input is shorter than the kernel (where truncating integer division
+// would report 1).
+func convOut(in, k, stride int) int {
+	if in < k {
+		return 0
+	}
+	return (in-k)/stride + 1
+}
 
 // encoderDims computes the two-conv encoder's intermediate and output
 // geometry for the configured image size.

@@ -1,7 +1,6 @@
 package pilot
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -162,30 +161,25 @@ func (p *Pilot) Save(w io.Writer) error {
 	return nn.SaveParams(w, paramsOf(p.model), map[string]string{"config": cfgStr})
 }
 
-// Load reads a checkpoint, rebuilding the architecture from the stored
-// config and restoring weights.
+// Load reads a checkpoint in one decode, rebuilding the architecture from
+// the stored config and restoring weights.
 func Load(r io.Reader) (*Pilot, error) {
-	data, err := io.ReadAll(r)
+	var p *Pilot
+	_, err := nn.LoadCheckpoint(r, func(meta map[string]string) ([]*nn.Param, error) {
+		cfgStr, ok := meta["config"]
+		if !ok {
+			return nil, fmt.Errorf("pilot: checkpoint has no config")
+		}
+		cfg, err := unmarshalConfig(cfgStr)
+		if err != nil {
+			return nil, err
+		}
+		if p, err = New(cfg); err != nil {
+			return nil, err
+		}
+		return paramsOf(p.model), nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pilot: load: %w", err)
-	}
-	meta, err := nn.LoadMeta(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	cfgStr, ok := meta["config"]
-	if !ok {
-		return nil, fmt.Errorf("pilot: checkpoint has no config")
-	}
-	cfg, err := unmarshalConfig(cfgStr)
-	if err != nil {
-		return nil, err
-	}
-	p, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := nn.LoadParams(bytes.NewReader(data), paramsOf(p.model)); err != nil {
 		return nil, err
 	}
 	return p, nil

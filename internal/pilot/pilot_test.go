@@ -2,7 +2,10 @@ package pilot
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -174,6 +177,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("tiny image accepted")
 	}
+	// 12x8 leaves the second 3x3 conv a 2-row input; truncating division
+	// sizes that as one output row, which Infer would read past.
+	bad = testCfg(Linear)
+	bad.Width, bad.Height = 12, 8
+	if err := bad.Validate(); err == nil {
+		t.Error("12x8 image accepted")
+	}
 	bad = testCfg(Linear)
 	bad.MaxThrottle = 0.1
 	bad.MinThrottle = 0.5
@@ -260,9 +270,106 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage feeds Load malformed checkpoints, each of which
+// must come back as an error, never a panic.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Error("garbage accepted")
+	base := testCfg(Linear)
+	p, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := paramsOf(p.model)
+	save := func(params []*nn.Param, meta map[string]string) []byte {
+		var buf bytes.Buffer
+		if err := nn.SaveParams(&buf, params, meta); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	config := func(c Config) map[string]string {
+		s, err := c.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]string{"config": s}
+	}
+	good := save(params, config(base))
+	if _, err := Load(bytes.NewReader(good)); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+	// A 12x9 model has the parameter shapes a 12x8 one would, so only
+	// config validation can turn the 12x8 checkpoint away.
+	small, fits := base, base
+	small.Width, small.Height = 12, 8
+	fits.Width, fits.Height = 12, 9
+	pf, err := New(fits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider := base
+	wider.DenseUnits *= 2
+	pw, err := New(wider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrongMagic bytes.Buffer
+	if err := gob.NewEncoder(&wrongMagic).Encode(struct{ Magic string }{"not-a-checkpoint"}); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := map[string][]byte{
+		"not gob":         []byte("not a checkpoint"),
+		"wrong magic":     wrongMagic.Bytes(),
+		"no config":       save(params, map[string]string{"arch": "linear"}),
+		"config not json": save(params, map[string]string{"config": "{"}),
+		"invalid config":  save(paramsOf(pf.model), config(small)),
+		"param count":     save(params[:len(params)-1], config(base)),
+		"param size":      save(paramsOf(pw.model), config(base)),
+	}
+	for _, n := range []int{0, 1, len(good) / 4, len(good) / 2, len(good) - 1} {
+		cases[fmt.Sprintf("truncated at %d", n)] = good[:n]
+	}
+	for name, blob := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load panicked: %v", r)
+				}
+			}()
+			if _, err := Load(bytes.NewReader(blob)); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
+// TestLoadAllocations bounds what one Load of the 64x48 inferred
+// checkpoint allocates: the fresh model's weights and gradients, the gob
+// message and its decoded weights come to about 4x the parameter bytes,
+// so the 6x limit fails a second decode or a buffered copy of the stream.
+func TestLoadAllocations(t *testing.T) {
+	p, err := New(DefaultConfig(Inferred, 64, 48, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	paramBytes := uint64(p.ParamCount()) * 8
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 6*paramBytes {
+		t.Errorf("Load allocated %d bytes, %.1fx the %d parameter bytes (limit 6x)",
+			least, float64(least)/float64(paramBytes), paramBytes)
 	}
 }
 

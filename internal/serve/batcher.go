@@ -42,10 +42,10 @@ type response struct {
 
 // batcher is one shard of a model's micro-batching scheduler: a bounded
 // admission queue feeding a single goroutine that collects requests into
-// mini-batches and flushes on MaxBatch or the BatchWindow deadline,
-// whichever comes first. One goroutine per shard also serializes forward
-// passes on that shard's pilot replica, which the nn layers require
-// (Forward mutates layer state).
+// mini-batches and flushes on MaxBatch, on the BatchWindow deadline or,
+// with no window, as soon as the queue is empty. One goroutine per shard
+// also serializes forward passes on that shard's pilot replica, which
+// the nn layers require (Forward mutates layer state).
 type batcher struct {
 	model  string
 	shard  int

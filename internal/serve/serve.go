@@ -2,12 +2,14 @@
 // concurrent, micro-batching prediction service over the pilot models. The
 // paper's hybrid placement (§3.3) already implies a shared cloud model that
 // many cars query; this package builds that endpoint as a real multi-tenant
-// service. Concurrent /predict requests are collected into mini-batches
-// (flush on MaxBatch or the BatchWindow deadline) so N clients pay one
-// batched forward pass instead of N single-sample passes; a bounded
-// admission queue sheds overload with 429 + Retry-After; per-request
-// deadlines propagate through context.Context; and a model registry serves
-// named pilots hot-reloaded from the object store by ETag polling.
+// service. Each shard's scheduler is work-conserving by default: it runs a
+// forward pass as soon as it is idle, over every request that queued while
+// the previous pass ran (up to MaxBatch), so requests never wait for a
+// timer. A BatchWindow holds each batch open for more requests, which pays
+// only on backends with a fixed cost per forward call. A bounded admission
+// queue sheds overload with 429 + Retry-After; per-request deadlines
+// propagate through context.Context; and a model registry serves named
+// pilots hot-reloaded from the object store by ETag polling.
 package serve
 
 import (
@@ -31,8 +33,11 @@ type Config struct {
 	// batching: every request is its own forward pass).
 	MaxBatch int
 	// BatchWindow is how long the scheduler holds an open batch after its
-	// first request before flushing short. 0 flushes whatever is queued
-	// without waiting.
+	// first request before flushing short. 0, the default, flushes
+	// whatever is queued without waiting. A window only helps a backend
+	// with a fixed cost per forward call (a kernel launch, an RPC hop):
+	// on plain CPU a batch of N costs about N single passes, so the wait
+	// is pure latency.
 	BatchWindow time.Duration
 	// QueueDepth bounds the per-model admission queue; requests beyond it
 	// are shed with 429.
@@ -62,12 +67,12 @@ func (c Config) replicas() int {
 }
 
 // DefaultConfig returns serving parameters suited to the 20 Hz control
-// loops the cars run: a couple of milliseconds of batching latency buys an
-// order of magnitude in throughput.
+// loops the cars run: no batch window, so a request waits only for the
+// forward pass ahead of it, and batches of up to 32 form from whatever
+// queued meanwhile.
 func DefaultConfig() Config {
 	return Config{
 		MaxBatch:        32,
-		BatchWindow:     2 * time.Millisecond,
 		QueueDepth:      256,
 		DefaultDeadline: 250 * time.Millisecond,
 		PollInterval:    2 * time.Second,

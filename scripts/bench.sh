@@ -1,6 +1,6 @@
 #!/bin/sh
 # Reproducible benchmark runner: runs the paper-experiment benchmarks
-# (F1-F3, E1-E7, E10-E15) plus the GEMM kernel micro-benchmarks under
+# (F1-F3, E1-E7, E10-E15) plus the GEMM and pilot.Load micro-benchmarks under
 # pinned GOMAXPROCS, and emits a machine-readable BENCH_pr10.json recording
 # ns/op, bytes/op, allocs/op and — for the serving rows — req/s, and for
 # the federated rows — simulated round wall-clock (round_ms), WAN bytes
@@ -70,6 +70,11 @@ go test -run '^$' -bench '^BenchmarkE14Serving$' -benchtime 2000x . | tee -a "$r
 echo "==> GEMM kernel micro-benchmarks"
 go test -run '^$' -bench '^BenchmarkGEMM$' -benchmem \
     ./internal/nn/kerneltest/ | tee -a "$raw"
+
+# Every serve register and hot swap, core evaluate and CLI load pays
+# this decode; B/op tracks the checkpoint's allocation cost.
+echo "==> checkpoint decode (pilot.Load)"
+go test -run '^$' -bench '^BenchmarkPilotLoad$' -benchmem . | tee -a "$raw"
 
 # The registry contention benchmark needs real parallelism to mean
 # anything, so it pins its own GOMAXPROCS=8 regardless of the global

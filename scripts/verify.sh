@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full pre-merge verification: vet, build, race-enabled tests, a
+# Full pre-merge verification: vet, build, race-enabled tests, the
+# perfbench module's vet and self-test, a
 # fault-profile pipeline smoke run, a metrics-cardinality lint, a
 # cross-subsystem trace smoke (byte-identical same-seed exports), a
 # scenario smoke (library checks, replay determinism, probe tolerance),
@@ -16,6 +17,11 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+# perfbench is its own module, so ./... above skips it; building it here
+# makes a program API change that breaks the benchmark fail verify.
+echo "==> perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -471,4 +477,4 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "OK: vet, build, race tests, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
+echo "OK: vet, build, race tests, perfbench vet and self-test, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
