@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,19 +21,27 @@ import (
 	"repro/internal/track"
 )
 
+// topologyFlags lists the fed-train flags only one topology reads. Setting
+// one under the other topology is an error rather than a silent no-op.
+var topologyFlags = map[string][]string{
+	"star":   {"quorum", "hierarchical", "regions", "ingress-serial"},
+	"gossip": {"fanout", "peer-k", "anti-entropy", "peer-link"},
+}
+
 // cmdFedTrain drives the federated fleet: collect a tub's worth of
-// driving, shard it across N simulated edge workers, and run FedAvg
-// rounds over the emulated WAN, optionally under a fault profile and
+// driving, shard it across N simulated edge workers, and run rounds over
+// the emulated WAN — FedAvg through a parameter server, or parcel gossip
+// over a peer overlay — optionally under a fault profile or scenario and
 // delta compression.
 func cmdFedTrain(args []string) error {
 	fs := flag.NewFlagSet("fed-train", flag.ExitOnError)
 	workers := fs.Int("workers", 4, "edge workers in the fleet")
-	rounds := fs.Int("rounds", 5, "FedAvg rounds")
+	rounds := fs.Int("rounds", 5, "training rounds")
 	topology := fs.String("topology", "star", "dissemination topology: star (parameter server) or gossip (peer-to-peer overlay)")
 	fanout := fs.Int("fanout", 3, "gossip partners each worker contacts per round (gossip topology)")
-	peerK := fs.Int("peer-k", 4, "Kademlia k-bucket capacity for the gossip peer table")
+	peerK := fs.Int("peer-k", 4, "Kademlia k-bucket capacity for the peer table (gossip topology)")
 	antiEntropy := fs.Int("anti-entropy", 3, "extra farthest-bucket exchange every N rounds, <0 disables (gossip topology)")
-	peerLinkName := fs.String("peer-link", "wifi-local", "link profile for the gossip peer mesh")
+	peerLinkName := fs.String("peer-link", "wifi-local", "link profile for the peer mesh (gossip topology)")
 	quorum := fs.Int("quorum", 0, "K-of-N quorum (0 = synchronous barrier; star topology)")
 	compress := fs.String("compress", "none", "delta compression: "+strings.Join(fed.Profiles(), "|"))
 	topKFrac := fs.Float64("topk", 0.2, "fraction of delta entries the topk profile keeps")
@@ -45,11 +54,33 @@ func cmdFedTrain(args []string) error {
 	batch := fs.Int("batch", 32, "local batch size")
 	seed := fs.Int64("seed", 1, "run seed (fleet speeds, faults, training)")
 	roundGap := fs.Duration("round-gap", 15*time.Second, "idle virtual time between rounds (lets fault windows progress)")
-	hier := fs.Bool("hierarchical", false, "route uploads through regional aggregators (one WAN partial per region)")
-	regions := fs.Int("regions", 0, "regional aggregator count (0 = ceil(sqrt(workers)))")
-	ingressSerial := fs.Bool("ingress-serial", false, "serialize uploads at each receiver (models fan-in occupancy)")
+	hier := fs.Bool("hierarchical", false, "route uploads through regional aggregators, one WAN partial per region (star topology)")
+	regions := fs.Int("regions", 0, "regional aggregator count, 0 = ceil(sqrt(workers)) (star topology)")
+	ingressSerial := fs.Bool("ingress-serial", false, "serialize uploads at each receiver to model fan-in occupancy (star topology)")
 	of := addObsFlags(fs)
 	fs.Parse(args)
+
+	// Reject flag mistakes before the drive is collected.
+	other, ok := map[string]string{"star": "gossip", "gossip": "star"}[*topology]
+	if !ok {
+		return fmt.Errorf("fed-train: unknown -topology %q (have star, gossip)", *topology)
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(topologyFlags[other], f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fmt.Errorf("fed-train: %s only apply to -topology %s", strings.Join(ignored, ", "), other)
+	}
+	peerLink, ok := netem.ByName(*peerLinkName)
+	if !ok {
+		return fmt.Errorf("fed-train: unknown -peer-link %q", *peerLinkName)
+	}
+	if *profile != "" && *scnFile != "" {
+		return fmt.Errorf("fed-train: -scenario and -faults are mutually exclusive")
+	}
 
 	cam := sim.SmallCameraConfig()
 	res, _, err := sessionOn(*trackName, cam, func(trk *track.Track, car *sim.Car) sim.Driver {
@@ -75,19 +106,13 @@ func cmdFedTrain(args []string) error {
 	fmt.Printf("== fleet: %d workers, %d samples each (~), %d held out\n",
 		*workers, (len(samples)-nVal) / *workers, nVal)
 
-	cfg := fed.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.Rounds = *rounds
-	cfg.Quorum = *quorum
-	cfg.LocalEpochs = *epochs
-	cfg.BatchSize = *batch
-	cfg.Seed = *seed
-	cfg.Compress = *compress
-	cfg.TopKFrac = *topKFrac
-	cfg.RoundGap = *roundGap
-	cfg.Hierarchical = *hier
-	cfg.Regions = *regions
-	cfg.IngressSerial = *ingressSerial
+	// shared sets the fleet fields both topologies read.
+	shared := func(c *fed.FleetConfig) {
+		c.Workers, c.Rounds = *workers, *rounds
+		c.LocalEpochs, c.BatchSize = *epochs, *batch
+		c.Seed, c.RoundGap = *seed, *roundGap
+		c.Compress, c.TopKFrac = *compress, *topKFrac
+	}
 
 	o := of.observer()
 	deps := fed.Deps{
@@ -96,9 +121,6 @@ func cmdFedTrain(args []string) error {
 		Store: objstore.New(),
 		Obs:   o,
 		Start: epoch,
-	}
-	if *profile != "" && *scnFile != "" {
-		return fmt.Errorf("fed-train: -scenario and -faults are mutually exclusive")
 	}
 	if *profile != "" {
 		plan, err := faults.NewPlan(*profile, *seed, epoch)
@@ -121,54 +143,79 @@ func cmdFedTrain(args []string) error {
 		fmt.Printf("== %s\n", rt.Describe())
 	}
 
-	switch *topology {
-	case "star":
-	case "gossip":
-		gcfg := gossip.DefaultConfig()
-		gcfg.Workers = *workers
-		gcfg.Rounds = *rounds
-		gcfg.Fanout = *fanout
-		gcfg.BucketSize = *peerK
-		gcfg.AntiEntropyEvery = *antiEntropy
-		gcfg.LocalEpochs = *epochs
-		gcfg.BatchSize = *batch
-		gcfg.Seed = *seed
-		gcfg.Compress = *compress
-		gcfg.TopKFrac = *topKFrac
-		gcfg.RoundGap = *roundGap
-		link, ok := netem.ByName(*peerLinkName)
-		if !ok {
-			return fmt.Errorf("fed-train: unknown -peer-link %q", *peerLinkName)
-		}
-		gcfg.PeerLink = link
-		return runGossipTrain(gcfg, deps, pcfg, shards, val, rt, of)
-	default:
-		return fmt.Errorf("fed-train: unknown -topology %q (have star, gossip)", *topology)
+	initial, err := pilot.New(pcfg)
+	if err != nil {
+		return err
 	}
+	if *topology == "gossip" {
+		cfg := gossip.DefaultConfig()
+		shared(&cfg.FleetConfig)
+		cfg.Fanout = *fanout
+		cfg.BucketSize = *peerK
+		cfg.AntiEntropyEvery = *antiEntropy
+		cfg.PeerLink = peerLink
+		err = runGossipTrain(cfg, deps, initial, shards, val)
+	} else {
+		cfg := fed.DefaultConfig()
+		shared(&cfg.FleetConfig)
+		cfg.Quorum = *quorum
+		cfg.Hierarchical = *hier
+		cfg.Regions = *regions
+		cfg.IngressSerial = *ingressSerial
+		err = runStarTrain(cfg, deps, initial, shards, val)
+	}
+	if err != nil {
+		return err
+	}
+	if rt != nil {
+		// Play the clock past the horizon so every scripted phase fires and
+		// the exported trace carries the full transition record.
+		rt.Clock().Advance(rt.Scenario().Horizon())
+		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
+	}
+	if deps.Plan != nil {
+		fmt.Printf("== faults: %s\n", deps.Plan.Summary())
+	}
+	return of.write(o)
+}
 
-	// The serving side rides along in the same trace: after the first
-	// round registers the global checkpoint, every later round's ETag poll
-	// hot-swaps it, so the exported trace runs end to end from worker
-	// train through WAN upload and aggregation into the serving reload.
-	var reloads int
-	if cfg.Container != "" {
-		sreg, err := serve.NewRegistry(deps.Store, cfg.Container)
-		if err != nil {
-			return err
-		}
-		sreg.Instrument(o.Metrics)
-		sreg.SetTracer(o.Tracer)
-		deps.AfterRound = func(round int, sc obs.SpanContext) error {
-			if round == 0 {
-				return sreg.RegisterCtx(sc, "fed-global", cfg.Object)
+// serveCheckpoints rides the serving side along in the run's trace: once
+// a round has written the checkpoint at cfg's location, the hook installed
+// on deps registers it as name-global, and every later round's ETag poll
+// hot-swaps it, so the exported trace runs end to end from worker train
+// through the WAN into the serving reload. A gossip head cut off by a
+// partition may write no checkpoint for several rounds (or ever); the run
+// carries on regardless. The returned counter accumulates hot reloads.
+func serveCheckpoints(deps *fed.Deps, name string, cfg fed.FleetConfig) (*int, error) {
+	reloads := new(int)
+	if cfg.Container == "" {
+		return reloads, nil
+	}
+	sreg, err := serve.NewRegistry(deps.Store, cfg.Container)
+	if err != nil {
+		return nil, err
+	}
+	sreg.Instrument(deps.Obs.Metrics)
+	sreg.SetTracer(deps.Obs.Tracer)
+	registered := false
+	deps.AfterRound = func(round int, sc obs.SpanContext) error {
+		if !registered {
+			if _, err := deps.Store.Head(cfg.Container, cfg.Object); err != nil {
+				return nil
 			}
-			n, err := sreg.PollOnceCtx(sc)
-			reloads += n
-			return err
+			registered = true
+			return sreg.RegisterCtx(sc, name+"-global", cfg.Object)
 		}
+		n, err := sreg.PollOnceCtx(sc)
+		*reloads += n
+		return err
 	}
+	return reloads, nil
+}
 
-	global, err := pilot.New(pcfg)
+// runStarTrain is fed-train's parameter-server mode.
+func runStarTrain(cfg fed.Config, deps fed.Deps, global *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) error {
+	reloads, err := serveCheckpoints(&deps, "fed", cfg.FleetConfig)
 	if err != nil {
 		return err
 	}
@@ -177,14 +224,14 @@ func cmdFedTrain(args []string) error {
 		return err
 	}
 	policy := "synchronous barrier"
-	if *quorum > 0 && *quorum < *workers {
-		policy = fmt.Sprintf("%d-of-%d quorum", *quorum, *workers)
+	if cfg.Quorum > 0 && cfg.Quorum < cfg.Workers {
+		policy = fmt.Sprintf("%d-of-%d quorum", cfg.Quorum, cfg.Workers)
 	}
 	topo := "flat"
-	if *hier {
+	if cfg.Hierarchical {
 		topo = fmt.Sprintf("hierarchical (%d regions)", cfg.EffectiveRegions())
 	}
-	fmt.Printf("== fed-train: %s, %s, compress=%s, %d params\n", policy, topo, *compress, global.ParamCount())
+	fmt.Printf("== fed-train: %s, %s, compress=%s, %d params\n", policy, topo, cfg.Compress, global.ParamCount())
 
 	out, err := run.Execute()
 	if err != nil {
@@ -199,70 +246,25 @@ func cmdFedTrain(args []string) error {
 		out.FinalValLoss, float64(out.TotalBytes)/1024, out.MeanRoundWall.Round(time.Millisecond))
 	if out.CheckpointContainer != "" {
 		fmt.Printf("== global checkpoint at %s/%s (served as fed-global, %d hot reloads)\n",
-			out.CheckpointContainer, out.CheckpointObject, reloads)
+			out.CheckpointContainer, out.CheckpointObject, *reloads)
 	}
-	if rt != nil {
-		// Play the clock past the horizon so every scripted phase fires and
-		// the exported trace carries the full transition record.
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
-	if deps.Plan != nil {
-		fmt.Printf("== faults: %s\n", deps.Plan.Summary())
-	}
-	return of.write(o)
+	return nil
 }
 
-// runGossipTrain is fed-train's peer-to-peer mode: same fleet, same
-// data, same substrates, but dissemination runs over the gossip overlay
-// instead of the parameter server. The serving registry still rides
-// along — it registers the head's checkpoint as soon as the first
-// cloud sync lands one (under a cloud partition that may be never, and
-// the run carries on regardless).
-func runGossipTrain(gcfg gossip.Config, fdeps fed.Deps, pcfg pilot.Config,
-	shards [][]pilot.Sample, val []pilot.Sample, rt *scenario.Runtime, of obsFlags) error {
-	deps := gossip.Deps{
-		Net:   fdeps.Net,
-		Hub:   fdeps.Hub,
-		Store: fdeps.Store,
-		Plan:  fdeps.Plan,
-		Obs:   fdeps.Obs,
-		Start: fdeps.Start,
-	}
-	var reloads int
-	if gcfg.Container != "" && deps.Store != nil {
-		sreg, err := serve.NewRegistry(deps.Store, gcfg.Container)
-		if err != nil {
-			return err
-		}
-		sreg.Instrument(deps.Obs.Metrics)
-		sreg.SetTracer(deps.Obs.Tracer)
-		registered := false
-		deps.AfterRound = func(round int, sc obs.SpanContext) error {
-			if !registered {
-				// No checkpoint yet (the head may be partitioned away from
-				// the mesh): keep training, try again next round.
-				if _, _, err := deps.Store.Get(gcfg.Container, gcfg.Object); err != nil {
-					return nil
-				}
-				registered = true
-				return sreg.RegisterCtx(sc, "gossip-global", gcfg.Object)
-			}
-			n, err := sreg.PollOnceCtx(sc)
-			reloads += n
-			return err
-		}
-	}
-	genesis, err := pilot.New(pcfg)
+// runGossipTrain is fed-train's peer-to-peer mode: same fleet, same data,
+// same substrates, but dissemination runs over the gossip overlay instead
+// of the parameter server.
+func runGossipTrain(cfg gossip.Config, deps fed.Deps, genesis *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) error {
+	reloads, err := serveCheckpoints(&deps, "gossip", cfg.FleetConfig)
 	if err != nil {
 		return err
 	}
-	run, err := gossip.NewRun(gcfg, deps, genesis, shards, val)
+	run, err := gossip.NewRun(cfg, deps, genesis, shards, val)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("== fed-train: gossip overlay, fanout %d, bucket k=%d, anti-entropy every %d, compress=%s, %d params\n",
-		run.Cfg.Fanout, run.Cfg.BucketSize, run.Cfg.AntiEntropyEvery, gcfg.Compress, genesis.ParamCount())
+		run.Cfg.Fanout, run.Cfg.BucketSize, run.Cfg.AntiEntropyEvery, cfg.Compress, genesis.ParamCount())
 	out, err := run.Execute()
 	if err != nil {
 		return err
@@ -282,14 +284,7 @@ func runGossipTrain(gcfg gossip.Config, fdeps fed.Deps, pcfg pilot.Config,
 		out.HeadSyncs, len(out.Rounds))
 	if out.CheckpointContainer != "" {
 		fmt.Printf("== head checkpoint at %s/%s (served as gossip-global, %d hot reloads)\n",
-			out.CheckpointContainer, out.CheckpointObject, reloads)
+			out.CheckpointContainer, out.CheckpointObject, *reloads)
 	}
-	if rt != nil {
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
-	if deps.Plan != nil {
-		fmt.Printf("== faults: %s\n", deps.Plan.Summary())
-	}
-	return of.write(deps.Obs)
+	return nil
 }

@@ -171,9 +171,11 @@ commands:
   merge       combine several tubs into one (mix and match)
   serve       run the batched inference service over trained checkpoints
   fed-train   run federated training across a fleet of edge workers:
-              -topology star (FedAvg parameter server, default) or
-              gossip (decentralized peer-to-peer dissemination with
-              -fanout/-peer-k/-anti-entropy/-peer-link knobs)
+              -topology star (FedAvg parameter server, default; with
+              -quorum/-hierarchical/-regions/-ingress-serial knobs) or
+              gossip (decentralized peer-to-peer dissemination; with
+              -fanout/-peer-k/-anti-entropy/-peer-link knobs). A knob of
+              the other topology is an error
   obs         observability utilities: obs report -trace FILE summarizes
               a JSONL trace (per-stage timings, tree, critical path)
   scenario    scenario-file utilities: scenario check -file F validates and

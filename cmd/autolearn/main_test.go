@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -84,5 +85,37 @@ func TestCollectCleanTrainEvaluateFlow(t *testing.T) {
 	}
 	if err := cmdEvaluate([]string{"-model", ckpt, "-ticks", "200", "-quant", "int4"}); err == nil {
 		t.Fatal("evaluate accepted unsupported quantization mode")
+	}
+}
+
+// TestCmdFedTrainRejectsFlagMistakes pins fed-train's up-front checks: a
+// flag of the other topology, an unknown topology or peer link, and
+// -faults with -scenario all fail before any driving is collected. With
+// -ticks 1 a run that got past the checks fails on its tiny drive
+// instead, which is what the accepted combinations expect.
+func TestCmdFedTrainRejectsFlagMistakes(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-topology", "gossip", "-quorum", "2"}, "-quorum"},
+		{[]string{"-topology", "gossip", "-hierarchical"}, "-hierarchical"},
+		{[]string{"-topology", "gossip", "-regions", "2"}, "-regions"},
+		{[]string{"-topology", "gossip", "-ingress-serial"}, "-ingress-serial"},
+		{[]string{"-fanout", "2"}, "-fanout"},
+		{[]string{"-topology", "star", "-peer-k", "3"}, "-peer-k"},
+		{[]string{"-anti-entropy", "1"}, "-anti-entropy"},
+		{[]string{"-peer-link", "nosuch"}, "-peer-link"},
+		{[]string{"-topology", "gossip", "-peer-link", "nosuch"}, "unknown -peer-link"},
+		{[]string{"-topology", "mesh"}, "unknown -topology"},
+		{[]string{"-faults", "lossy-wan", "-scenario", "scenarios/clean.scn"}, "mutually exclusive"},
+		{[]string{"-topology", "gossip", "-fanout", "2", "-peer-link", "wifi-local"}, "raise -ticks"},
+		{[]string{"-quorum", "2", "-hierarchical", "-regions", "2", "-ingress-serial"}, "raise -ticks"},
+	}
+	for _, c := range cases {
+		err := cmdFedTrain(append(c.args, "-ticks", "1"))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("fed-train %v: got %v, want an error naming %q", c.args, err, c.want)
+		}
 	}
 }

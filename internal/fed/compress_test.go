@@ -177,7 +177,7 @@ func TestTopKResidualShapeMismatch(t *testing.T) {
 // fix: the accumulator allocated for one model shape must be replaced, not
 // returned, once the delta shape changes.
 func TestResidualForResetsOnShapeChange(t *testing.T) {
-	w := &worker{}
+	w := &Worker{}
 	c := topKCodec{frac: 0.5}
 	first := w.residualFor(c, [][]float64{{1, 2}, {3}})
 	first[0][0] = 0.25

@@ -18,6 +18,13 @@
 // hot-reload it; and everything emits fed_* spans, counters, and
 // histograms through obs.
 //
+// The edge half of a round does not depend on the topology, so it lives
+// in Fleet (fleet.go): the workers and their devices, parallel local
+// training, delta export with error feedback, transfers under retry, and
+// checkpoints. Run, the star, adds broadcast, upload, the staleness
+// policy, aggregation, heartbeat playback and the hierarchical partials;
+// package gossip runs its peer overlay on the same Fleet.
+//
 // Determinism is a hard requirement (the chaos tests diff whole runs):
 // network billing and aggregation run in worker-index order on the plan's
 // seeded RNGs, local training runs workers in parallel but each worker's
@@ -27,61 +34,27 @@
 package fed
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/edge"
 	"repro/internal/faults"
 	"repro/internal/netem"
-	"repro/internal/objstore"
-	"repro/internal/obs"
 	"repro/internal/pilot"
 )
 
-// Config shapes one federated training run.
+// Config shapes one federated training run over the star: the shared
+// fleet fields (Workers is at least 1) plus the parameter server's.
 type Config struct {
-	// Workers is the fleet size N (at least 1).
-	Workers int
-	// Rounds is how many FedAvg rounds to run.
-	Rounds int
+	FleetConfig
 	// Quorum is the K of the K-of-N staleness policy: a round aggregates
 	// the K fastest uploads and cuts the rest. 0 (or >= Workers) selects
 	// the synchronous barrier over every live worker.
 	Quorum int
-	// LocalEpochs is how many epochs each worker trains per round.
-	LocalEpochs int
-	// BatchSize for local training.
-	BatchSize int
-	// Seed drives every random choice in the run: worker compute speeds,
-	// local-training shuffles, and the per-run RNG streams.
-	Seed int64
-	// Compress names the delta compression profile: "none" (raw float64
-	// both ways), "fp16" (float32 broadcast, dense float16 uploads), or
-	// "topk" (float32 broadcast, top-k sparsified float16 uploads with
-	// error feedback). See Profiles.
-	Compress string
-	// TopKFrac is the fraction of delta entries the "topk" profile keeps
-	// per tensor (0 selects the default 0.1).
-	TopKFrac float64
 	// Link is the WAN between workers and the parameter server; the zero
 	// value selects netem.CampusWAN (which is also the link the stock
 	// fault profiles schedule outages on).
 	Link netem.Link
-	// RoundGap is idle virtual time appended after each round (a fleet
-	// checking in on a schedule rather than back to back). It advances
-	// fault windows between rounds; 0 runs rounds back to back.
-	RoundGap time.Duration
-	// Container and Object name where the global checkpoint is written
-	// after every round. Empty Container disables checkpointing.
-	Container string
-	Object    string
-	// PerSampleCost is the simulated edge compute cost per sample per
-	// epoch (0 selects 2ms, Pi-class). Each worker also draws a fixed
-	// speed factor in [0.7, 1.3] from the run seed, so fleets are
-	// heterogeneous and quorum mode has honest stragglers to cut.
-	PerSampleCost time.Duration
 	// Hierarchical routes uploads through regional aggregators: workers
 	// ship deltas to their region over RegionLink, each region pre-reduces
 	// its members' contributions, and only one dense partial per region
@@ -120,40 +93,30 @@ type Config struct {
 // compression.
 func DefaultConfig() Config {
 	return Config{
-		Workers:     4,
-		Rounds:      5,
-		LocalEpochs: 1,
-		BatchSize:   32,
-		Seed:        1,
-		Compress:    "none",
-		Link:        netem.CampusWAN,
-		Container:   "autolearn-models",
-		Object:      "fed/global.ckpt",
+		FleetConfig: FleetConfig{
+			Workers:     4,
+			Rounds:      5,
+			LocalEpochs: 1,
+			BatchSize:   32,
+			Seed:        1,
+			Compress:    "none",
+			Container:   "autolearn-models",
+			Object:      "fed/global.ckpt",
+		},
+		Link: netem.CampusWAN,
 	}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	if err := c.FleetConfig.Validate("fed"); err != nil {
+		return err
+	}
 	switch {
-	case c.Workers < 1:
-		return fmt.Errorf("fed: need at least 1 worker")
-	case c.Rounds < 1:
-		return fmt.Errorf("fed: need at least 1 round")
 	case c.Quorum < 0 || c.Quorum > c.Workers:
 		return fmt.Errorf("fed: quorum %d out of range [0, %d]", c.Quorum, c.Workers)
-	case c.LocalEpochs < 1:
-		return fmt.Errorf("fed: need at least 1 local epoch")
-	case c.BatchSize < 1:
-		return fmt.Errorf("fed: batch size must be positive")
-	case c.RoundGap < 0:
-		return fmt.Errorf("fed: negative round gap")
-	case c.TopKFrac < 0 || c.TopKFrac > 1:
-		return fmt.Errorf("fed: top-k fraction must be in [0, 1]")
 	case c.Regions < 0:
 		return fmt.Errorf("fed: negative region count")
-	}
-	if _, err := NewCodec(c.Compress, c.TopKFrac); err != nil {
-		return err
 	}
 	return nil
 }
@@ -164,185 +127,48 @@ func (c Config) sync() bool { return c.Quorum == 0 || c.Quorum >= c.Workers }
 // Profiles lists the accepted -compress profile names.
 func Profiles() []string { return []string{"none", "fp16", "topk"} }
 
-// Deps are the continuum substrates a run composes with. Net is required;
-// the rest are optional (nil Hub skips device registration, nil Store
-// skips checkpointing, nil Plan runs fault-free on a private clock).
-type Deps struct {
-	Net   *netem.Net
-	Hub   *edge.Hub
-	Store *objstore.Store
-	Plan  *faults.Plan
-	Obs   obs.Observer
-	// Start anchors the private clock when Plan is nil (Plan's own clock
-	// is used otherwise). The zero value is a fixed 2023 instant.
-	Start time.Time
-	// AfterRound, when set, runs at the end of every round inside the
-	// round's trace scope — the hook cmd/autolearn uses to hot-reload the
-	// serving registry from the fresh checkpoint without fed importing
-	// serve. A non-nil error aborts the run.
-	AfterRound func(round int, sc obs.SpanContext) error
-}
-
-// worker is one edge participant: its shard, its local pilot (re-seeded
-// from the broadcast every round), the base copy it diffs against, its
-// fixed compute speed, and its top-k error-feedback residual.
-type worker struct {
-	idx      int
-	deviceID string
-	name     string
-	shard    []pilot.Sample
-	local    *pilot.Pilot
-	base     *pilot.Pilot
-	speed    float64     // compute speed factor; higher is faster
-	residual [][]float64 // error feedback for sparsified uploads
-	// evicted marks a heartbeat eviction during the current round. A worker
-	// whose daemon went silent misses the round even if it re-onboards
-	// before the uploads are collected — its connection was lost mid-round.
-	evicted bool
-}
-
-// Run is one federated training run in progress.
+// Run is one federated training run in progress: the parameter server's
+// state over the shared edge fleet.
 type Run struct {
+	*Fleet
 	Cfg    Config
 	Global *pilot.Pilot
 
-	workers []*worker
-	val     []pilot.Sample
-
-	net        *netem.Net
-	hub        *edge.Hub
-	store      *objstore.Store
-	plan       *faults.Plan
-	clock      *faults.Clock
-	obs        obs.Observer
-	codec      Codec
-	afterRound func(round int, sc obs.SpanContext) error
-
+	val []pilot.Sample
+	// evicted marks, by worker index, a heartbeat eviction during the
+	// current round. A worker whose daemon went silent misses the round
+	// even if it re-onboards before the uploads are collected — its
+	// connection was lost mid-round.
+	evicted  []bool
 	playback *heartbeatPlayback
 }
 
-// NewRun assembles a run: the global pilot (the parameter server's copy),
-// one worker per shard with a seeded compute speed, and — when a hub is
-// present — a registered, flashed, and booted BYOD device per worker.
-// When the fault plan scripts silence windows, the first workers take the
-// scripted device names so the plan's schedule lands on real fleet
-// members. shards must have Cfg.Workers entries; val is the held-out set
-// the server scores the global model on after each round.
+// NewRun assembles a run: the global pilot (the parameter server's copy)
+// over a fleet with one worker per shard (see NewFleet), plus heartbeat
+// playback when both a hub and a fault plan are present. shards must have
+// Cfg.Workers entries; val is the held-out set the server scores the
+// global model on after each round.
 func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if deps.Net == nil {
-		return nil, fmt.Errorf("fed: nil network")
-	}
 	if global == nil {
 		return nil, fmt.Errorf("fed: nil global pilot")
-	}
-	if len(shards) != cfg.Workers {
-		return nil, fmt.Errorf("fed: %d shards for %d workers", len(shards), cfg.Workers)
 	}
 	if cfg.Link == (netem.Link{}) {
 		cfg.Link = netem.CampusWAN
 	}
-	if cfg.PerSampleCost == 0 {
-		cfg.PerSampleCost = 2 * time.Millisecond
-	}
-	if cfg.TopKFrac == 0 {
-		cfg.TopKFrac = 0.1
-	}
 	if cfg.RegionLink == (netem.Link{}) {
 		cfg.RegionLink = netem.FabricManaged
 	}
-	cdc, err := NewCodec(cfg.Compress, cfg.TopKFrac)
-	if err != nil {
+	r := &Run{Cfg: cfg, Global: global, val: val, evicted: make([]bool, cfg.Workers)}
+	var err error
+	if r.Fleet, err = NewFleet("fed", 0xfed, &r.Cfg.FleetConfig, deps, global.Cfg, shards); err != nil {
 		return nil, err
 	}
-	clock := deps.Start
-	if clock.IsZero() {
-		clock = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
-	}
-	r := &Run{
-		Cfg:        cfg,
-		Global:     global,
-		val:        val,
-		net:        deps.Net,
-		hub:        deps.Hub,
-		store:      deps.Store,
-		plan:       deps.Plan,
-		obs:        deps.Obs,
-		codec:      cdc,
-		afterRound: deps.AfterRound,
-	}
-	if deps.Plan != nil {
-		r.clock = deps.Plan.Clock
-		deps.Net.SetFaults(deps.Plan)
-	} else {
-		r.clock = faults.NewClock(clock)
-	}
-	// The run lives entirely in virtual time, so its spans should too:
-	// re-clock the tracer onto the run's clock and hand it to every
-	// substrate a round's trace flows through. With deterministic span IDs
-	// this is what makes two same-seed runs export byte-identical traces.
-	if deps.Obs.Tracer != nil {
-		deps.Obs.Tracer.SetClock(r.clock.Now)
-		deps.Net.SetTracer(deps.Obs.Tracer)
-		if deps.Hub != nil {
-			deps.Hub.SetTracer(deps.Obs.Tracer)
-		}
-		if deps.Store != nil {
-			deps.Store.SetTracer(deps.Obs.Tracer)
-		}
-	}
-
-	var scripted []string
-	if deps.Plan != nil {
-		scripted = deps.Plan.ScriptDevices()
-	}
-	speedRNG := rand.New(rand.NewSource(cfg.Seed ^ 0xfed))
-	for i := 0; i < cfg.Workers; i++ {
-		if len(shards[i]) == 0 {
-			return nil, fmt.Errorf("fed: worker %d has an empty shard", i)
-		}
-		w := &worker{
-			idx:   i,
-			shard: shards[i],
-			speed: 0.7 + 0.6*speedRNG.Float64(),
-		}
-		w.name = fmt.Sprintf("fed-worker-%d", i)
-		if i < len(scripted) {
-			w.name = scripted[i]
-		}
-		w.local, err = pilot.New(global.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fed: worker %d pilot: %w", i, err)
-		}
-		w.base, err = pilot.New(global.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fed: worker %d base pilot: %w", i, err)
-		}
-		if deps.Hub != nil {
-			d, err := deps.Hub.RegisterDevice(w.name, "fed-fleet")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.FlashImage(d.ID); err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.Boot(d.ID); err != nil {
-				return nil, err
-			}
-			w.deviceID = d.ID
-		}
-		r.workers = append(r.workers, w)
-	}
-	if r.store != nil && cfg.Container != "" {
-		if err := r.store.CreateContainer(cfg.Container); err != nil && !errors.Is(err, objstore.ErrExists) {
-			return nil, err
-		}
-	}
-	if r.hub != nil && r.plan != nil {
-		r.playback = newHeartbeatPlayback(r.plan, r.hub, r.workers)
-		r.playback.start(r.clock)
+	if r.hub != nil && r.Plan != nil {
+		r.playback = newHeartbeatPlayback(r.Plan, r.hub, r.Workers, r.evicted)
+		r.playback.start(r.Clock)
 	}
 	r.instrument()
 	return r, nil
@@ -373,46 +199,14 @@ func ShardSamples(samples []pilot.Sample, n int) ([][]pilot.Sample, error) {
 	return out, nil
 }
 
-// now returns the run's current virtual time.
-func (r *Run) now() time.Time { return r.clock.Now() }
-
 // live reports whether the worker's device is currently connected (a run
 // without a hub treats every worker as live).
-func (r *Run) live(w *worker) bool {
+func (r *Run) live(w *Worker) bool {
 	if r.hub == nil || w.deviceID == "" {
 		return true
 	}
 	d, err := r.hub.Device(w.deviceID)
 	return err == nil && d.Status == edge.StatusConnected
-}
-
-// transfer bills size bytes over link, under the fault plan's retry
-// policy when one is attached. It returns the total virtual time the
-// operation consumed, including backoff waits; the clock has already
-// advanced by it. A retryable failure that exhausts the policy budget is
-// reported as (elapsed, err) with faults.Retryable(err) true — the caller
-// drops the worker instead of stalling the round.
-// The trace context rides along so each WAN attempt (including the
-// retries a fault plan injects) emits its own netem_transfer span under
-// the caller's stage span.
-func (r *Run) transfer(sc obs.SpanContext, op string, size int64, link netem.Link) (time.Duration, error) {
-	if r.plan == nil {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		r.clock.Advance(tr.Duration)
-		return tr.Duration, nil
-	}
-	before := r.clock.Now()
-	err := r.plan.Do(op, func(int) (time.Duration, error) {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		return tr.Duration, nil
-	})
-	return r.clock.Now().Sub(before), err
 }
 
 // heartbeatPlayback drives the worker fleet's device daemons as virtual
@@ -430,25 +224,27 @@ func (r *Run) transfer(sc obs.SpanContext, op string, size int64, link netem.Lin
 type heartbeatPlayback struct {
 	plan     *faults.Plan
 	hub      *edge.Hub
-	workers  []*worker
-	byDevice map[string]*worker
+	workers  []*Worker
+	byDevice map[string]int // device ID -> worker index
+	evicted  []bool         // the run's per-round eviction flags
 	clock    *faults.Clock
 	beat     time.Time
 	sweep    time.Time
 }
 
-func newHeartbeatPlayback(plan *faults.Plan, hub *edge.Hub, workers []*worker) *heartbeatPlayback {
+func newHeartbeatPlayback(plan *faults.Plan, hub *edge.Hub, workers []*Worker, evicted []bool) *heartbeatPlayback {
 	hp := &heartbeatPlayback{
 		plan:     plan,
 		hub:      hub,
 		workers:  workers,
-		byDevice: make(map[string]*worker, len(workers)),
+		byDevice: make(map[string]int, len(workers)),
+		evicted:  evicted,
 		beat:     plan.Clock.Now().Add(plan.HeartbeatEvery),
 		sweep:    plan.Clock.Now().Add(plan.SweepEvery),
 	}
 	for _, w := range workers {
 		if w.deviceID != "" {
-			hp.byDevice[w.deviceID] = w
+			hp.byDevice[w.deviceID] = w.Idx
 		}
 	}
 	return hp
@@ -482,8 +278,8 @@ func (hp *heartbeatPlayback) tick(now time.Time) {
 				// Flag evicted workers so the round in progress knows they
 				// lost their connection even if they re-onboard before the
 				// uploads are collected.
-				if w, ok := hp.byDevice[id]; ok {
-					w.evicted = true
+				if i, ok := hp.byDevice[id]; ok {
+					hp.evicted[i] = true
 				}
 			}
 			hp.sweep = hp.sweep.Add(hp.plan.SweepEvery)
@@ -500,7 +296,7 @@ func (hp *heartbeatPlayback) beatRound(t time.Time) {
 		if w.deviceID == "" {
 			continue
 		}
-		if hp.plan.DeviceSilent(w.name, t) {
+		if hp.plan.DeviceSilent(w.Name, t) {
 			hp.plan.RecordInjection("heartbeat_gap")
 			continue
 		}

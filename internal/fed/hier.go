@@ -65,7 +65,7 @@ func (r *Run) shipRegionPartials(span *obs.Span, rr *RoundResult, selected []*ws
 	nRegions := r.Cfg.regions()
 	byRegion := make([][]*wstate, nRegions)
 	for _, st := range selected {
-		reg := r.Cfg.regionOf(st.w.idx)
+		reg := r.Cfg.regionOf(st.w.Idx)
 		byRegion[reg] = append(byRegion[reg], st)
 	}
 	partialBytes := int64(8 * r.Global.ParamCount())
@@ -87,7 +87,7 @@ func (r *Run) shipRegionPartials(span *obs.Span, rr *RoundResult, selected []*ws
 		rsp.SetAttr("region", reg)
 		rsp.SetAttr("members", len(members))
 		rsp.SetAttr("bytes", partialBytes)
-		d, err := r.transfer(rsp.Context(), "fed_upload", partialBytes, r.Cfg.Link)
+		d, err := r.Transfer(rsp.Context(), "fed_upload", partialBytes, r.Cfg.Link)
 		if err != nil {
 			rsp.EndErr(err)
 			if !faults.Retryable(err) {
@@ -105,7 +105,7 @@ func (r *Run) shipRegionPartials(span *obs.Span, rr *RoundResult, selected []*ws
 		rsp.SetSimDuration("partial_upload", d)
 		rsp.End()
 		rr.UploadBytes += partialBytes
-		r.obs.Metrics.Counter("fed_bytes_on_wire_total", obs.L("dir", "upload")).Add(float64(partialBytes))
+		r.Obs.Metrics.Counter("fed_bytes_on_wire_total", obs.L("dir", "upload")).Add(float64(partialBytes))
 		if completion > wall {
 			wall = completion
 		}

@@ -14,7 +14,7 @@ import (
 // who participates in a round.
 func TestFedRegionTopology(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 16, 100, 1000} {
-		cfg := Config{Workers: workers}
+		cfg := Config{FleetConfig: FleetConfig{Workers: workers}}
 		nR := cfg.regions()
 		want := int(math.Ceil(math.Sqrt(float64(workers))))
 		if nR != want {
@@ -47,10 +47,10 @@ func TestFedRegionTopology(t *testing.T) {
 		}
 	}
 	// Explicit Regions overrides, clamped to the fleet.
-	if got := (Config{Workers: 10, Regions: 4}).regions(); got != 4 {
+	if got := (Config{FleetConfig: FleetConfig{Workers: 10}, Regions: 4}).regions(); got != 4 {
 		t.Fatalf("explicit regions = %d, want 4", got)
 	}
-	if got := (Config{Workers: 3, Regions: 50}).regions(); got != 3 {
+	if got := (Config{FleetConfig: FleetConfig{Workers: 3}, Regions: 50}).regions(); got != 3 {
 		t.Fatalf("over-provisioned regions = %d, want clamp to 3", got)
 	}
 }
@@ -122,7 +122,7 @@ func TestFedDroppedWorkerClearsResidual(t *testing.T) {
 		if round == 0 {
 			// Knock worker 0's device offline between rounds; round 1 drops
 			// it at the broadcast stage.
-			return deps.Hub.SetOffline(r.workers[0].deviceID)
+			return deps.Hub.SetOffline(r.Workers[0].deviceID)
 		}
 		return nil
 	}
@@ -140,12 +140,12 @@ func TestFedDroppedWorkerClearsResidual(t *testing.T) {
 	}
 	// Round 0's sparsified upload seeded the residual; the drop must have
 	// cleared it. Survivors keep theirs.
-	if r.workers[0].residual != nil {
+	if r.Workers[0].residual != nil {
 		t.Fatal("dropped worker kept its stale error-feedback residual")
 	}
-	for _, w := range r.workers[1:] {
+	for _, w := range r.Workers[1:] {
 		if w.residual == nil {
-			t.Fatalf("surviving worker %d lost its residual", w.idx)
+			t.Fatalf("surviving worker %d lost its residual", w.Idx)
 		}
 	}
 }

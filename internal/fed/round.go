@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -47,7 +46,7 @@ type Result struct {
 // instrument pre-registers the fed_* series so scrapes before the first
 // round still see them. Everything is nil-safe.
 func (r *Run) instrument() {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	reg.Help("fed_rounds_total", "federated rounds completed")
 	reg.Help("fed_deltas_applied_total", "worker deltas aggregated into the global model")
 	reg.Help("fed_workers_dropped_total", "workers dropped from a round (offline or retry budget exhausted), by reason")
@@ -68,7 +67,7 @@ func (r *Run) instrument() {
 
 // wstate is one worker's progress through a round.
 type wstate struct {
-	w       *worker
+	w       *Worker
 	elapsed time.Duration // end-to-end virtual time this round
 	enc     Encoded       // decoded upload the server received
 	ok      bool
@@ -78,11 +77,11 @@ type wstate struct {
 // Execute runs every configured round and returns the run report. The
 // global pilot ends holding the final aggregated weights.
 func (r *Run) Execute() (Result, error) {
-	span := r.obs.Tracer.Start("fed-train")
+	span := r.Obs.Tracer.Start("fed-train")
 	span.SetAttr("workers", r.Cfg.Workers)
 	span.SetAttr("rounds", r.Cfg.Rounds)
 	span.SetAttr("quorum", r.Cfg.Quorum)
-	span.SetAttr("compress", r.codec.Name())
+	span.SetAttr("compress", r.Codec.Name())
 	var res Result
 	var wallSum time.Duration
 	for i := 0; i < r.Cfg.Rounds; i++ {
@@ -96,15 +95,13 @@ func (r *Run) Execute() (Result, error) {
 		res.FinalValLoss = rr.ValLoss
 		wallSum += rr.Wall
 		if r.Cfg.RoundGap > 0 {
-			r.clock.Advance(r.Cfg.RoundGap)
+			r.Clock.Advance(r.Cfg.RoundGap)
 		}
 	}
 	if n := len(res.Rounds); n > 0 {
 		res.MeanRoundWall = wallSum / time.Duration(n)
 	}
-	if r.store != nil && r.Cfg.Container != "" {
-		res.CheckpointContainer, res.CheckpointObject = r.Cfg.Container, r.Cfg.Object
-	}
+	res.CheckpointContainer, res.CheckpointObject = r.CheckpointAt()
 	span.SetAttr("final_val_loss", res.FinalValLoss)
 	span.SetAttr("bytes_on_wire", res.TotalBytes)
 	span.End()
@@ -115,7 +112,7 @@ func (r *Run) Execute() (Result, error) {
 // parallel local training, upload (sequential, billed), staleness policy,
 // shard-weighted aggregation, checkpoint, validation.
 func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	span := parent.Child("fed-round")
 	span.SetAttr("round", idx)
 	sc := span.Context()
@@ -126,27 +123,32 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		defer r.hub.SetTraceScope(obs.SpanContext{})
 	}
 	rr := RoundResult{Round: idx, ValLoss: -1}
-	states := make([]*wstate, len(r.workers))
-	for i, w := range r.workers {
-		w.evicted = false
+	clear(r.evicted)
+	states := make([]*wstate, len(r.Workers))
+	for i, w := range r.Workers {
 		states[i] = &wstate{w: w, ok: true}
 	}
 
 	// Broadcast: the server pushes the (possibly down-quantized) global
 	// weights to each live worker, one billed WAN transfer each, in
-	// worker-index order so netem's seeded draws replay identically.
-	paramCount := r.Global.ParamCount()
-	bcastBytes := r.codec.BroadcastBytes(paramCount)
-	globalVals := r.broadcastSnapshot()
+	// worker-index order so netem's seeded draws replay identically. Every
+	// worker decodes the same copy, so the fleet stays in lockstep.
+	bcastBytes := r.Codec.BroadcastBytes(r.Global.ParamCount())
+	globalVals := Snapshot(r.Global)
+	for _, t := range globalVals {
+		for j, v := range t {
+			t[j] = r.Codec.BroadcastValue(v)
+		}
+	}
 	for _, st := range states {
 		if !r.live(st.w) {
 			r.drop(st, &rr, "offline")
 			continue
 		}
 		bsp := span.Child("fed_broadcast")
-		bsp.SetAttr("worker", st.w.name)
+		bsp.SetAttr("worker", st.w.Name)
 		bsp.SetAttr("bytes", bcastBytes)
-		d, err := r.transfer(bsp.Context(), "fed_broadcast", bcastBytes, r.Cfg.Link)
+		d, err := r.Transfer(bsp.Context(), "fed_broadcast", bcastBytes, r.Cfg.Link)
 		if err != nil {
 			bsp.EndErr(err)
 			if !faults.Retryable(err) {
@@ -161,75 +163,35 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		bsp.End()
 		rr.BroadcastBytes += bcastBytes
 		reg.Counter("fed_bytes_on_wire_total", obs.L("dir", "broadcast")).Add(float64(bcastBytes))
-		if err := st.w.setWeights(globalVals); err != nil {
+		if err := Install(globalVals, st.w.Local, st.w.Base); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
 	}
 
 	// Local training: every broadcast-reachable worker runs its local
-	// epochs concurrently. Each worker's arithmetic is self-contained
-	// (own model, own seeded RNG streams), so scheduling cannot change
-	// the result; the simulated cost is charged per worker afterwards.
-	var wg sync.WaitGroup
-	trainErrs := make([]error, len(states))
-	for i, st := range states {
-		if !st.ok {
-			continue
+	// epochs, or under SyntheticLocal a seeded pseudo-delta that lets 10k
+	// workers exercise the full coordination path (broadcast, residuals,
+	// upload, aggregation) without 10k real training loops.
+	var trainees []*Worker
+	for _, st := range states {
+		if st.ok {
+			trainees = append(trainees, st.w)
 		}
-		wg.Add(1)
-		go func(i int, st *wstate) {
-			defer wg.Done()
-			if r.Cfg.SyntheticLocal {
-				// Fleet-scale benchmarking: replace SGD with a seeded
-				// pseudo-delta so 10k workers exercise the full coordination
-				// path (broadcast, residuals, upload, aggregation) without
-				// 10k real training loops. Still delta = local - base.
-				syntheticTrain(st.w, r.Cfg.Seed, idx)
-				return
-			}
-			cfg := nn.TrainConfig{
-				Epochs:    r.Cfg.LocalEpochs,
-				BatchSize: r.Cfg.BatchSize,
-				Seed:      r.Cfg.Seed + int64(idx)*1000 + int64(st.w.idx)*7 + 13,
-				ClipGrad:  5,
-			}
-			_, err := st.w.local.Train(st.w.shard, cfg)
-			trainErrs[i] = err
-		}(i, st)
 	}
-	wg.Wait()
-	// Train spans are opened sequentially (index order) after the parallel
-	// work so span IDs and timestamps stay deterministic; each carries its
-	// worker's simulated cost, while the wall interval of all of them is
-	// the round's single fleet-wide advance below.
-	var maxTrain time.Duration
-	trainSpans := make([]*obs.Span, len(states))
-	for i, st := range states {
-		if !st.ok {
-			continue
+	costs, err := r.Train(span, idx, trainees, func(w *Worker) error {
+		if r.Cfg.SyntheticLocal {
+			syntheticTrain(w, r.Cfg.Seed, idx)
+			return nil
 		}
-		if trainErrs[i] != nil {
-			span.EndErr(trainErrs[i])
-			return rr, fmt.Errorf("fed: worker %d round %d: %w", st.w.idx, idx, trainErrs[i])
-		}
-		cost := r.trainCost(st.w)
-		st.elapsed += cost
-		if cost > maxTrain {
-			maxTrain = cost
-		}
-		tsp := span.Child("fed_local_train")
-		tsp.SetAttr("worker", st.w.name)
-		tsp.SetAttr("samples", len(st.w.shard))
-		tsp.SetSimDuration("train", cost)
-		trainSpans[i] = tsp
+		return r.SGD(w, idx)
+	})
+	if err != nil {
+		span.EndErr(err)
+		return rr, err
 	}
-	// The fleet trains in parallel in simulated time: the clock moves by
-	// the slowest worker's epochs, letting heartbeat windows and fault
-	// schedules progress through the round.
-	r.clock.Advance(maxTrain)
-	for _, tsp := range trainSpans {
-		tsp.End()
+	for i, st := range states {
+		st.elapsed += costs[i]
 	}
 
 	// Upload: each worker exports delta = local - base, compresses it,
@@ -251,26 +213,20 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 		// A worker whose daemon went silent during training was swept out
 		// of the fleet; it has nothing trustworthy to upload this round.
-		if st.w.evicted || !r.live(st.w) {
+		if r.evicted[st.w.Idx] || !r.live(st.w) {
 			r.drop(st, &rr, "offline")
 			continue
 		}
-		delta, err := nn.DeltaFrom(st.w.local.Model(), st.w.base.Model())
-		if err != nil {
+		if st.enc, err = r.Export(st.w, 1); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
-		vals := make([][]float64, len(delta.Tensors))
-		for i, t := range delta.Tensors {
-			vals[i] = t.Data
-		}
-		st.enc = r.codec.EncodeDelta(vals, st.w.residualFor(r.codec, vals))
 		usp := span.Child("fed_upload")
-		usp.SetAttr("worker", st.w.name)
+		usp.SetAttr("worker", st.w.Name)
 		usp.SetAttr("bytes", st.enc.WireBytes)
-		d, err := r.transfer(usp.Context(), "fed_upload", st.enc.WireBytes, uplink)
-		uploadArrival[st.w.idx] = st.elapsed
-		uploadDur[st.w.idx] = d
+		d, err := r.Transfer(usp.Context(), "fed_upload", st.enc.WireBytes, uplink)
+		uploadArrival[st.w.Idx] = st.elapsed
+		uploadDur[st.w.Idx] = d
 		st.elapsed += d
 		if err != nil {
 			usp.EndErr(err)
@@ -290,7 +246,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		// The upload itself advances the clock, so the sweep can evict a
 		// worker while its own transfer is in flight; that upload does not
 		// count either.
-		if st.w.evicted || !r.live(st.w) {
+		if r.evicted[st.w.Idx] || !r.live(st.w) {
 			r.drop(st, &rr, "offline")
 		}
 	}
@@ -308,19 +264,19 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			}
 		}
 		sort.Slice(survivors, func(a, b int) bool {
-			if uploadArrival[survivors[a].w.idx] != uploadArrival[survivors[b].w.idx] {
-				return uploadArrival[survivors[a].w.idx] < uploadArrival[survivors[b].w.idx]
+			if uploadArrival[survivors[a].w.Idx] != uploadArrival[survivors[b].w.Idx] {
+				return uploadArrival[survivors[a].w.Idx] < uploadArrival[survivors[b].w.Idx]
 			}
-			return survivors[a].w.idx < survivors[b].w.idx
+			return survivors[a].w.Idx < survivors[b].w.Idx
 		})
 		queues := make([]netem.IngressQueue, r.Cfg.regions())
 		var cloud netem.IngressQueue
 		for _, st := range survivors {
 			q := &cloud
 			if r.Cfg.Hierarchical {
-				q = &queues[r.Cfg.regionOf(st.w.idx)]
+				q = &queues[r.Cfg.regionOf(st.w.Idx)]
 			}
-			st.elapsed = q.Admit(uploadArrival[st.w.idx], uploadDur[st.w.idx])
+			st.elapsed = q.Admit(uploadArrival[st.w.Idx], uploadDur[st.w.Idx])
 		}
 	}
 
@@ -334,14 +290,14 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			// land in one of numShards shard buckets, never a per-worker
 			// series (the cardinality lint rejects unbounded label values).
 			reg.Histogram("fed_worker_seconds", obs.DefSecondsBuckets,
-				obs.L("shard", workerShard(st.w.idx))).ObserveDurationExemplar(st.elapsed, span.Context().TraceID)
+				obs.L("shard", workerShard(st.w.Idx))).ObserveDurationExemplar(st.elapsed, span.Context().TraceID)
 		}
 	}
 	sort.Slice(arrived, func(a, b int) bool {
 		if arrived[a].elapsed != arrived[b].elapsed {
 			return arrived[a].elapsed < arrived[b].elapsed
 		}
-		return arrived[a].w.idx < arrived[b].w.idx
+		return arrived[a].w.Idx < arrived[b].w.Idx
 	})
 	selected := arrived
 	if !r.Cfg.sync() {
@@ -353,7 +309,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 				// A cut straggler stays in the fleet; its update is deferred
 				// into the residual, not discarded (unlike a drop).
 				st.w.reclaimResidual(st.enc)
-				rr.Cut = append(rr.Cut, st.w.idx)
+				rr.Cut = append(rr.Cut, st.w.Idx)
 			}
 			reg.Counter("fed_stragglers_cut_total").Add(float64(len(rr.Cut)))
 		}
@@ -372,7 +328,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	}
 
 	for _, st := range selected {
-		rr.Participants = append(rr.Participants, st.w.idx)
+		rr.Participants = append(rr.Participants, st.w.Idx)
 		if st.elapsed > rr.Wall {
 			rr.Wall = st.elapsed
 		}
@@ -400,7 +356,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		reg.Counter("fed_deltas_applied_total").Add(float64(len(selected)))
 	}
 
-	if err := r.checkpoint(idx, span); err != nil {
+	if err := r.Checkpoint(idx, span, r.Global); err != nil {
 		span.EndErr(err)
 		return rr, err
 	}
@@ -417,11 +373,9 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		rr.ValLoss = vl
 		reg.Gauge("fed_val_loss").Set(vl)
 	}
-	if r.afterRound != nil {
-		if err := r.afterRound(idx, sc); err != nil {
-			span.EndErr(err)
-			return rr, fmt.Errorf("fed: after-round hook round %d: %w", idx, err)
-		}
+	if err := r.AfterRound(idx, sc); err != nil {
+		span.EndErr(err)
+		return rr, err
 	}
 
 	reg.Counter("fed_rounds_total").Inc()
@@ -448,9 +402,9 @@ func (r *Run) drop(st *wstate, rr *RoundResult, reason string) {
 	st.ok = false
 	st.reason = reason
 	st.w.clearResidual()
-	rr.Dropped = append(rr.Dropped, st.w.idx)
-	r.obs.Metrics.Counter("fed_workers_dropped_total").Inc()
-	r.obs.Metrics.Counter("fed_workers_dropped_total", obs.L("reason", reason)).Inc()
+	rr.Dropped = append(rr.Dropped, st.w.Idx)
+	r.Obs.Metrics.Counter("fed_workers_dropped_total").Inc()
+	r.Obs.Metrics.Counter("fed_workers_dropped_total", obs.L("reason", reason)).Inc()
 }
 
 // workerShard maps a worker index to its bounded metrics-label bucket.
@@ -460,10 +414,10 @@ func workerShard(idx int) string { return fmt.Sprintf("s%02d", idx%numShards) }
 // pseudo-update, a stand-in for SGD when Cfg.SyntheticLocal is set. Every
 // element's perturbation depends only on (seed, round, worker, tensor,
 // element), so same-seed fleets of any size replay bit-for-bit.
-func syntheticTrain(w *worker, seed int64, round int) {
-	for ti, p := range w.local.Model().Params() {
+func syntheticTrain(w *Worker, seed int64, round int) {
+	for ti, p := range w.Local.Model().Params() {
 		for j := range p.W.Data {
-			p.W.Data[j] += 1e-3 * synthVal(seed, round, w.idx, ti, j)
+			p.W.Data[j] += 1e-3 * synthVal(seed, round, w.Idx, ti, j)
 		}
 	}
 }
@@ -483,87 +437,6 @@ func synthVal(seed int64, round, workerIdx, tensor, elem int) float64 {
 	return float64(x>>11)/float64(1<<52) - 1
 }
 
-// broadcastSnapshot captures the global weights as each worker will
-// decode them (identical for every worker, so the fleet stays in lockstep
-// even under down-quantized broadcasts).
-func (r *Run) broadcastSnapshot() [][]float64 {
-	params := r.Global.Model().Params()
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		vals := make([]float64, len(p.W.Data))
-		for j, v := range p.W.Data {
-			vals[j] = r.codec.BroadcastValue(v)
-		}
-		out[i] = vals
-	}
-	return out
-}
-
-// setWeights installs the broadcast weights into both the worker's
-// trainable copy and the base copy it diffs against after training.
-func (w *worker) setWeights(vals [][]float64) error {
-	for _, m := range []nn.Model{w.local.Model(), w.base.Model()} {
-		params := m.Params()
-		if len(params) != len(vals) {
-			return fmt.Errorf("fed: broadcast has %d tensors, worker model %d", len(vals), len(params))
-		}
-		for i, p := range params {
-			copy(p.W.Data, vals[i])
-			p.Grad.Zero()
-		}
-	}
-	return nil
-}
-
-// residualFor returns the worker's error-feedback accumulator for codecs
-// that sparsify (allocated to match the delta's shape on first use), or
-// nil for codecs that ship everything. An accumulator whose shape no
-// longer matches the delta — a checkpoint hot-swap mid-run can resize the
-// model under a live worker — is reset rather than returned: its entries
-// were accumulated against parameters that no longer exist, and indexing
-// it against the new shape would panic.
-func (w *worker) residualFor(c Codec, delta [][]float64) [][]float64 {
-	if !c.Sparsifies() {
-		return nil
-	}
-	if !ShapesMatch(w.residual, delta) {
-		w.residual = make([][]float64, len(delta))
-		for i, t := range delta {
-			w.residual[i] = make([]float64, len(t))
-		}
-	}
-	return w.residual
-}
-
-// reclaimResidual returns an upload that never made it into the global
-// model to the worker's error-feedback accumulator, so a cut straggler's
-// round defers the update instead of losing it.
-func (w *worker) reclaimResidual(enc Encoded) {
-	if !ShapesMatch(w.residual, enc.Values) {
-		return
-	}
-	for i, t := range enc.Values {
-		for j, v := range t {
-			w.residual[i][j] += v
-		}
-	}
-}
-
-// clearResidual discards the error-feedback accumulator. Called when the
-// worker drops out of a round (eviction or retry-budget exhaustion): the
-// residual was accumulated against a global model the fleet has since
-// moved past, and replaying it on rejoin would inject stale updates. A
-// fresh accumulator is allocated on the next sparsified upload.
-func (w *worker) clearResidual() { w.residual = nil }
-
-// trainCost is the simulated edge compute time for one worker's local
-// epochs (samples x epochs x per-sample cost, scaled by the worker's
-// fixed speed factor).
-func (r *Run) trainCost(w *worker) time.Duration {
-	work := float64(len(w.shard)*r.Cfg.LocalEpochs) * float64(r.Cfg.PerSampleCost)
-	return time.Duration(work / w.speed)
-}
-
 // aggregate applies the shard-weighted FedAvg update to the global model
 // with one canonical blocked reduction, shared by the flat and
 // hierarchical modes: selected workers are grouped into their regions
@@ -576,7 +449,7 @@ func (r *Run) trainCost(w *worker) time.Duration {
 // by hoping float addition associates.
 func (r *Run) aggregate(selected []*wstate) error {
 	byIdx := append([]*wstate(nil), selected...)
-	sort.Slice(byIdx, func(a, b int) bool { return byIdx[a].w.idx < byIdx[b].w.idx })
+	sort.Slice(byIdx, func(a, b int) bool { return byIdx[a].w.Idx < byIdx[b].w.Idx })
 	total := 0
 	for _, st := range byIdx {
 		total += len(st.w.shard)
@@ -585,7 +458,7 @@ func (r *Run) aggregate(selected []*wstate) error {
 	nRegions := r.Cfg.regions()
 	byRegion := make([][]*wstate, nRegions)
 	for _, st := range byIdx {
-		reg := r.Cfg.regionOf(st.w.idx)
+		reg := r.Cfg.regionOf(st.w.Idx)
 		byRegion[reg] = append(byRegion[reg], st)
 	}
 	partials := make([]*nn.WeightDelta, nRegions)
@@ -643,41 +516,4 @@ func (r *Run) aggregate(selected []*wstate) error {
 		}
 	}
 	return nn.ApplyDelta(r.Global.Model(), avg)
-}
-
-// checkpoint writes the global model to the object store (under the retry
-// policy when a fault plan injects transient store errors), where the
-// serving registry's ETag poll picks it up. Each store attempt emits an
-// objstore_put span under the round's fed_checkpoint span.
-func (r *Run) checkpoint(round int, parent *obs.Span) error {
-	if r.store == nil || r.Cfg.Container == "" {
-		return nil
-	}
-	csp := parent.Child("fed_checkpoint")
-	csp.SetAttr("round", round)
-	err := r.writeCheckpoint(round, csp.Context())
-	csp.EndErr(err)
-	if err != nil {
-		return err
-	}
-	r.obs.Metrics.Counter("fed_checkpoints_total").Inc()
-	return nil
-}
-
-func (r *Run) writeCheckpoint(round int, sc obs.SpanContext) error {
-	var buf bytes.Buffer
-	if err := r.Global.Save(&buf); err != nil {
-		return err
-	}
-	meta := map[string]string{"fed-round": fmt.Sprint(round)}
-	put := func() error {
-		_, err := r.store.PutTraced(sc, r.Cfg.Container, r.Cfg.Object, buf.Bytes(), meta)
-		return err
-	}
-	if r.plan == nil {
-		return put()
-	}
-	return r.plan.Do("fed_checkpoint", func(int) (time.Duration, error) {
-		return 0, put()
-	})
 }

@@ -22,20 +22,19 @@
 // RNGs — so two same-seed runs export byte-identical traces, and two
 // workers that have heard the same news have bit-identical models no
 // matter which route the news took.
+//
+// The edge learner itself is fed.Fleet, the core the star runs on too:
+// workers and their devices, parallel local training, delta export with
+// error feedback, transfers under retry, and checkpoints. This package
+// owns only what is peer-to-peer: parcels, peer tables, exchanges, store
+// rebuilds and the cloud head.
 package gossip
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"time"
 
-	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/fed"
 	"repro/internal/netem"
-	"repro/internal/objstore"
-	"repro/internal/obs"
 	"repro/internal/pilot"
 )
 
@@ -44,12 +43,12 @@ import (
 // the cloud link, and only for checkpoint sync).
 const HeadName = "cloud-head"
 
-// Config shapes one gossip training run.
+// Config shapes one gossip training run: the shared fleet fields
+// (Workers is at least 2 — gossip needs a peer; Compress profiles share
+// fed's codecs, with per-origin error feedback under "topk") plus the
+// overlay's.
 type Config struct {
-	// Workers is the fleet size N (at least 2 — gossip needs a peer).
-	Workers int
-	// Rounds is how many train-and-exchange rounds to run.
-	Rounds int
+	fed.FleetConfig
 	// Fanout is how many gossip partners each worker contacts per round
 	// (0 selects 3, the classic epidemic fanout).
 	Fanout int
@@ -63,78 +62,50 @@ type Config struct {
 	// they gossip (store and forward parcels) but never produce one. The
 	// overlay must carry them without stalling convergence.
 	FreeRiders int
-	// LocalEpochs is how many epochs each worker trains per round.
-	LocalEpochs int
-	// BatchSize for local training.
-	BatchSize int
-	// Seed drives every random choice: worker speeds, partner selection,
-	// local-training shuffles, netem jitter.
-	Seed int64
-	// Compress names the parcel compression profile, sharing fed's
-	// codecs: "none", "fp16", or "topk" (with per-origin error feedback).
-	Compress string
-	// TopKFrac is the fraction the "topk" profile keeps (0 = 0.1).
-	TopKFrac float64
 	// PeerLink is the base profile for the worker-to-worker mesh; every
 	// pair gets a named copy (netem.Mesh). Zero selects netem.WiFiLocal.
 	PeerLink netem.Link
 	// CloudLink is the WAN to the passive head; zero selects
 	// netem.CampusWAN — the link the stock scenarios partition.
 	CloudLink netem.Link
-	// RoundGap is idle virtual time appended after each round.
-	RoundGap time.Duration
-	// PerSampleCost is simulated edge compute per sample per epoch
-	// (0 selects 2ms, matching fed).
-	PerSampleCost time.Duration
-	// Container and Object name where the head checkpoints its model
-	// after a successful sync. Empty Container disables checkpointing.
-	Container string
-	Object    string
 }
 
 // DefaultConfig returns a small mesh with classic epidemic parameters.
 func DefaultConfig() Config {
 	return Config{
-		Workers:          4,
-		Rounds:           5,
+		FleetConfig: fed.FleetConfig{
+			Workers:     4,
+			Rounds:      5,
+			LocalEpochs: 1,
+			BatchSize:   32,
+			Seed:        1,
+			Compress:    "none",
+			Container:   "autolearn-models",
+			Object:      "gossip/global.ckpt",
+		},
 		Fanout:           3,
 		BucketSize:       4,
 		AntiEntropyEvery: 3,
-		LocalEpochs:      1,
-		BatchSize:        32,
-		Seed:             1,
-		Compress:         "none",
 		PeerLink:         netem.WiFiLocal,
 		CloudLink:        netem.CampusWAN,
-		Container:        "autolearn-models",
-		Object:           "gossip/global.ckpt",
 	}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	switch {
-	case c.Workers < 2:
+	if c.Workers < 2 {
 		return fmt.Errorf("gossip: need at least 2 workers, got %d", c.Workers)
-	case c.Rounds < 1:
-		return fmt.Errorf("gossip: need at least 1 round")
+	}
+	if err := c.FleetConfig.Validate("gossip"); err != nil {
+		return err
+	}
+	switch {
 	case c.Fanout < 0:
 		return fmt.Errorf("gossip: negative fanout")
 	case c.BucketSize < 0:
 		return fmt.Errorf("gossip: negative bucket size")
 	case c.FreeRiders < 0 || c.FreeRiders >= c.Workers:
 		return fmt.Errorf("gossip: free riders %d out of range [0, %d)", c.FreeRiders, c.Workers)
-	case c.LocalEpochs < 1:
-		return fmt.Errorf("gossip: need at least 1 local epoch")
-	case c.BatchSize < 1:
-		return fmt.Errorf("gossip: batch size must be positive")
-	case c.RoundGap < 0:
-		return fmt.Errorf("gossip: negative round gap")
-	case c.TopKFrac < 0 || c.TopKFrac > 1:
-		return fmt.Errorf("gossip: top-k fraction must be in [0, 1]")
-	}
-	if _, err := fed.NewCodec(c.Compress, c.TopKFrac); err != nil {
-		return fmt.Errorf("gossip: %w", err)
 	}
 	return nil
 }
@@ -159,37 +130,19 @@ func (c Config) antiEntropyEvery() int {
 	return c.AntiEntropyEvery
 }
 
-// Deps are the continuum substrates a run composes with, mirroring
-// fed.Deps: Net is required, the rest optional.
-type Deps struct {
-	Net   *netem.Net
-	Hub   *edge.Hub
-	Store *objstore.Store
-	Plan  *faults.Plan
-	Obs   obs.Observer
-	// Start anchors the private clock when Plan is nil.
-	Start time.Time
-	// AfterRound, when set, runs at the end of every round inside the
-	// round's trace scope (the serve hot-reload hook).
-	AfterRound func(round int, sc obs.SpanContext) error
-}
+// Deps are the continuum substrates a run composes with: Net is
+// required, the rest optional.
+type Deps = fed.Deps
 
-// worker is one mesh participant: its shard, the base model it rebuilds
-// from its parcel store, the trainable copy it diffs against the base,
-// and its overlay state (node ID, peer table, parcel replica).
+// worker is one fleet member with its overlay state: peer table (which
+// holds its node ID), parcel replica, and shard weight. The embedded fed.Worker's base
+// pilot is rebuilt from the store before each training pass, and its
+// local pilot is the trainable copy diffed against it.
 type worker struct {
-	idx      int
-	name     string
-	deviceID string
-	id       NodeID
-	shard    []pilot.Sample
-	base     *pilot.Pilot // rebuilt from store before each training pass
-	local    *pilot.Pilot // trainable copy
-	table    *Table
-	store    *Store
-	residual [][]float64 // per-origin error feedback for sparsifying codecs
-	speed    float64
-	weight   float64 // shard fraction of the training total
+	*fed.Worker
+	table  *Table
+	store  *Store
+	weight float64 // shard fraction of the training total
 	// caughtUp is the count of leading rounds whose produced parcels this
 	// worker fully holds (monotone: stores are grow-only).
 	caughtUp int
@@ -208,10 +161,13 @@ type headState struct {
 	dirty bool
 }
 
-// Run is one gossip training run in progress.
+// Run is one gossip training run in progress: the peer overlay over the
+// shared edge fleet.
 type Run struct {
+	*fed.Fleet
 	Cfg Config
 
+	// workers are the fleet's members with their overlay state, by index.
 	workers []*worker
 	head    *headState
 	val     []pilot.Sample
@@ -219,40 +175,25 @@ type Run struct {
 	// initVals is the shared genesis weights every store rebuild starts
 	// from (the image flashed at provisioning).
 	initVals [][]float64
-	// fleet is a scratch pilot rebuilt from the union store for
+	// union is a scratch pilot rebuilt from the union store for
 	// validation — the "fleet head version" a rejoining peer converges to.
-	fleet *pilot.Pilot
+	union *pilot.Pilot
 	// produced[r] lists the parcel keys round r generated, for
 	// convergence-lag accounting.
 	produced [][]Key
-
-	net        *netem.Net
-	hub        *edge.Hub
-	store      *objstore.Store
-	plan       *faults.Plan
-	clock      *faults.Clock
-	obs        obs.Observer
-	codec      fed.Codec
-	afterRound func(round int, sc obs.SpanContext) error
 }
 
-// NewRun assembles a run: one worker per shard with a seeded compute
-// speed and a seeded peer table over the full member list, the per-pair
-// link mesh, the shared genesis weights, and the passive cloud head.
-// shards must have Cfg.Workers entries; val is the held-out set scored
-// after each round.
+// NewRun assembles a run: a fleet with one worker per shard (see
+// fed.NewFleet), a seeded peer table per worker over the full member
+// list, the per-pair link mesh, the shared genesis weights, and the
+// passive cloud head. shards must have Cfg.Workers entries; val is the
+// held-out set scored after each round.
 func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if deps.Net == nil {
-		return nil, fmt.Errorf("gossip: nil network")
-	}
 	if genesis == nil {
 		return nil, fmt.Errorf("gossip: nil genesis pilot")
-	}
-	if len(shards) != cfg.Workers {
-		return nil, fmt.Errorf("gossip: %d shards for %d workers", len(shards), cfg.Workers)
 	}
 	if cfg.PeerLink == (netem.Link{}) {
 		cfg.PeerLink = netem.WiFiLocal
@@ -260,130 +201,44 @@ func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample
 	if cfg.CloudLink == (netem.Link{}) {
 		cfg.CloudLink = netem.CampusWAN
 	}
-	if cfg.PerSampleCost == 0 {
-		cfg.PerSampleCost = 2 * time.Millisecond
-	}
-	if cfg.TopKFrac == 0 {
-		cfg.TopKFrac = 0.1
-	}
-	cdc, err := fed.NewCodec(cfg.Compress, cfg.TopKFrac)
-	if err != nil {
+	r := &Run{Cfg: cfg, val: val, head: &headState{store: NewStore()}}
+	var err error
+	if r.Fleet, err = fed.NewFleet("gossip", 0x905512, &r.Cfg.FleetConfig, deps, genesis.Cfg, shards); err != nil {
 		return nil, err
-	}
-	start := deps.Start
-	if start.IsZero() {
-		start = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
-	}
-	r := &Run{
-		Cfg:        cfg,
-		val:        val,
-		net:        deps.Net,
-		hub:        deps.Hub,
-		store:      deps.Store,
-		plan:       deps.Plan,
-		obs:        deps.Obs,
-		codec:      cdc,
-		afterRound: deps.AfterRound,
-	}
-	if deps.Plan != nil {
-		r.clock = deps.Plan.Clock
-		deps.Net.SetFaults(deps.Plan)
-	} else {
-		r.clock = faults.NewClock(start)
-	}
-	// Same trace-determinism move as fed: the run lives in virtual time,
-	// so its spans do too.
-	if deps.Obs.Tracer != nil {
-		deps.Obs.Tracer.SetClock(r.clock.Now)
-		deps.Net.SetTracer(deps.Obs.Tracer)
-		if deps.Hub != nil {
-			deps.Hub.SetTracer(deps.Obs.Tracer)
-		}
-		if deps.Store != nil {
-			deps.Store.SetTracer(deps.Obs.Tracer)
-		}
 	}
 
 	// Genesis weights: every rebuild starts from these exact bits.
-	r.initVals = snapshotWeights(genesis)
-	r.fleet, err = pilot.New(genesis.Cfg)
-	if err != nil {
-		return nil, fmt.Errorf("gossip: fleet pilot: %w", err)
+	r.initVals = fed.Snapshot(genesis)
+	if r.union, err = pilot.New(genesis.Cfg); err != nil {
+		return nil, fmt.Errorf("gossip: union pilot: %w", err)
 	}
-	r.head = &headState{store: NewStore()}
-	r.head.model, err = pilot.New(genesis.Cfg)
-	if err != nil {
+	if r.head.model, err = pilot.New(genesis.Cfg); err != nil {
 		return nil, fmt.Errorf("gossip: head pilot: %w", err)
 	}
 
-	var scripted []string
-	if deps.Plan != nil {
-		scripted = deps.Plan.ScriptDevices()
-	}
 	names := make([]string, cfg.Workers)
-	for i := range names {
-		names[i] = fmt.Sprintf("gossip-worker-%d", i)
-		if i < len(scripted) {
-			names[i] = scripted[i]
+	total := 0
+	for i, fw := range r.Workers {
+		names[i] = fw.Name
+		if i >= cfg.FreeRiders {
+			total += len(shards[i])
 		}
 	}
-	r.mesh, err = netem.NewMesh(cfg.PeerLink, names)
-	if err != nil {
+	if r.mesh, err = netem.NewMesh(cfg.PeerLink, names); err != nil {
 		return nil, fmt.Errorf("gossip: peer mesh: %w", err)
 	}
-
-	total := 0
-	for i, s := range shards {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("gossip: worker %d has an empty shard", i)
-		}
-		if i >= cfg.FreeRiders {
-			total += len(s)
-		}
-	}
-	speedRNG := rand.New(rand.NewSource(cfg.Seed ^ 0x905512))
-	for i := 0; i < cfg.Workers; i++ {
+	for i, fw := range r.Workers {
 		w := &worker{
-			idx:       i,
-			name:      names[i],
-			id:        IDOf(names[i]),
-			shard:     shards[i],
+			Worker:    fw,
+			table:     NewTable(fw.Name, cfg.BucketSize),
 			store:     NewStore(),
-			speed:     0.7 + 0.6*speedRNG.Float64(),
 			freeRider: i < cfg.FreeRiders,
 		}
 		if !w.freeRider {
 			w.weight = float64(len(shards[i])) / float64(total)
 		}
-		w.table = NewTable(w.name, cfg.BucketSize)
 		Seed(w.table, names)
-		w.base, err = pilot.New(genesis.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("gossip: worker %d base pilot: %w", i, err)
-		}
-		w.local, err = pilot.New(genesis.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("gossip: worker %d local pilot: %w", i, err)
-		}
-		if deps.Hub != nil {
-			d, err := deps.Hub.RegisterDevice(w.name, "gossip-fleet")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.FlashImage(d.ID); err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.Boot(d.ID); err != nil {
-				return nil, err
-			}
-			w.deviceID = d.ID
-		}
 		r.workers = append(r.workers, w)
-	}
-	if r.store != nil && cfg.Container != "" {
-		if err := r.store.CreateContainer(cfg.Container); err != nil && !errors.Is(err, objstore.ErrExists) {
-			return nil, err
-		}
 	}
 	r.instrument()
 	return r, nil
@@ -391,43 +246,3 @@ func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample
 
 // Mesh exposes the per-pair link fabric (tests target specific pairs).
 func (r *Run) Mesh() *netem.Mesh { return r.mesh }
-
-// snapshotWeights copies a pilot's parameters into plain slices.
-func snapshotWeights(p *pilot.Pilot) [][]float64 {
-	params := p.Model().Params()
-	out := make([][]float64, len(params))
-	for i, prm := range params {
-		vals := make([]float64, len(prm.W.Data))
-		copy(vals, prm.W.Data)
-		out[i] = vals
-	}
-	return out
-}
-
-// now returns the run's current virtual time.
-func (r *Run) now() time.Time { return r.clock.Now() }
-
-// transfer bills size bytes over link under the fault plan's retry
-// policy, exactly as fed does: the clock advances by the attempt plus
-// any backoff, and a retryable failure that exhausts the budget comes
-// back with faults.Retryable(err) true so the caller skips the exchange
-// instead of stalling the round.
-func (r *Run) transfer(sc obs.SpanContext, op string, size int64, link netem.Link) (time.Duration, error) {
-	if r.plan == nil {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		r.clock.Advance(tr.Duration)
-		return tr.Duration, nil
-	}
-	before := r.clock.Now()
-	err := r.plan.Do(op, func(int) (time.Duration, error) {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		return tr.Duration, nil
-	})
-	return r.clock.Now().Sub(before), err
-}

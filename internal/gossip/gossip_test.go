@@ -342,8 +342,8 @@ func TestGossipChurnRejoin(t *testing.T) {
 	deps.Plan = plan
 	r := newTestRun(t, cfg, deps, 45)
 	// The scripted device name lands on worker 0.
-	if r.workers[0].name != "rejoiner" {
-		t.Fatalf("scripted name not adopted: %q", r.workers[0].name)
+	if r.workers[0].Name != "rejoiner" {
+		t.Fatalf("scripted name not adopted: %q", r.workers[0].Name)
 	}
 	res, err := r.Execute()
 	if err != nil {
@@ -446,14 +446,14 @@ func TestRebuildOrderIndependent(t *testing.T) {
 		for _, i := range rng.Perm(len(parcels)) {
 			b.Put(parcels[i])
 		}
-		if err := r.rebuild(r.fleet, a); err != nil {
+		fromA, err := r.rebuild(a)
+		if err != nil {
 			t.Fatal(err)
 		}
-		fromA := snapshotWeights(r.fleet)
-		if err := r.rebuild(r.fleet, b); err != nil {
+		fromB, err := r.rebuild(b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		fromB := snapshotWeights(r.fleet)
 		for i := range fromA {
 			for j := range fromA[i] {
 				if math.Float64bits(fromA[i][j]) != math.Float64bits(fromB[i][j]) {
@@ -501,6 +501,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LocalEpochs = 0 },
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.RoundGap = -time.Second },
+		func(c *Config) { c.PerSampleCost = -time.Second },
 		func(c *Config) { c.TopKFrac = 1.5 },
 		func(c *Config) { c.Compress = "zstd" },
 	}

@@ -1,17 +1,14 @@
 package gossip
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/fed"
 	"repro/internal/netem"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pilot"
 )
@@ -68,7 +65,7 @@ type Result struct {
 // instrument pre-registers the gossip_* series so scrapes before the
 // first round still see them. Everything is nil-safe.
 func (r *Run) instrument() {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	reg.Help("gossip_rounds_total", "gossip rounds completed")
 	reg.Help("gossip_parcels_total", "parcel replicas moved between stores, by direction")
 	reg.Help("gossip_exchanges_total", "push-pull exchanges completed")
@@ -96,12 +93,12 @@ func (r *Run) instrument() {
 
 // Execute runs every configured round and returns the run report.
 func (r *Run) Execute() (Result, error) {
-	span := r.obs.Tracer.Start("gossip-train")
+	span := r.Obs.Tracer.Start("gossip-train")
 	span.SetAttr("workers", r.Cfg.Workers)
 	span.SetAttr("rounds", r.Cfg.Rounds)
 	span.SetAttr("fanout", r.Cfg.fanout())
 	span.SetAttr("anti_entropy_every", r.Cfg.antiEntropyEvery())
-	span.SetAttr("compress", r.codec.Name())
+	span.SetAttr("compress", r.Codec.Name())
 	var res Result
 	var wallSum time.Duration
 	for i := 0; i < r.Cfg.Rounds; i++ {
@@ -119,15 +116,13 @@ func (r *Run) Execute() (Result, error) {
 		}
 		wallSum += rr.Wall
 		if r.Cfg.RoundGap > 0 {
-			r.clock.Advance(r.Cfg.RoundGap)
+			r.Clock.Advance(r.Cfg.RoundGap)
 		}
 	}
 	if n := len(res.Rounds); n > 0 {
 		res.MeanRoundWall = wallSum / time.Duration(n)
 	}
-	if r.store != nil && r.Cfg.Container != "" {
-		res.CheckpointContainer, res.CheckpointObject = r.Cfg.Container, r.Cfg.Object
-	}
+	res.CheckpointContainer, res.CheckpointObject = r.CheckpointAt()
 	span.SetAttr("final_fleet_val_loss", res.FinalFleetValLoss)
 	span.SetAttr("bytes_on_wire", res.TotalBytes)
 	span.End()
@@ -139,84 +134,41 @@ func (r *Run) Execute() (Result, error) {
 // exchanges in worker-index order, the cloud-head sync, checkpointing,
 // and validation of both the fleet union and the head replica.
 func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	span := parent.Child("gossip-round")
 	span.SetAttr("round", idx)
 	sc := span.Context()
 	rr := RoundResult{Round: idx, FleetValLoss: -1, HeadValLoss: -1}
-	wallStart := r.now()
+	wallStart := r.Clock.Now()
 
 	// Churn: a worker inside a scripted silence window sits the round out
 	// entirely — no training, no initiating, unreachable as a partner.
 	// Its store survives, so when the window passes the next round's
 	// digest exchanges anti-entropy it back to the fleet head version.
 	for _, w := range r.workers {
-		w.offline = r.plan != nil && r.plan.DeviceSilent(w.name, r.now())
+		w.offline = r.Plan != nil && r.Plan.DeviceSilent(w.Name, r.Clock.Now())
 		if w.offline {
-			rr.Offline = append(rr.Offline, w.idx)
+			rr.Offline = append(rr.Offline, w.Idx)
 		}
 	}
 
 	// Local training: every reachable trainer rebuilds its base from its
-	// parcel store (genesis + parcels in canonical order), copies it to
-	// the trainable model, and runs its epochs. Each worker's arithmetic
-	// is self-contained and seeded, so the parallel schedule cannot
-	// change a bit of the result.
-	var wg sync.WaitGroup
-	trainErrs := make([]error, len(r.workers))
-	trainers := make([]bool, len(r.workers))
-	for i, w := range r.workers {
-		if w.offline || w.freeRider {
-			continue
+	// parcel store (genesis + parcels in canonical order), installs it in
+	// both its base and trainable models, and runs its epochs.
+	var trainees []*fed.Worker
+	for _, w := range r.workers {
+		if !w.offline && !w.freeRider {
+			trainees = append(trainees, w.Worker)
 		}
-		trainers[i] = true
-		wg.Add(1)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			if err := r.rebuild(w.base, w.store); err != nil {
-				trainErrs[i] = err
-				return
-			}
-			if err := copyWeights(w.local, w.base); err != nil {
-				trainErrs[i] = err
-				return
-			}
-			cfg := nn.TrainConfig{
-				Epochs:    r.Cfg.LocalEpochs,
-				BatchSize: r.Cfg.BatchSize,
-				Seed:      r.Cfg.Seed + int64(idx)*1000 + int64(w.idx)*7 + 13,
-				ClipGrad:  5,
-			}
-			_, err := w.local.Train(w.shard, cfg)
-			trainErrs[i] = err
-		}(i, w)
 	}
-	wg.Wait()
-	var maxTrain time.Duration
-	trainSpans := make([]*obs.Span, len(r.workers))
-	for i, w := range r.workers {
-		if !trainers[i] {
-			continue
+	if _, err := r.Train(span, idx, trainees, func(fw *fed.Worker) error {
+		if _, err := r.rebuild(r.workers[fw.Idx].store, fw.Base, fw.Local); err != nil {
+			return err
 		}
-		if trainErrs[i] != nil {
-			span.EndErr(trainErrs[i])
-			return rr, fmt.Errorf("gossip: worker %d round %d: %w", w.idx, idx, trainErrs[i])
-		}
-		cost := r.trainCost(w)
-		if cost > maxTrain {
-			maxTrain = cost
-		}
-		tsp := span.Child("gossip_local_train")
-		tsp.SetAttr("worker", w.name)
-		tsp.SetAttr("samples", len(w.shard))
-		tsp.SetSimDuration("train", cost)
-		trainSpans[i] = tsp
-	}
-	r.clock.Advance(maxTrain)
-	for _, tsp := range trainSpans {
-		if tsp != nil {
-			tsp.End()
-		}
+		return r.SGD(fw, idx)
+	}); err != nil {
+		span.EndErr(err)
+		return rr, err
 	}
 
 	// Parcel production: delta = local - base, scaled by the worker's
@@ -224,32 +176,21 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// at the origin), filed into the origin's own store. Every replica of
 	// this parcel anywhere in the fleet carries these exact values.
 	var produced []Key
-	for i, w := range r.workers {
-		if !trainers[i] {
-			continue
-		}
-		delta, err := nn.DeltaFrom(w.local.Model(), w.base.Model())
+	for _, fw := range trainees {
+		w := r.workers[fw.Idx]
+		enc, err := r.Export(fw, w.weight)
 		if err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
-		vals := make([][]float64, len(delta.Tensors))
-		for ti, t := range delta.Tensors {
-			sv := make([]float64, len(t.Data))
-			for j, v := range t.Data {
-				sv[j] = w.weight * v
-			}
-			vals[ti] = sv
-		}
-		enc := r.codec.EncodeDelta(vals, w.residualFor(r.codec, vals))
-		p := &Parcel{Origin: w.idx, Round: idx, WireBytes: enc.WireBytes, Values: enc.Values}
+		p := &Parcel{Origin: w.Idx, Round: idx, WireBytes: enc.WireBytes, Values: enc.Values}
 		if err := p.Validate(); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
 		w.store.Put(p)
 		produced = append(produced, p.Key())
-		rr.Trained = append(rr.Trained, w.idx)
+		rr.Trained = append(rr.Trained, w.Idx)
 	}
 	r.produced = append(r.produced, produced)
 
@@ -263,13 +204,13 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	antiEntropy := r.Cfg.antiEntropyEvery() > 0 && (idx+1)%r.Cfg.antiEntropyEvery() == 0
 	byName := make(map[string]*worker, len(r.workers))
 	for _, w := range r.workers {
-		byName[w.name] = w
+		byName[w.Name] = w
 	}
 	for _, w := range r.workers {
 		if w.offline {
 			continue
 		}
-		rng := rand.New(rand.NewSource(r.Cfg.Seed ^ (int64(idx)*1000003 + int64(w.idx)*7919 + 1)))
+		rng := rand.New(rand.NewSource(r.Cfg.Seed ^ (int64(idx)*1000003 + int64(w.Idx)*7919 + 1)))
 		partners := w.table.Select(rng, r.Cfg.fanout())
 		if antiEntropy {
 			if far, ok := w.table.Farthest(rng); ok {
@@ -283,7 +224,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			}
 			seen[p.Name] = true
 			peer := byName[p.Name]
-			link, err := r.mesh.Link(w.name, peer.name)
+			link, err := r.mesh.Link(w.Name, peer.Name)
 			if err != nil {
 				span.EndErr(err)
 				return rr, err
@@ -292,9 +233,9 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 				// The dial times out: bill one empty-digest probe, record
 				// the dead partner, move on.
 				psp := span.Child("gossip_probe")
-				psp.SetAttr("initiator", w.name)
-				psp.SetAttr("peer", peer.name)
-				d, err := r.transfer(psp.Context(), "gossip_probe", DigestBytes(0), link)
+				psp.SetAttr("initiator", w.Name)
+				psp.SetAttr("peer", peer.Name)
+				d, err := r.Transfer(psp.Context(), "gossip_probe", DigestBytes(0), link)
 				if err != nil && !faults.Retryable(err) {
 					psp.EndErr(err)
 					span.EndErr(err)
@@ -306,7 +247,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 				reg.Counter("gossip_exchange_failures_total", obs.L("reason", "unreachable")).Inc()
 				continue
 			}
-			xs, failed, err := r.exchange(span, exchangeKind(antiEntropy, w, p), "peer", w.name, peer.name, w.store, peer.store, link)
+			xs, failed, err := r.exchange(span, exchangeKind(antiEntropy, w, p), "peer", w.Name, peer.Name, w.store, peer.store, link)
 			if err != nil {
 				span.EndErr(err)
 				return rr, err
@@ -328,7 +269,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// contact missed). Under a cloud partition the retry budget exhausts
 	// and the round simply proceeds headless.
 	if contact := r.headContact(idx); contact != nil {
-		xs, failed, err := r.exchange(span, "head_sync", "head", contact.name, HeadName, contact.store, r.head.store, r.Cfg.CloudLink)
+		xs, failed, err := r.exchange(span, "head_sync", "head", contact.Name, HeadName, contact.store, r.head.store, r.Cfg.CloudLink)
 		if err != nil {
 			span.EndErr(err)
 			return rr, err
@@ -350,14 +291,13 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// Checkpoint: only when the head actually learned something new —
 	// a stale head rewriting the same bytes during a partition would be
 	// noise, and during a full partition it cannot write at all.
-	headChanged := r.head.dirty
-	if headChanged {
-		if err := r.rebuild(r.head.model, r.head.store); err != nil {
+	if r.head.dirty {
+		if _, err := r.rebuild(r.head.store, r.head.model); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
 		r.head.dirty = false
-		if err := r.checkpoint(idx, span); err != nil {
+		if err := r.Checkpoint(idx, span, r.head.model); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
@@ -391,12 +331,12 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			}
 		}
 		vsp := span.Child("gossip_validate")
-		if err := r.rebuild(r.fleet, union); err != nil {
+		if _, err := r.rebuild(union, r.union); err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
 			return rr, err
 		}
-		fl, err := r.fleet.Validate(r.val, r.Cfg.BatchSize)
+		fl, err := r.union.Validate(r.val, r.Cfg.BatchSize)
 		if err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
@@ -416,16 +356,14 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		vsp.SetAttr("head_val_loss", hl)
 		vsp.End()
 	}
-	if r.afterRound != nil {
-		if err := r.afterRound(idx, sc); err != nil {
-			span.EndErr(err)
-			return rr, fmt.Errorf("gossip: after-round hook round %d: %w", idx, err)
-		}
+	if err := r.AfterRound(idx, sc); err != nil {
+		span.EndErr(err)
+		return rr, err
 	}
 
 	sort.Ints(rr.Trained)
 	sort.Ints(rr.Offline)
-	rr.Wall = r.now().Sub(wallStart)
+	rr.Wall = r.Clock.Now().Sub(wallStart)
 	reg.Counter("gossip_rounds_total").Inc()
 	reg.Histogram("gossip_round_seconds", obs.DefSecondsBuckets).
 		ObserveDurationExemplar(rr.Wall, span.Context().TraceID)
@@ -488,14 +426,14 @@ type xferStats struct {
 // transferred before the failure stays applied — gossip is idempotent,
 // the next exchange finishes the job); a non-nil error is fatal.
 func (r *Run) exchange(parent *obs.Span, kind, wire, initiator, peerName string, a, b *Store, link netem.Link) (xferStats, bool, error) {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	var xs xferStats
 	sp := parent.Child("gossip_exchange")
 	sp.SetAttr("kind", kind)
 	sp.SetAttr("initiator", initiator)
 	sp.SetAttr("peer", peerName)
 	digestBytes := DigestBytes(a.Len()) + DigestBytes(b.Len())
-	d, err := r.transfer(sp.Context(), "gossip_digest", digestBytes, link)
+	d, err := r.Transfer(sp.Context(), "gossip_digest", digestBytes, link)
 	xs.dur += d
 	if err != nil {
 		if !faults.Retryable(err) {
@@ -531,7 +469,7 @@ func (r *Run) exchange(parent *obs.Span, kind, wire, initiator, peerName string,
 		psp.SetAttr("dir", leg.dir)
 		psp.SetAttr("parcels", len(leg.keys))
 		psp.SetAttr("bytes", size)
-		d, err := r.transfer(psp.Context(), "gossip_parcel", size, link)
+		d, err := r.Transfer(psp.Context(), "gossip_parcel", size, link)
 		xs.dur += d
 		if err != nil {
 			psp.EndErr(err)
@@ -560,33 +498,25 @@ func (r *Run) exchange(parent *obs.Span, kind, wire, initiator, peerName string,
 	return xs, false, nil
 }
 
-// rebuild reconstructs a pilot's weights as genesis plus every parcel in
-// the store, applied in canonical (round, origin) order — the pure
-// function of the parcel set that makes any two same-set replicas
-// bit-identical.
-func (r *Run) rebuild(p *pilot.Pilot, s *Store) error {
-	params := p.Model().Params()
-	if len(params) != len(r.initVals) {
-		return fmt.Errorf("gossip: rebuild: model has %d params, genesis %d", len(params), len(r.initVals))
-	}
-	for i, prm := range params {
-		if len(prm.W.Data) != len(r.initVals[i]) {
-			return fmt.Errorf("gossip: rebuild: param %d has %d weights, genesis %d",
-				i, len(prm.W.Data), len(r.initVals[i]))
-		}
-		copy(prm.W.Data, r.initVals[i])
-		prm.Grad.Zero()
+// rebuild computes genesis plus every parcel in the store, added in
+// canonical (round, origin) order — the pure function of the parcel set
+// that makes any two same-set replicas bit-identical — installs the
+// weights into every given pilot, and returns them.
+func (r *Run) rebuild(s *Store, into ...*pilot.Pilot) ([][]float64, error) {
+	vals := make([][]float64, len(r.initVals))
+	for i, init := range r.initVals {
+		vals[i] = append([]float64(nil), init...)
 	}
 	for _, k := range s.keys {
 		pc := s.parcels[k]
-		if len(pc.Values) != len(params) {
-			return fmt.Errorf("gossip: parcel %d/%d has %d tensors, model %d",
-				pc.Origin, pc.Round, len(pc.Values), len(params))
+		if len(pc.Values) != len(vals) {
+			return nil, fmt.Errorf("gossip: parcel %d/%d has %d tensors, model %d",
+				pc.Origin, pc.Round, len(pc.Values), len(vals))
 		}
 		for i, t := range pc.Values {
-			dst := params[i].W.Data
+			dst := vals[i]
 			if len(t) != len(dst) {
-				return fmt.Errorf("gossip: parcel %d/%d tensor %d has %d entries, param %d",
+				return nil, fmt.Errorf("gossip: parcel %d/%d tensor %d has %d entries, param %d",
 					pc.Origin, pc.Round, i, len(t), len(dst))
 			}
 			for j, v := range t {
@@ -594,80 +524,5 @@ func (r *Run) rebuild(p *pilot.Pilot, s *Store) error {
 			}
 		}
 	}
-	return nil
-}
-
-// copyWeights installs src's weights into dst (same architecture).
-func copyWeights(dst, src *pilot.Pilot) error {
-	dp, sp := dst.Model().Params(), src.Model().Params()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("gossip: copy: %d params vs %d", len(dp), len(sp))
-	}
-	for i := range dp {
-		if len(dp[i].W.Data) != len(sp[i].W.Data) {
-			return fmt.Errorf("gossip: copy: param %d size %d vs %d",
-				i, len(dp[i].W.Data), len(sp[i].W.Data))
-		}
-		copy(dp[i].W.Data, sp[i].W.Data)
-		dp[i].Grad.Zero()
-	}
-	return nil
-}
-
-// checkpoint writes the head's model to the object store under the
-// retry policy, where the serving registry's ETag poll picks it up.
-func (r *Run) checkpoint(round int, parent *obs.Span) error {
-	if r.store == nil || r.Cfg.Container == "" {
-		return nil
-	}
-	csp := parent.Child("gossip_checkpoint")
-	csp.SetAttr("round", round)
-	err := r.writeCheckpoint(round, csp.Context())
-	csp.EndErr(err)
-	if err != nil {
-		return err
-	}
-	r.obs.Metrics.Counter("gossip_checkpoints_total").Inc()
-	return nil
-}
-
-func (r *Run) writeCheckpoint(round int, sc obs.SpanContext) error {
-	var buf bytes.Buffer
-	if err := r.head.model.Save(&buf); err != nil {
-		return err
-	}
-	meta := map[string]string{"gossip-round": fmt.Sprint(round)}
-	put := func() error {
-		_, err := r.store.PutTraced(sc, r.Cfg.Container, r.Cfg.Object, buf.Bytes(), meta)
-		return err
-	}
-	if r.plan == nil {
-		return put()
-	}
-	return r.plan.Do("gossip_checkpoint", func(int) (time.Duration, error) {
-		return 0, put()
-	})
-}
-
-// trainCost is the simulated edge compute time for one worker's local
-// epochs, matching fed's model.
-func (r *Run) trainCost(w *worker) time.Duration {
-	work := float64(len(w.shard)*r.Cfg.LocalEpochs) * float64(r.Cfg.PerSampleCost)
-	return time.Duration(work / w.speed)
-}
-
-// residualFor returns the worker's error-feedback accumulator for
-// sparsifying codecs (reset when the model shape changed), nil
-// otherwise — fed's exact semantics, per parcel origin.
-func (w *worker) residualFor(c fed.Codec, delta [][]float64) [][]float64 {
-	if !c.Sparsifies() {
-		return nil
-	}
-	if !fed.ShapesMatch(w.residual, delta) {
-		w.residual = make([][]float64, len(delta))
-		for i, t := range delta {
-			w.residual[i] = make([]float64, len(t))
-		}
-	}
-	return w.residual
+	return vals, fed.Install(vals, into...)
 }
