@@ -1,7 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
@@ -13,12 +18,16 @@ import (
 
 // chaosCounters drives the whole Fig. 1 loop — collect, clean, train,
 // evaluate, hybrid evaluate — under the combined "chaos" profile and
-// returns the fault plan's counter snapshot. Counters (not histograms)
-// are the determinism contract: they depend only on the seeded schedules
-// and operation counts, never on wall-clock timing.
+// returns the counter snapshot of the fault plan and the instrumented
+// module (edge heartbeats and sweeps, netem, testbed, pipeline stages).
+// Counters (not histograms) are the determinism contract: they depend
+// only on the seeded schedules and operation counts, never on wall-clock
+// timing.
 func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	t.Helper()
 	m := fastModule(t)
+	reg := obs.NewRegistry()
+	m.Instrument(obs.Observer{Metrics: reg})
 	s, err := m.Enroll("student", "mu")
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +40,6 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
 	plan.Instrument(reg)
 	if err := p.EnableFaults(plan); err != nil {
 		t.Fatal(err)
@@ -68,8 +76,11 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 }
 
 // The acceptance test for the fault layer: the full pipeline completes
-// under every fault class at once, every new series is nonzero, and two
-// same-seed runs land on byte-identical counter snapshots.
+// under every fault class at once, every new series is nonzero, two
+// same-seed runs land on byte-identical counter snapshots, and the
+// snapshot matches the checked-in golden (regenerate with
+// UPDATE_GOLDEN=1), so a refactor of the fault path that changes any
+// count fails here even when it changes every run the same way.
 func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models twice under chaos")
@@ -81,6 +92,8 @@ func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 		"hybrid_fallbacks_total",
 		`faults_injected_total{kind="heartbeat_gap"}`,
 		`faults_injected_total{kind="preemption"}`,
+		"edge_heartbeats_total",
+		"edge_sweep_evictions_total",
 	} {
 		if a[key] <= 0 {
 			t.Errorf("%s = %g, want > 0", key, a[key])
@@ -89,5 +102,32 @@ func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 	b := chaosCounters(t, 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed chaos runs diverged:\n run 1: %v\n run 2: %v", a, b)
+	}
+
+	keys := make([]string, 0, len(a))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "chaos pipeline counters, seed 42\n")
+	for _, k := range keys {
+		fmt.Fprintf(&got, "%s %g\n", k, a[k])
+	}
+	golden := filepath.Join("testdata", "chaos_counters_seed42.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, got.Len())
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("chaos counters diverged from %s (regenerate with UPDATE_GOLDEN=1 if intended):\n got:\n%s\n want:\n%s",
+			golden, got.Bytes(), want)
 	}
 }
