@@ -14,17 +14,18 @@ import (
 )
 
 // This file wires the fault-injection plan through the pipeline: the WAN
-// and the object store go through the plan's retry policy, a scripted
-// device fleet plays heartbeats (and scheduled silences) into the edge hub
-// as virtual time passes, and training survives a lease preemption by
-// resuming from its per-epoch checkpoint. Everything is a no-op on a
-// pipeline without a plan.
+// and the object store go through the plan's retry policy (a pipeline
+// without a plan runs each operation once), a scripted device fleet plays
+// heartbeats (and scheduled silences) into the edge hub as virtual time
+// passes, and training survives a lease preemption by resuming from its
+// per-epoch checkpoint.
 
 // EnableFaults attaches a fault plan to the pipeline: the module's network
 // consults the plan's link schedule, the object store injects its
-// transient errors, and the plan's scripted devices are onboarded into the
-// edge hub with heartbeat playback driven by the plan's clock. Call it
-// once, before running stages.
+// transient errors, and the plan's scripted devices (none for profiles
+// without heartbeat gaps) are onboarded into the edge hub with heartbeat
+// playback driven by the plan's clock. Call it once, before running
+// stages.
 func (p *Pipeline) EnableFaults(plan *faults.Plan) error {
 	if plan == nil {
 		return fmt.Errorf("core: nil fault plan")
@@ -35,7 +36,22 @@ func (p *Pipeline) EnableFaults(plan *faults.Plan) error {
 	p.Faults = plan
 	p.M.Net.SetFaults(plan)
 	p.M.Store.SetFaultHook(func(op, _, _ string) error { return plan.StoreFault(op) })
-	return p.startFleetPlayback(plan)
+	var members []edge.Member
+	for _, name := range plan.ScriptDevices() {
+		d, err := p.M.Edge.RegisterDevice(name, "faults-plan")
+		if err != nil {
+			return err
+		}
+		if _, err := p.M.Edge.FlashImage(d.ID); err != nil {
+			return err
+		}
+		if _, err := p.M.Edge.Boot(d.ID); err != nil {
+			return err
+		}
+		members = append(members, edge.Member{Name: name, ID: d.ID})
+	}
+	p.M.Edge.Play(plan, members, nil)
+	return nil
 }
 
 // advance moves the plan's virtual clock; without a plan it is a no-op
@@ -50,9 +66,6 @@ func (p *Pipeline) advance(d time.Duration) {
 // into retryable errors, backoff burns virtual time until the link heals,
 // and the successful attempt's duration lands on the clock.
 func (p *Pipeline) wanTransfer(size int64) (netem.TransferResult, error) {
-	if p.Faults == nil {
-		return p.M.Net.Transfer(p.WANLink, size)
-	}
 	var out netem.TransferResult
 	err := p.Faults.Do("wan_transfer", func(int) (time.Duration, error) {
 		tr, err := p.M.Net.Transfer(p.WANLink, size)
@@ -68,10 +81,6 @@ func (p *Pipeline) wanTransfer(size int64) (netem.TransferResult, error) {
 // storeGet is Store.Get under the retry policy (injected transient errors
 // retry; real errors like a missing object return immediately).
 func (p *Pipeline) storeGet(container, name string) ([]byte, error) {
-	if p.Faults == nil {
-		data, _, err := p.M.Store.Get(container, name)
-		return data, err
-	}
 	var data []byte
 	err := p.Faults.Do("objstore_get", func(int) (time.Duration, error) {
 		d, _, err := p.M.Store.Get(container, name)
@@ -86,10 +95,6 @@ func (p *Pipeline) storeGet(container, name string) ([]byte, error) {
 
 // storePut is Store.Put under the retry policy.
 func (p *Pipeline) storePut(container, name string, data []byte, meta map[string]string) error {
-	if p.Faults == nil {
-		_, err := p.M.Store.Put(container, name, data, meta)
-		return err
-	}
 	return p.Faults.Do("objstore_put", func(int) (time.Duration, error) {
 		_, err := p.M.Store.Put(container, name, data, meta)
 		return 0, err
@@ -99,9 +104,6 @@ func (p *Pipeline) storePut(container, name string, data []byte, meta map[string
 // controlLatency is PlacementModel.ControlLatency under the retry policy:
 // the cloud placement's RTT probe can hit an outage window.
 func (p *Pipeline) controlLatency(pm PlacementModel, place Placement, paramCount int) (time.Duration, error) {
-	if p.Faults == nil {
-		return pm.ControlLatency(place, paramCount)
-	}
 	var lat time.Duration
 	err := p.Faults.Do("control_latency", func(int) (time.Duration, error) {
 		l, err := pm.ControlLatency(place, paramCount)
@@ -112,109 +114,6 @@ func (p *Pipeline) controlLatency(pm PlacementModel, place Placement, paramCount
 		return 0, nil
 	})
 	return lat, err
-}
-
-// fleetPlayback replays the plan's scripted device fleet into the edge hub
-// as the clock advances: devices heartbeat every HeartbeatEvery unless
-// scheduled silent, the control plane sweeps every SweepEvery (evicting
-// the silent ones for real), and a device whose silence window has passed
-// re-onboards through the flash-and-boot reconnect path.
-//
-// Playback rides the clock's discrete-event scheduler: a single
-// self-rescheduling timer fires at each due beat or sweep instant, so hub
-// mutations land at their exact virtual times (the clock parks at each due
-// timer) instead of being caught up after an advance completes. Nested
-// Advance calls during a tick are queued by the clock itself, so the old
-// semaphore-and-skip reentrancy workaround is gone.
-type fleetPlayback struct {
-	plan *faults.Plan
-	hub  *edge.Hub
-	ids  map[string]string // scripted name -> hub device ID
-	beat time.Time         // next heartbeat round
-	swp  time.Time         // next sweep
-}
-
-// startFleetPlayback onboards the plan's scripted devices (none for
-// profiles without heartbeat gaps) and hooks playback to the clock.
-func (p *Pipeline) startFleetPlayback(plan *faults.Plan) error {
-	devs := plan.ScriptDevices()
-	if len(devs) == 0 {
-		return nil
-	}
-	fp := &fleetPlayback{
-		plan: plan,
-		hub:  p.M.Edge,
-		ids:  map[string]string{},
-		beat: plan.Clock.Now().Add(plan.HeartbeatEvery),
-		swp:  plan.Clock.Now().Add(plan.SweepEvery),
-	}
-	for _, name := range devs {
-		d, err := p.M.Edge.RegisterDevice(name, "faults-plan")
-		if err != nil {
-			return err
-		}
-		if _, err := p.M.Edge.FlashImage(d.ID); err != nil {
-			return err
-		}
-		if _, err := p.M.Edge.Boot(d.ID); err != nil {
-			return err
-		}
-		fp.ids[name] = d.ID
-	}
-	plan.Clock.Schedule(fp.next(), fp.tick)
-	return nil
-}
-
-// next is the earliest pending instant; beats win ties (the daemon's
-// check-in races the reaper and wins).
-func (fp *fleetPlayback) next() time.Time {
-	if fp.beat.After(fp.swp) {
-		return fp.swp
-	}
-	return fp.beat
-}
-
-// tick plays every heartbeat round and sweep due at now in chronological
-// order (normally exactly one — the clock parks at each due instant), then
-// re-schedules itself for the next one.
-func (fp *fleetPlayback) tick(now time.Time) {
-	for !fp.beat.After(now) || !fp.swp.After(now) {
-		if !fp.beat.After(now) && !fp.beat.After(fp.swp) {
-			fp.beatRound(fp.beat)
-			fp.beat = fp.beat.Add(fp.plan.HeartbeatEvery)
-		} else {
-			fp.hub.SweepHeartbeats(fp.swp)
-			fp.swp = fp.swp.Add(fp.plan.SweepEvery)
-		}
-	}
-	fp.plan.Clock.Schedule(fp.next(), fp.tick)
-}
-
-// beatRound lets every scripted device act at time t: silent devices skip
-// their check-in (that is the injected fault); healthy ones heartbeat, and
-// a previously evicted one re-onboards via flash + boot first.
-func (fp *fleetPlayback) beatRound(t time.Time) {
-	for _, name := range fp.plan.ScriptDevices() {
-		id := fp.ids[name]
-		if fp.plan.DeviceSilent(name, t) {
-			fp.plan.RecordInjection("heartbeat_gap")
-			continue
-		}
-		d, err := fp.hub.Device(id)
-		if err != nil {
-			continue
-		}
-		if d.Status == edge.StatusOffline {
-			// Daemon came back after an eviction: reconnect path.
-			if _, err := fp.hub.FlashImage(id); err != nil {
-				continue
-			}
-			if _, err := fp.hub.Boot(id); err != nil {
-				continue
-			}
-		}
-		_ = fp.hub.Heartbeat(id, t)
-	}
 }
 
 // runTraining trains pl, surviving a scheduled lease preemption: each

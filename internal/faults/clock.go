@@ -16,15 +16,14 @@ import (
 // loop instead of ad-hoc per-subsystem catch-up. It is safe for concurrent
 // use.
 type Clock struct {
-	mu        sync.Mutex
-	now       time.Time
-	seq       uint64
-	timers    timerHeap
-	onAdvance []func(now time.Time)
-	// draining marks an Advance in progress. A nested Advance (a timer or
-	// observer callback moving time itself) must not recurse into the
-	// callback lists — different observers would see virtual time out of
-	// order — so its target is queued and the outer drain absorbs it.
+	mu     sync.Mutex
+	now    time.Time
+	seq    uint64
+	timers timerHeap
+	// draining marks an Advance in progress. A nested Advance (a timer
+	// callback moving time itself) must not recurse into the drain — the
+	// next timer would then fire inside the callback that is still running
+	// — so its target is queued and the outer drain absorbs it.
 	draining bool
 	pending  []time.Time
 }
@@ -85,12 +84,11 @@ func (c *Clock) Schedule(at time.Time, fn func(now time.Time)) {
 }
 
 // Advance moves the clock forward by d (non-positive deltas leave the time
-// unchanged but still fire due timers and OnAdvance callbacks), firing
-// every timer due in (at, registration) order with the clock parked at
-// each timer's due instant, then the OnAdvance observers with the final
-// time. A callback that calls Advance again does not recurse: the nested
-// target is queued and this drain extends to cover it, so every observer
-// sees virtual time move monotonically. Returns the time the clock
+// unchanged but still fire due timers), firing every timer due in (at,
+// registration) order with the clock parked at each timer's due instant.
+// A callback that calls Advance again does not recurse: the nested target
+// is queued and this drain extends to cover it, so virtual time moves
+// monotonically through every callback. Returns the time the clock
 // reached; for a queued nested call that is the target the outer drain
 // will reach.
 func (c *Clock) Advance(d time.Duration) time.Time {
@@ -114,47 +112,23 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 			}
 		}
 		c.pending = c.pending[:0]
-		if len(c.timers) > 0 && !c.timers[0].at.After(target) {
-			t := heap.Pop(&c.timers).(*timer)
-			if t.at.After(c.now) {
-				c.now = t.at
-			}
-			fireAt := c.now
-			c.mu.Unlock()
-			t.fn(fireAt)
-			c.mu.Lock()
-			continue
-		}
-		if target.After(c.now) {
-			c.now = target
-		}
-		now := c.now
-		cbs := make([]func(time.Time), len(c.onAdvance))
-		copy(cbs, c.onAdvance)
-		c.mu.Unlock()
-		for _, fn := range cbs {
-			fn(now)
-		}
-		c.mu.Lock()
-		// Observers may have queued nested advances or scheduled timers
-		// now due; keep draining until the timeline is quiet.
-		if len(c.pending) == 0 && (len(c.timers) == 0 || c.timers[0].at.After(target)) {
+		if len(c.timers) == 0 || c.timers[0].at.After(target) {
 			break
 		}
+		t := heap.Pop(&c.timers).(*timer)
+		if t.at.After(c.now) {
+			c.now = t.at
+		}
+		fireAt := c.now
+		c.mu.Unlock()
+		t.fn(fireAt)
+		c.mu.Lock()
+	}
+	if target.After(c.now) {
+		c.now = target
 	}
 	c.draining = false
 	now := c.now
 	c.mu.Unlock()
 	return now
-}
-
-// OnAdvance registers a callback invoked with the final time after every
-// Advance finishes draining. Prefer Schedule for periodic work — timers
-// fire at their exact virtual instants, while OnAdvance observers only see
-// the post-drain time — but the hook remains for callers that just need to
-// notice time moving.
-func (c *Clock) OnAdvance(fn func(now time.Time)) {
-	c.mu.Lock()
-	c.onAdvance = append(c.onAdvance, fn)
-	c.mu.Unlock()
 }

@@ -6,45 +6,6 @@ import (
 	"time"
 )
 
-// TestClockNestedAdvanceKeepsObserversMonotonic is the regression test for
-// the reentrancy bug: the old Advance fired the callback list recursively,
-// so an observer that advanced the clock from inside its callback made
-// *later* observers in the list see virtual time out of order (the nested,
-// larger time first, then the outer, smaller one). The event loop must
-// queue nested advances and drain them in timestamp order so every
-// observer's view of time is monotonic. This test fails on the pre-fix
-// Clock: observer B saw [t+15s, t+10s].
-func TestClockNestedAdvanceKeepsObserversMonotonic(t *testing.T) {
-	c := NewClock(t0)
-	var a, b []time.Time
-	nested := false
-	c.OnAdvance(func(now time.Time) {
-		a = append(a, now)
-		if !nested {
-			nested = true
-			c.Advance(5 * time.Second)
-		}
-	})
-	c.OnAdvance(func(now time.Time) { b = append(b, now) })
-	c.Advance(10 * time.Second)
-
-	if want := t0.Add(15 * time.Second); !c.Now().Equal(want) {
-		t.Fatalf("Now = %v, want %v (nested advance must still land)", c.Now(), want)
-	}
-	for name, seen := range map[string][]time.Time{"A": a, "B": b} {
-		for i := 1; i < len(seen); i++ {
-			if seen[i].Before(seen[i-1]) {
-				t.Fatalf("observer %s saw time move backwards: %v", name, seen)
-			}
-		}
-	}
-	// Both observers must have seen the final time.
-	want := t0.Add(15 * time.Second)
-	if len(b) == 0 || !b[len(b)-1].Equal(want) {
-		t.Fatalf("observer B ended at %v, want %v", b, want)
-	}
-}
-
 // TestClockScheduleFiresInOrder pins the event loop's ordering contract:
 // timers fire in due-time order regardless of registration order, same-due
 // timers fire in registration order, and each callback sees the clock

@@ -17,17 +17,12 @@ func TestClockAdvanceAndCallbacks(t *testing.T) {
 	if !c.Now().Equal(t0) {
 		t.Fatalf("Now = %v, want %v", c.Now(), t0)
 	}
-	var seen []time.Time
-	c.OnAdvance(func(now time.Time) { seen = append(seen, now) })
 	c.Advance(10 * time.Second)
-	c.Advance(-5 * time.Second) // ignored, but callback still fires
+	c.Advance(-5 * time.Second) // ignored
 	c.Advance(20 * time.Second)
 	want := t0.Add(30 * time.Second)
 	if !c.Now().Equal(want) {
 		t.Fatalf("Now = %v, want %v (negative delta must be ignored)", c.Now(), want)
-	}
-	if len(seen) != 3 || !seen[2].Equal(want) {
-		t.Fatalf("callbacks saw %v, want 3 firings ending at %v", seen, want)
 	}
 }
 

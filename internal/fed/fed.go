@@ -22,8 +22,10 @@
 // in Fleet (fleet.go): the workers and their devices, parallel local
 // training, delta export with error feedback, transfers under retry, and
 // checkpoints. Run, the star, adds broadcast, upload, the staleness
-// policy, aggregation, heartbeat playback and the hierarchical partials;
-// package gossip runs its peer overlay on the same Fleet.
+// policy, aggregation and the hierarchical partials, and hands its
+// workers to the hub's heartbeat playback (edge.Hub.Play, the same
+// playback the Fig. 1 pipeline's scripted devices run on); package
+// gossip runs its peer overlay on the same Fleet.
 //
 // Determinism is a hard requirement (the chaos tests diff whole runs):
 // network billing and aggregation run in worker-index order on the plan's
@@ -35,10 +37,8 @@ package fed
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/pilot"
 )
@@ -135,12 +135,11 @@ type Run struct {
 	Global *pilot.Pilot
 
 	val []pilot.Sample
-	// evicted marks, by worker index, a heartbeat eviction during the
+	// evicted marks, by device ID, a heartbeat eviction during the
 	// current round. A worker whose daemon went silent misses the round
 	// even if it re-onboards before the uploads are collected — its
 	// connection was lost mid-round.
-	evicted  []bool
-	playback *heartbeatPlayback
+	evicted map[string]bool
 }
 
 // NewRun assembles a run: the global pilot (the parameter server's copy)
@@ -161,14 +160,17 @@ func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample,
 	if cfg.RegionLink == (netem.Link{}) {
 		cfg.RegionLink = netem.FabricManaged
 	}
-	r := &Run{Cfg: cfg, Global: global, val: val, evicted: make([]bool, cfg.Workers)}
+	r := &Run{Cfg: cfg, Global: global, val: val, evicted: map[string]bool{}}
 	var err error
 	if r.Fleet, err = NewFleet("fed", 0xfed, &r.Cfg.FleetConfig, deps, global.Cfg, shards); err != nil {
 		return nil, err
 	}
 	if r.hub != nil && r.Plan != nil {
-		r.playback = newHeartbeatPlayback(r.Plan, r.hub, r.Workers, r.evicted)
-		r.playback.start(r.Clock)
+		members := make([]edge.Member, len(r.Workers))
+		for i, w := range r.Workers {
+			members[i] = edge.Member{Name: w.Name, ID: w.deviceID}
+		}
+		r.hub.Play(r.Plan, members, func(id string) { r.evicted[id] = true })
 	}
 	r.instrument()
 	return r, nil
@@ -207,111 +209,4 @@ func (r *Run) live(w *Worker) bool {
 	}
 	d, err := r.hub.Device(w.deviceID)
 	return err == nil && d.Status == edge.StatusConnected
-}
-
-// heartbeatPlayback drives the worker fleet's device daemons as virtual
-// time passes: every HeartbeatEvery each worker checks in unless its
-// scripted silence window is open, and every SweepEvery the control plane
-// sweeps — which is what actually evicts a silent worker mid-round. A
-// previously evicted device whose window has passed re-onboards through
-// the flash-and-boot reconnect path, rejoining the next round.
-//
-// Playback rides the clock's discrete-event scheduler: one
-// self-rescheduling timer fires at each due beat or sweep instant, so hub
-// state changes land at their exact virtual times instead of being caught
-// up after the fact. Beats at the same instant as a sweep fire first (the
-// daemon's check-in races the reaper and wins).
-type heartbeatPlayback struct {
-	plan     *faults.Plan
-	hub      *edge.Hub
-	workers  []*Worker
-	byDevice map[string]int // device ID -> worker index
-	evicted  []bool         // the run's per-round eviction flags
-	clock    *faults.Clock
-	beat     time.Time
-	sweep    time.Time
-}
-
-func newHeartbeatPlayback(plan *faults.Plan, hub *edge.Hub, workers []*Worker, evicted []bool) *heartbeatPlayback {
-	hp := &heartbeatPlayback{
-		plan:     plan,
-		hub:      hub,
-		workers:  workers,
-		byDevice: make(map[string]int, len(workers)),
-		evicted:  evicted,
-		beat:     plan.Clock.Now().Add(plan.HeartbeatEvery),
-		sweep:    plan.Clock.Now().Add(plan.SweepEvery),
-	}
-	for _, w := range workers {
-		if w.deviceID != "" {
-			hp.byDevice[w.deviceID] = w.Idx
-		}
-	}
-	return hp
-}
-
-// start hooks playback onto the clock's event loop.
-func (hp *heartbeatPlayback) start(clock *faults.Clock) {
-	hp.clock = clock
-	clock.Schedule(hp.next(), hp.tick)
-}
-
-// next is the earliest pending instant; beats win ties (see type comment).
-func (hp *heartbeatPlayback) next() time.Time {
-	if hp.beat.After(hp.sweep) {
-		return hp.sweep
-	}
-	return hp.beat
-}
-
-// tick replays every beat round and sweep due at now (normally exactly
-// one — the clock parks at each due instant — but a timer scheduled in
-// the past catches up the backlog in chronological order), then
-// re-schedules itself for the next due instant.
-func (hp *heartbeatPlayback) tick(now time.Time) {
-	for !hp.beat.After(now) || !hp.sweep.After(now) {
-		if !hp.beat.After(now) && !hp.beat.After(hp.sweep) {
-			hp.beatRound(hp.beat)
-			hp.beat = hp.beat.Add(hp.plan.HeartbeatEvery)
-		} else {
-			for _, id := range hp.hub.SweepHeartbeats(hp.sweep) {
-				// Flag evicted workers so the round in progress knows they
-				// lost their connection even if they re-onboard before the
-				// uploads are collected.
-				if i, ok := hp.byDevice[id]; ok {
-					hp.evicted[i] = true
-				}
-			}
-			hp.sweep = hp.sweep.Add(hp.plan.SweepEvery)
-		}
-	}
-	hp.clock.Schedule(hp.next(), hp.tick)
-}
-
-// beatRound lets every worker device act at time t: a scripted-silent one
-// skips its check-in (the injected fault), a healthy one heartbeats, and
-// an evicted one whose silence has passed re-onboards first.
-func (hp *heartbeatPlayback) beatRound(t time.Time) {
-	for _, w := range hp.workers {
-		if w.deviceID == "" {
-			continue
-		}
-		if hp.plan.DeviceSilent(w.Name, t) {
-			hp.plan.RecordInjection("heartbeat_gap")
-			continue
-		}
-		d, err := hp.hub.Device(w.deviceID)
-		if err != nil {
-			continue
-		}
-		if d.Status == edge.StatusOffline {
-			if _, err := hp.hub.FlashImage(w.deviceID); err != nil {
-				continue
-			}
-			if _, err := hp.hub.Boot(w.deviceID); err != nil {
-				continue
-			}
-		}
-		_ = hp.hub.Heartbeat(w.deviceID, t)
-	}
 }

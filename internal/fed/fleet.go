@@ -413,17 +413,10 @@ func (f *Fleet) Checkpoint(round int, parent *obs.Span, model *pilot.Pilot) erro
 	err := model.Save(&buf)
 	if err == nil {
 		meta := map[string]string{f.name + "-round": fmt.Sprint(round)}
-		put := func() error {
+		err = f.Plan.Do(f.name+"_checkpoint", func(int) (time.Duration, error) {
 			_, err := f.store.PutTraced(csp.Context(), container, object, buf.Bytes(), meta)
-			return err
-		}
-		if f.Plan == nil {
-			err = put()
-		} else {
-			err = f.Plan.Do(f.name+"_checkpoint", func(int) (time.Duration, error) {
-				return 0, put()
-			})
-		}
+			return 0, err
+		})
 	}
 	csp.EndErr(err)
 	if err != nil {

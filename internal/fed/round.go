@@ -213,7 +213,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 		// A worker whose daemon went silent during training was swept out
 		// of the fleet; it has nothing trustworthy to upload this round.
-		if r.evicted[st.w.Idx] || !r.live(st.w) {
+		if r.evicted[st.w.deviceID] || !r.live(st.w) {
 			r.drop(st, &rr, "offline")
 			continue
 		}
@@ -246,7 +246,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		// The upload itself advances the clock, so the sweep can evict a
 		// worker while its own transfer is in flight; that upload does not
 		// count either.
-		if r.evicted[st.w.Idx] || !r.live(st.w) {
+		if r.evicted[st.w.deviceID] || !r.live(st.w) {
 			r.drop(st, &rr, "offline")
 		}
 	}
