@@ -13,13 +13,12 @@ import (
 
 // Plan is one deterministic fault campaign: a profile expanded, from a
 // seed, into concrete schedules over a virtual-time horizon, plus the
-// retry policy and the counters the run accrues. A nil *Plan everywhere
-// means "no faults" and costs a nil check.
+// retry policy and the counters the run accrues. A nil *Plan means "no
+// faults": its Do runs the operation once.
 type Plan struct {
-	Profile string
-	Seed    int64
-	Clock   *Clock
-	Retry   Policy
+	Seed  int64
+	Clock *Clock
+	Retry Policy
 
 	// HeartbeatEvery and SweepEvery pace the scripted edge fleet: how
 	// often connected devices check in and how often the control plane
@@ -31,14 +30,12 @@ type Plan struct {
 	// simulated GPU time crosses this fraction of the total (0 disables).
 	PreemptAfterFrac float64
 
-	links        map[string][]Window // link name -> fault windows (sorted)
-	silence      map[string][]Window // scripted device -> silence windows
-	storeEvery   int                 // fail every Nth object-store attempt (0 disables)
-	storeWindows []Window            // restrict store faults to these windows (empty = always armed)
+	links   map[string][]Window // link name -> fault windows (sorted)
+	silence map[string][]Window // scripted device -> silence windows
 
 	mu        sync.Mutex
-	rng       *rand.Rand // backoff jitter; draws happen in call order
-	storeOps  int
+	rng       *rand.Rand     // backoff jitter; draws happen in call order
+	store     []storeWindow  // object-store fault windows, in insertion order
 	injected  map[string]int // kind -> count (mirrors faults_injected_total)
 	attempts  int
 	fallbacks int
@@ -55,35 +52,33 @@ func Profiles() []string {
 	return []string{"lossy-wan", "flaky-objstore", "heartbeat-gap", "preempt", "chaos"}
 }
 
+// storeWindow arms object-store faults for one window: every every-th
+// attempt inside it fails, counting from the window's first attempt.
+type storeWindow struct {
+	Window
+	every int
+	ops   int // attempts made inside the window so far
+}
+
 // NewPlan expands a named profile into a concrete plan whose schedules
 // start at the given virtual instant. The same profile, seed, and start
 // always produce the same plan.
 func NewPlan(profile string, seed int64, start time.Time) (*Plan, error) {
-	p := &Plan{
-		Profile:        profile,
-		Seed:           seed,
-		Clock:          NewClock(start),
-		Retry:          DefaultPolicy(),
-		HeartbeatEvery: 15 * time.Second,
-		SweepEvery:     45 * time.Second,
-		links:          map[string][]Window{},
-		silence:        map[string][]Window{},
-		rng:            rand.New(rand.NewSource(seed ^ 0x5eed)),
-		injected:       map[string]int{},
-	}
+	p := NewScriptedPlan(seed, start)
 	gen := rand.New(rand.NewSource(seed))
+	horizon := Window{Start: start, End: start.Add(Horizon)}
 	switch profile {
 	case "lossy-wan":
 		p.genLinkWindows(gen, start)
 	case "flaky-objstore":
-		p.storeEvery = 3
+		p.AddStoreWindows(3, horizon)
 	case "heartbeat-gap":
 		p.genSilenceWindows(gen, start)
 	case "preempt":
 		p.PreemptAfterFrac = 0.35 + 0.3*gen.Float64()
 	case "chaos":
 		p.genLinkWindows(gen, start)
-		p.storeEvery = 3
+		p.AddStoreWindows(3, horizon)
 		p.genSilenceWindows(gen, start)
 		p.PreemptAfterFrac = 0.35 + 0.3*gen.Float64()
 	default:
@@ -95,13 +90,12 @@ func NewPlan(profile string, seed int64, start time.Time) (*Plan, error) {
 
 // NewScriptedPlan returns an empty plan whose fault schedules are
 // installed by a scenario (or a test) instead of expanded from a named
-// profile: same clock, retry policy, and fleet pacing as NewPlan, but no
-// generated windows. Install schedules with AddSilenceWindow and
+// profile: the clock, retry policy, and fleet pacing every plan starts
+// from, and no windows. Install schedules with AddSilenceWindow and
 // AddStoreWindows before the run starts; link effects live in the
 // scenario's shape table, not here.
 func NewScriptedPlan(seed int64, start time.Time) *Plan {
 	return &Plan{
-		Profile:        "scenario",
 		Seed:           seed,
 		Clock:          NewClock(start),
 		Retry:          DefaultPolicy(),
@@ -121,17 +115,18 @@ func (p *Plan) AddSilenceWindow(device string, w Window) {
 	p.silence[device] = append(p.silence[device], w)
 }
 
-// AddStoreWindows arms object-store fault injection only inside the
-// given windows: while the clock is in a window every everyth attempt
-// fails with a transient error; outside them the store is healthy and
-// attempts are not counted. Profile plans (no windows) keep the legacy
-// always-armed behavior.
+// AddStoreWindows arms object-store fault injection inside the given
+// windows: while the clock is in one, every every-th attempt made inside
+// that window fails with a transient error, counting from the window's
+// first attempt. Outside them the store is healthy and attempts are not
+// counted; where windows overlap, the one added first counts the attempt.
 func (p *Plan) AddStoreWindows(every int, ws ...Window) {
 	if every < 1 {
 		every = 1
 	}
-	p.storeEvery = every
-	p.storeWindows = append(p.storeWindows, ws...)
+	for _, w := range ws {
+		p.store = append(p.store, storeWindow{Window: w, every: every})
+	}
 }
 
 // genLinkWindows scatters alternating outage and degradation windows over
@@ -272,36 +267,26 @@ func (p *Plan) LinkState(link string) LinkState {
 	return st
 }
 
-// StoreFault is the object-store injection hook: every storeEvery-th
-// attempt (counting from the first) fails with a transient error, so a
-// single retry always clears it. Scripted plans with store windows only
-// arm the injector while the clock is inside a window. op is
-// informational.
+// StoreFault is the object-store injection hook: inside a store window
+// every every-th attempt fails with a transient error, so a single retry
+// always clears it. op is informational.
 func (p *Plan) StoreFault(op string) error {
 	now := p.Clock.Now()
+	fail := false
 	p.mu.Lock()
-	if len(p.storeWindows) > 0 && !windowsContain(p.storeWindows, now) {
-		p.mu.Unlock()
-		return nil
+	for i := range p.store {
+		if w := &p.store[i]; w.contains(now) {
+			fail = w.ops%w.every == 0
+			w.ops++
+			break
+		}
 	}
-	n := p.storeOps
-	p.storeOps++
-	every := p.storeEvery
 	p.mu.Unlock()
-	if every <= 0 || n%every != 0 {
+	if !fail {
 		return nil
 	}
 	p.RecordInjection("objstore")
 	return &Error{Kind: "objstore", Op: op}
-}
-
-func windowsContain(ws []Window, t time.Time) bool {
-	for _, w := range ws {
-		if w.contains(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // ScriptDevices lists the scripted edge devices, sorted.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +92,37 @@ func TestRuntimeStoreAndSilenceWindows(t *testing.T) {
 	}
 	if devs := plan.ScriptDevices(); len(devs) != 1 || devs[0] != "pi-1" {
 		t.Fatalf("ScriptDevices = %v", devs)
+	}
+
+	// Each objstore phase keeps its own cadence and attempt count: a later
+	// phase's every= must not rewrite an earlier one's.
+	s = mustParse(t, `scenario v1
+name two-store-windows
+link campus-wan
+phase 1m..2m objstore every=2
+phase 3m..4m objstore every=5
+`)
+	if rt, err = NewRuntime(s, 3, tableEpoch); err != nil {
+		t.Fatalf("runtime: %v", err)
+	}
+	plan = rt.Plan()
+	for _, w := range []struct {
+		at   time.Duration
+		want []int // failing attempts, 1-based
+	}{
+		{90 * time.Second, []int{1, 3, 5, 7, 9}},
+		{210 * time.Second, []int{1, 6}},
+	} {
+		plan.Clock.Advance(tableEpoch.Add(w.at).Sub(plan.Clock.Now()))
+		var failed []int
+		for i := 1; i <= 10; i++ {
+			if plan.StoreFault("put") != nil {
+				failed = append(failed, i)
+			}
+		}
+		if !reflect.DeepEqual(failed, w.want) {
+			t.Fatalf("at %v: failing attempts %v, want %v", w.at, failed, w.want)
+		}
 	}
 }
 
