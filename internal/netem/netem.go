@@ -164,11 +164,9 @@ func (n *Net) applyFaults(l Link, op string) (Link, error) {
 		return l, fmt.Errorf("netem: %s unreachable: %w", l.Name,
 			&faults.Error{Kind: "link_outage", Op: op})
 	}
-	if f := st.SlowFactor; f > 1 {
+	if st.SlowFactor > 1 {
 		plan.RecordInjection("link_degraded")
-		l.Latency = time.Duration(float64(l.Latency) * f)
-		l.Jitter = time.Duration(float64(l.Jitter) * f)
-		l.Bandwidth /= f
+		l = LinkShape{Factor: st.SlowFactor}.Apply(l)
 	}
 	return l, nil
 }

@@ -109,10 +109,8 @@ func (n *Net) EffectiveLink(l Link) (Link, bool) {
 		st := plan.LinkState(l.Name)
 		if st.Down {
 			ok = false
-		} else if f := st.SlowFactor; f > 1 {
-			l.Latency = time.Duration(float64(l.Latency) * f)
-			l.Jitter = time.Duration(float64(l.Jitter) * f)
-			l.Bandwidth /= f
+		} else {
+			l = LinkShape{Factor: st.SlowFactor}.Apply(l)
 		}
 	}
 	if s, now := n.shaperState(); s != nil {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/pilot"
@@ -355,34 +354,12 @@ func (ss *shardSet) stop() {
 	}
 }
 
-// FaultSlowdown adapts a fault plan into a per-batch slowdown hook: while
-// the named link is in an outage window the batch stalls for outage×unit,
-// and degradation windows stall proportionally to their slow factor. Tests
-// advance the plan's virtual clock into a window and watch deadlines
-// expire and the queue shed — the serving-side analogue of the pipeline's
-// lossy-WAN runs.
-func FaultSlowdown(plan *faults.Plan, link string, unit time.Duration) func() time.Duration {
-	const outageFactor = 10
-	return func() time.Duration {
-		st := plan.LinkState(link)
-		switch {
-		case st.Down:
-			plan.RecordInjection("serve_outage")
-			return outageFactor * unit
-		case st.SlowFactor > 1:
-			plan.RecordInjection("serve_slowdown")
-			return time.Duration(float64(unit) * (st.SlowFactor - 1))
-		}
-		return 0
-	}
-}
-
 // ShaperSlowdown adapts a live link shaper (the scenario table netctl
-// mutates) into the same per-batch hook: a partitioned link stalls like
-// an outage, and a shaped or degraded one stalls in proportion to the
-// bandwidth it lost plus twice the added one-way delay. Because the
-// shaper is consulted on every batch, a netctl mutation slows the very
-// next forward pass.
+// mutates) into a per-batch slowdown hook for Service.SetSlowHook: a
+// partitioned link stalls like an outage, and a shaped or degraded one
+// stalls in proportion to the bandwidth it lost plus twice the added
+// one-way delay. Because the shaper is consulted on every batch, a
+// netctl mutation slows the very next forward pass.
 func ShaperSlowdown(sh netem.Shaper, base netem.Link, now func() time.Time, unit time.Duration) func() time.Duration {
 	const outageFactor = 10
 	return func() time.Duration {

@@ -171,7 +171,7 @@ func (s *Service) getTracer() *obs.Tracer {
 }
 
 // SetSlowHook installs a per-batch slowdown consulted before every forward
-// pass (see FaultSlowdown). Call before serving traffic.
+// pass (see ShaperSlowdown). Call before serving traffic.
 func (s *Service) SetSlowHook(fn func() time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/objstore"
 	"repro/internal/obs"
@@ -539,48 +538,6 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 	resp, _ := postPredict(t, ts.URL, predictBody(t, testFrame(t, 0)), 5000)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-close predict: status %d, want 503", resp.StatusCode)
-	}
-}
-
-// TestFaultSlowdown advances a lossy-wan plan into its fault windows and
-// checks the serving hook translates them into stalls + injections.
-func TestFaultSlowdown(t *testing.T) {
-	start := time.Unix(1_700_000_000, 0)
-	plan, err := faults.NewPlan("lossy-wan", 42, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const unit = time.Millisecond
-	hook := FaultSlowdown(plan, "campus-wan", unit)
-
-	sawOutage, sawSlow := false, false
-	for i := 0; i < 10_000 && !(sawOutage && sawSlow); i++ {
-		st := plan.LinkState("campus-wan")
-		d := hook()
-		switch {
-		case st.Down:
-			sawOutage = true
-			if d != 10*unit {
-				t.Fatalf("outage stall = %v, want %v", d, 10*unit)
-			}
-		case st.SlowFactor > 1:
-			sawSlow = true
-			if want := time.Duration(float64(unit) * (st.SlowFactor - 1)); d != want {
-				t.Fatalf("degraded stall = %v, want %v", d, want)
-			}
-		default:
-			if d != 0 {
-				t.Fatalf("healthy link stalled %v", d)
-			}
-		}
-		plan.Clock.Advance(100 * time.Millisecond)
-	}
-	if !sawOutage || !sawSlow {
-		t.Fatalf("never hit both fault kinds (outage=%v slow=%v)", sawOutage, sawSlow)
-	}
-	sum := plan.Summary()
-	if sum.Injected["serve_outage"] == 0 || sum.Injected["serve_slowdown"] == 0 {
-		t.Errorf("injections not recorded: %v", sum.Injected)
 	}
 }
 
