@@ -1175,11 +1175,7 @@ func e11Run(b *testing.B, quorum int, compress, profile string) {
 		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(),
 			Store: objstore.New(), Start: benchEpoch}
 		if profile != "" {
-			plan, err := faults.NewPlan(profile, cfg.Seed, benchEpoch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			deps.Plan = plan
+			deps.Plan = benchProfile(b, profile, cfg.Seed, deps.Net)
 		}
 		r, err := fed.NewRun(cfg, deps, global, shards, val)
 		if err != nil {
@@ -1200,6 +1196,22 @@ func e11Run(b *testing.B, quorum int, compress, profile string) {
 	b.ReportMetric(float64(res.MeanRoundWall)/float64(time.Millisecond), "round_ms")
 	b.ReportMetric(float64(res.TotalBytes), "bytes_on_wire")
 	b.ReportMetric(res.FinalValLoss, "final_valloss")
+}
+
+// benchProfile generates the named fault profile as a scenario, attaches
+// its runtime to net, and returns the runtime's fault plan.
+func benchProfile(b *testing.B, profile string, seed int64, net *netem.Net) *faults.Plan {
+	b.Helper()
+	s, err := scenario.Profile(profile, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := scenario.NewRuntime(s, seed, benchEpoch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.Attach(net)
+	return rt.Plan()
 }
 
 // BenchmarkE11Federated is the federated-fleet experiment: the staleness
@@ -1248,15 +1260,13 @@ func e12Run(b *testing.B, workers int, hier bool) {
 		cfg.Hierarchical = hier
 		cfg.IngressSerial = true
 		cfg.SyntheticLocal = true
-		plan, err := faults.NewPlan("heartbeat-gap", cfg.Seed, benchEpoch)
-		if err != nil {
-			b.Fatal(err)
-		}
 		global, err := pilot.New(pcfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(), Plan: plan, Start: benchEpoch}
+		net := netem.NewNet(cfg.Seed)
+		plan := benchProfile(b, "heartbeat-gap", cfg.Seed, net)
+		deps := fed.Deps{Net: net, Hub: edge.NewHub(), Plan: plan, Start: benchEpoch}
 		r, err := fed.NewRun(cfg, deps, global, shards, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/fed"
 	"repro/internal/gossip"
 	"repro/internal/netem"
@@ -45,7 +44,7 @@ func cmdFedTrain(args []string) error {
 	quorum := fs.Int("quorum", 0, "K-of-N quorum (0 = synchronous barrier; star topology)")
 	compress := fs.String("compress", "none", "delta compression: "+strings.Join(fed.Profiles(), "|"))
 	topKFrac := fs.Float64("topk", 0.2, "fraction of delta entries the topk profile keeps")
-	profile := fs.String("faults", "", "fault profile: "+strings.Join(faults.Profiles(), "|")+" (empty = fault-free)")
+	profile := fs.String("faults", "", "fault profile, run as a generated scenario: "+strings.Join(scenario.Profiles(), "|")+" (empty = fault-free)")
 	scnFile := fs.String("scenario", "", "scenario file scripting faults and link shapes (exclusive with -faults)")
 	model := fs.String("model", "linear", "pilot kind")
 	trackName := fs.String("track", "default-oval", "track name")
@@ -78,8 +77,9 @@ func cmdFedTrain(args []string) error {
 	if !ok {
 		return fmt.Errorf("fed-train: unknown -peer-link %q", *peerLinkName)
 	}
-	if *profile != "" && *scnFile != "" {
-		return fmt.Errorf("fed-train: -scenario and -faults are mutually exclusive")
+	rt, err := faultRuntime("fed-train", *profile, *scnFile, *seed)
+	if err != nil {
+		return err
 	}
 
 	cam := sim.SmallCameraConfig()
@@ -122,21 +122,7 @@ func cmdFedTrain(args []string) error {
 		Obs:   o,
 		Start: epoch,
 	}
-	if *profile != "" {
-		plan, err := faults.NewPlan(*profile, *seed, epoch)
-		if err != nil {
-			return err
-		}
-		plan.Instrument(o.Metrics)
-		deps.Plan = plan
-		fmt.Printf("== fault profile %q (seed %d)\n", *profile, *seed)
-	}
-	var rt *scenario.Runtime
-	if *scnFile != "" {
-		rt, err = loadScenarioRuntime(*scnFile, *seed)
-		if err != nil {
-			return err
-		}
+	if rt != nil {
 		rt.Start(o)
 		deps.Plan = rt.Plan()
 		rt.Attach(deps.Net)
@@ -167,23 +153,16 @@ func cmdFedTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	if rt != nil {
-		// Play the clock past the horizon so every scripted phase fires and
-		// the exported trace carries the full transition record.
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
-	if deps.Plan != nil {
-		fmt.Printf("== faults: %s\n", deps.Plan.Summary())
-	}
-	return of.write(o)
+	return finishRun(rt, o, of)
 }
 
 // serveCheckpoints rides the serving side along in the run's trace: once
 // a round has written the checkpoint at cfg's location, the hook installed
 // on deps registers it as name-global, and every later round's ETag poll
 // hot-swaps it, so the exported trace runs end to end from worker train
-// through the WAN into the serving reload. A gossip head cut off by a
+// through the WAN into the serving reload. Registration and polls read
+// the fleet's store, so they run under the fault plan's retry policy
+// (ops serve_register and serve_poll). A gossip head cut off by a
 // partition may write no checkpoint for several rounds (or ever); the run
 // carries on regardless. The returned counter accumulates hot reloads.
 func serveCheckpoints(deps *fed.Deps, name string, cfg fed.FleetConfig) (*int, error) {
@@ -204,11 +183,15 @@ func serveCheckpoints(deps *fed.Deps, name string, cfg fed.FleetConfig) (*int, e
 				return nil
 			}
 			registered = true
-			return sreg.RegisterCtx(sc, name+"-global", cfg.Object)
+			return deps.Plan.Do("serve_register", func(int) (time.Duration, error) {
+				return 0, sreg.RegisterCtx(sc, name+"-global", cfg.Object)
+			})
 		}
-		n, err := sreg.PollOnceCtx(sc)
-		*reloads += n
-		return err
+		return deps.Plan.Do("serve_poll", func(int) (time.Duration, error) {
+			n, err := sreg.PollOnceCtx(sc)
+			*reloads += n
+			return 0, err
+		})
 	}
 	return reloads, nil
 }

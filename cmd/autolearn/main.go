@@ -11,7 +11,7 @@
 //	autolearn merge     -out DIR SRC1 [SRC2 ...]
 //	autolearn train     -tub DIR -out FILE [-model linear] [-gpu V100] [-epochs 5]
 //	autolearn evaluate  -model FILE [-track default-oval] [-placement edge] [-ticks 600] [-trace FILE] [-metrics FILE]
-//	autolearn pipeline  [-track default-oval] [-model inferred] [-gpu RTX6000] [-faults PROFILE] [-trace FILE] [-metrics FILE]
+//	autolearn pipeline  [-track default-oval] [-model inferred] [-gpu RTX6000] [-faults PROFILE | -scenario FILE] [-trace FILE] [-metrics FILE]
 //	autolearn models    [-track default-oval] [-ticks 1200] [-epochs 8] [-trace FILE] [-metrics FILE]
 //	autolearn twin      [-track default-oval] [-ticks 800]
 //	autolearn hybrid    [-shrink 8] [-blend 0.4] [-ticks 600]
@@ -25,13 +25,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -68,34 +68,41 @@ func (of obsFlags) observer() obs.Observer {
 
 // write exports the requested trace and metrics files.
 func (of obsFlags) write(o obs.Observer) error {
-	if *of.trace != "" {
-		f, err := os.Create(*of.trace)
-		if err != nil {
-			return err
-		}
-		if err := o.Tracer.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace: %d spans -> %s\n", len(o.Tracer.Finished()), *of.trace)
+	if err := of.writeTrace(o); err != nil {
+		return err
 	}
-	if *of.metrics != "" {
-		f, err := os.Create(*of.metrics)
-		if err != nil {
-			return err
-		}
-		if err := o.Metrics.WriteProm(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: %s\n", *of.metrics)
+	return of.writeMetrics(o)
+}
+
+// writeTrace exports the requested trace file.
+func (of obsFlags) writeTrace(o obs.Observer) error {
+	return export(*of.trace, o.Tracer.WriteJSONL,
+		func() string { return fmt.Sprintf("trace: %d spans -> %s", len(o.Tracer.Finished()), *of.trace) })
+}
+
+// writeMetrics exports the requested metrics file.
+func (of obsFlags) writeMetrics(o obs.Observer) error {
+	return export(*of.metrics, o.Metrics.WriteProm, func() string { return "metrics: " + *of.metrics })
+}
+
+// export writes one requested file (none when path is empty) and prints
+// what it wrote.
+func export(path string, write func(io.Writer) error, done func() string) error {
+	if path == "" {
+		return nil
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println(done())
 	return nil
 }
 
@@ -184,11 +191,11 @@ commands:
 
 pipeline, models, and evaluate accept -trace FILE (JSONL span trace) and
 -metrics FILE (Prometheus text format) to export observability data.
-pipeline also accepts -faults PROFILE (lossy-wan, flaky-objstore,
-heartbeat-gap, preempt, chaos) to run under deterministic fault injection.
-pipeline, fed-train, and serve accept -scenario FILE to run under a
-phase-scripted chaos scenario (see scenarios/); the same file plus the
-same seed replays byte-identically through any of them.`)
+pipeline and fed-train accept -faults PROFILE (lossy-wan, flaky-objstore,
+heartbeat-gap, preempt, chaos) to run under a fault scenario generated
+from the run seed. pipeline, fed-train, and serve accept -scenario FILE
+to run under a phase-scripted chaos scenario (see scenarios/); the same
+file plus the same seed replays byte-identically through any of them.`)
 }
 
 func cmdTracks() error {
@@ -474,30 +481,27 @@ func cmdPipeline(args []string) error {
 	trackName := fs.String("track", "default-oval", "track name")
 	model := fs.String("model", "inferred", "pilot kind")
 	gpu := fs.String("gpu", "RTX6000", "GPU SKU")
-	profile := fs.String("faults", "", "fault profile: "+strings.Join(faults.Profiles(), "|")+" (empty = fault-free)")
+	profile := fs.String("faults", "", "fault profile, run as a generated scenario: "+strings.Join(scenario.Profiles(), "|")+" (empty = fault-free)")
 	scnFile := fs.String("scenario", "", "scenario file scripting faults and link shapes (exclusive with -faults)")
 	of := addObsFlags(fs)
 	fs.Parse(args)
-	if *profile != "" && *scnFile != "" {
-		return fmt.Errorf("pipeline: -scenario and -faults are mutually exclusive")
-	}
 
 	cfg := core.DefaultConfig()
 	cfg.Track = *trackName
+	rt, err := faultRuntime("pipeline", *profile, *scnFile, cfg.Seed)
+	if err != nil {
+		return err
+	}
 	m, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
 	o := of.observer()
 	m.Instrument(o)
-	var rt *scenario.Runtime
-	if *scnFile != "" {
-		rt, err = loadScenarioRuntime(*scnFile, cfg.Seed)
-		if err != nil {
-			return err
-		}
+	if rt != nil {
 		rt.Start(o)
 		rt.Attach(m.Net)
+		fmt.Printf("== %s\n", rt.Describe())
 	}
 	student, err := m.Enroll("cli-student", "local")
 	if err != nil {
@@ -512,25 +516,11 @@ func cmdPipeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	var plan *faults.Plan
 	trainStart := epoch
-	if *profile != "" {
-		plan, err = faults.NewPlan(*profile, cfg.Seed, epoch)
-		if err != nil {
-			return err
-		}
-		plan.Instrument(o.Metrics)
-		if err := p.EnableFaults(plan); err != nil {
-			return err
-		}
-		fmt.Printf("== fault profile %q (seed %d)\n", *profile, cfg.Seed)
-	}
 	if rt != nil {
-		plan = rt.Plan()
-		if err := p.EnableFaults(plan); err != nil {
+		if err := p.EnableFaults(rt.Plan()); err != nil {
 			return err
 		}
-		fmt.Printf("== %s\n", rt.Describe())
 	}
 	fmt.Println("== phase 1: data collection (simulator path)")
 	col, err := p.CollectData(core.Simulator, "drive-1", 1000)
@@ -545,8 +535,8 @@ func cmdPipeline(args []string) error {
 	}
 	fmt.Printf("   %d marked, %d remain\n", marked, remaining)
 	fmt.Printf("== phase 3: training %s on %s\n", *model, *gpu)
-	if plan != nil {
-		trainStart = plan.Clock.Now()
+	if rt != nil {
+		trainStart = rt.Clock().Now()
 	}
 	tr, err := p.Train(col.TubDir, pilot.Kind(*model), testbed.GPUType(*gpu),
 		nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 2, ClipGrad: 5}, trainStart)
@@ -563,7 +553,7 @@ func cmdPipeline(args []string) error {
 	}
 	fmt.Printf("   latency %v, laps %d, crashes %d, mean speed %.2f m/s\n",
 		ev.Latency.Round(time.Microsecond), ev.Report.Laps, ev.Report.Crashes, ev.Report.MeanSpeed)
-	if plan != nil {
+	if rt != nil {
 		// Under faults, also exercise the hybrid edge-cloud path: this is
 		// where cloud deadline misses fall back to the on-device pilot.
 		fmt.Println("== phase 5: hybrid inference under faults")
@@ -574,15 +564,9 @@ func cmdPipeline(args []string) error {
 		}
 		fmt.Printf("   student %d params, laps %d, crashes %d, cloud fallbacks %d\n",
 			hy.StudentParams, hy.Report.Laps, hy.Report.Crashes, hy.Fallbacks)
-		fmt.Printf("== faults: %s\n", plan.Summary())
-	}
-	if rt != nil {
-		// Drain the script so every phase transition lands in the trace.
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
 	}
 	p.EndTrace()
-	return of.write(o)
+	return finishRun(rt, o, of)
 }
 
 func cmdZero(args []string) error {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,10 +92,11 @@ func TestCollectCleanTrainEvaluateFlow(t *testing.T) {
 }
 
 // TestCmdFedTrainRejectsFlagMistakes pins fed-train's up-front checks: a
-// flag of the other topology, an unknown topology or peer link, and
-// -faults with -scenario all fail before any driving is collected. With
-// -ticks 1 a run that got past the checks fails on its tiny drive
-// instead, which is what the accepted combinations expect.
+// flag of the other topology, an unknown topology, peer link or fault
+// profile, a missing scenario file, and -faults with -scenario all fail
+// before any driving is collected. With -ticks 1 a run that got past the
+// checks fails on its tiny drive instead, which is what the accepted
+// combinations expect.
 func TestCmdFedTrainRejectsFlagMistakes(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -109,6 +113,8 @@ func TestCmdFedTrainRejectsFlagMistakes(t *testing.T) {
 		{[]string{"-topology", "gossip", "-peer-link", "nosuch"}, "unknown -peer-link"},
 		{[]string{"-topology", "mesh"}, "unknown -topology"},
 		{[]string{"-faults", "lossy-wan", "-scenario", "scenarios/clean.scn"}, "mutually exclusive"},
+		{[]string{"-faults", "nope"}, "unknown fault profile"},
+		{[]string{"-scenario", "no/such.scn"}, "no such file"},
 		{[]string{"-topology", "gossip", "-fanout", "2", "-peer-link", "wifi-local"}, "raise -ticks"},
 		{[]string{"-quorum", "2", "-hierarchical", "-regions", "2", "-ingress-serial"}, "raise -ticks"},
 	}
@@ -117,5 +123,65 @@ func TestCmdFedTrainRejectsFlagMistakes(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("fed-train %v: got %v, want an error naming %q", c.args, err, c.want)
 		}
+	}
+}
+
+// promValue reads one series' value from a Prometheus text file; an
+// absent series reads as 0.
+func promValue(t *testing.T, path, series string) float64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestCmdFedTrainStoreFaults runs both topologies to completion while
+// every second object-store attempt fails: the store faults must reach
+// the fleet's checkpoints and the serving hook's reads, and the retry
+// policy must carry both through them.
+func TestCmdFedTrainStoreFaults(t *testing.T) {
+	dir := t.TempDir()
+	scn := filepath.Join(dir, "objstore.scn")
+	if err := os.WriteFile(scn, []byte("scenario v1\nphase 0s..10m objstore every=2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, topology := range []string{"star", "gossip"} {
+		metrics := filepath.Join(dir, topology+".prom")
+		if err := cmdFedTrain([]string{"-topology", topology, "-workers", "2", "-rounds", "2",
+			"-ticks", "240", "-scenario", scn, "-metrics", metrics}); err != nil {
+			t.Fatalf("%s: %v", topology, err)
+		}
+		if got := promValue(t, metrics, `faults_injected_total{kind="objstore"}`); got <= 0 {
+			t.Errorf("%s: no objstore faults injected", topology)
+		}
+	}
+}
+
+// TestCmdFedTrainTallyExcludesDrain is the tally regression: the run
+// ends about 31s into the cascading outage, before its 1m30s silence
+// opens, so the exported metrics must count no heartbeat gap even though
+// the clock is later played past the scenario horizon for the trace.
+func TestCmdFedTrainTallyExcludesDrain(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "fed.prom")
+	if err := cmdFedTrain([]string{"-scenario", "../../scenarios/cascading-outage.scn",
+		"-workers", "6", "-rounds", "2", "-seed", "4", "-ticks", "240", "-metrics", metrics}); err != nil {
+		t.Fatal(err)
+	}
+	if got := promValue(t, metrics, `faults_injected_total{kind="heartbeat_gap"}`); got != 0 {
+		t.Fatalf("heartbeat_gap = %v, want 0 (gaps injected after the run were counted)", got)
+	}
+	if got := promValue(t, metrics, "retry_attempts_total"); got == 0 {
+		t.Fatal("metrics file holds no retry attempts; the run was not measured")
 	}
 }

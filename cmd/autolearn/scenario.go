@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -36,6 +37,45 @@ func loadScenarioRuntime(file string, seed int64) (*scenario.Runtime, error) {
 		return nil, err
 	}
 	return scenario.NewRuntime(s, seed, epoch)
+}
+
+// faultRuntime builds the run's fault runtime for -faults NAME or
+// -scenario FILE, or returns nil when neither is set. A named profile is
+// a scenario generated from the run seed, so both flags run through the
+// same scenario runtime. cmd prefixes the flag-clash error.
+func faultRuntime(cmd, profile, file string, seed int64) (*scenario.Runtime, error) {
+	switch {
+	case profile != "" && file != "":
+		return nil, fmt.Errorf("%s: -scenario and -faults are mutually exclusive", cmd)
+	case file != "":
+		return loadScenarioRuntime(file, seed)
+	case profile != "":
+		s, err := scenario.Profile(profile, seed)
+		if err != nil {
+			return nil, err
+		}
+		return scenario.NewRuntime(s, seed, epoch)
+	}
+	return nil, nil
+}
+
+// finishRun is the tail pipeline and fed-train share. It prints the
+// fault tally and writes -metrics as the run left them, then plays the
+// scenario clock past its horizon so every phase transition lands in
+// the trace, and writes -trace. Heartbeat playback keeps running during
+// that drain, so nothing reported before it may count what it injects.
+func finishRun(rt *scenario.Runtime, o obs.Observer, of obsFlags) error {
+	if rt != nil {
+		fmt.Printf("== faults: %s\n", rt.Plan().Summary())
+	}
+	if err := of.writeMetrics(o); err != nil {
+		return err
+	}
+	if rt != nil {
+		rt.Clock().Advance(rt.Scenario().Horizon())
+		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
+	}
+	return of.writeTrace(o)
 }
 
 func cmdScenarioCheck(args []string) error {

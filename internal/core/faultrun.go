@@ -20,12 +20,12 @@ import (
 // passes, and training survives a lease preemption by resuming from its
 // per-epoch checkpoint.
 
-// EnableFaults attaches a fault plan to the pipeline: the module's network
-// consults the plan's link schedule, the object store injects its
-// transient errors, and the plan's scripted devices (none for profiles
-// without heartbeat gaps) are onboarded into the edge hub with heartbeat
-// playback driven by the plan's clock. Call it once, before running
-// stages.
+// EnableFaults attaches a fault plan to the pipeline: the object store
+// injects its transient errors, and the plan's scripted devices (none for
+// scenarios without silence phases) are onboarded into the edge hub with
+// heartbeat playback driven by the plan's clock. Link faults reach the
+// module's network through the scenario runtime that built the plan
+// (scenario.Runtime.Attach). Call it once, before running stages.
 func (p *Pipeline) EnableFaults(plan *faults.Plan) error {
 	if plan == nil {
 		return fmt.Errorf("core: nil fault plan")
@@ -34,7 +34,6 @@ func (p *Pipeline) EnableFaults(plan *faults.Plan) error {
 		return fmt.Errorf("core: pipeline already has a fault plan")
 	}
 	p.Faults = plan
-	p.M.Net.SetFaults(plan)
 	p.M.Store.SetFaultHook(func(op, _, _ string) error { return plan.StoreFault(op) })
 	var members []edge.Member
 	for _, name := range plan.ScriptDevices() {
@@ -62,7 +61,7 @@ func (p *Pipeline) advance(d time.Duration) {
 	}
 }
 
-// wanTransfer is Net.Transfer under the retry policy: outage windows turn
+// wanTransfer is Net.Transfer under the retry policy: partitions turn
 // into retryable errors, backoff burns virtual time until the link heals,
 // and the successful attempt's duration lands on the clock.
 func (p *Pipeline) wanTransfer(size int64) (netem.TransferResult, error) {
@@ -102,7 +101,7 @@ func (p *Pipeline) storePut(container, name string, data []byte, meta map[string
 }
 
 // controlLatency is PlacementModel.ControlLatency under the retry policy:
-// the cloud placement's RTT probe can hit an outage window.
+// the cloud placement's RTT probe can hit a partition.
 func (p *Pipeline) controlLatency(pm PlacementModel, place Placement, paramCount int) (time.Duration, error) {
 	var lat time.Duration
 	err := p.Faults.Do("control_latency", func(int) (time.Duration, error) {

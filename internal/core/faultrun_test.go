@@ -9,25 +9,38 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pilot"
+	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
-// chaosCounters drives the whole Fig. 1 loop — collect, clean, train,
-// evaluate, hybrid evaluate — under the combined "chaos" profile and
+// chaosRun drives the whole Fig. 1 loop — collect, clean, train,
+// evaluate, hybrid evaluate — under the generated "chaos" profile and
 // returns the counter snapshot of the fault plan and the instrumented
-// module (edge heartbeats and sweeps, netem, testbed, pipeline stages).
-// Counters (not histograms) are the determinism contract: they depend
-// only on the seeded schedules and operation counts, never on wall-clock
-// timing.
-func chaosCounters(t *testing.T, seed int64) map[string]float64 {
+// module (edge heartbeats and sweeps, netem, testbed, pipeline stages,
+// scenario transitions) and the exported trace. Counters (not
+// histograms) are the determinism contract for metrics: they depend only
+// on the seeded schedules and operation counts, never on wall-clock
+// timing. The trace runs on the scenario's virtual clock, so it is
+// byte-identical across same-seed runs.
+func chaosRun(t *testing.T, seed int64) (map[string]float64, []byte) {
 	t.Helper()
 	m := fastModule(t)
-	reg := obs.NewRegistry()
-	m.Instrument(obs.Observer{Metrics: reg})
+	o := obs.NewObserver()
+	m.Instrument(o)
+	scn, err := scenario.Profile("chaos", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := scenario.NewRuntime(scn, seed, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(o)
+	rt.Attach(m.Net)
+	plan := rt.Plan()
 	s, err := m.Enroll("student", "mu")
 	if err != nil {
 		t.Fatal(err)
@@ -36,11 +49,6 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := faults.NewPlan("chaos", seed, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Instrument(reg)
 	if err := p.EnableFaults(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +80,26 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	if hv.Report.Records == 0 {
 		t.Error("hybrid evaluation produced no records under chaos")
 	}
-	return reg.Snapshot().Counters
+	p.EndTrace()
+	rt.Finish()
+	var trace bytes.Buffer
+	if err := o.Tracer.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	return o.Metrics.Snapshot().Counters, trace.Bytes()
 }
 
 // The acceptance test for the fault layer: the full pipeline completes
 // under every fault class at once, every new series is nonzero, two
-// same-seed runs land on byte-identical counter snapshots, and the
-// snapshot matches the checked-in golden (regenerate with
+// same-seed runs land on byte-identical counter snapshots and traces,
+// and the snapshot matches the checked-in golden (regenerate with
 // UPDATE_GOLDEN=1), so a refactor of the fault path that changes any
 // count fails here even when it changes every run the same way.
 func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models twice under chaos")
 	}
-	a := chaosCounters(t, 42)
+	a, traceA := chaosRun(t, 42)
 	for _, key := range []string{
 		"faults_injected_total",
 		"retry_attempts_total",
@@ -99,9 +113,12 @@ func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 			t.Errorf("%s = %g, want > 0", key, a[key])
 		}
 	}
-	b := chaosCounters(t, 42)
+	b, traceB := chaosRun(t, 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed chaos runs diverged:\n run 1: %v\n run 2: %v", a, b)
+	}
+	if len(traceA) == 0 || !bytes.Equal(traceA, traceB) {
+		t.Errorf("same-seed chaos runs exported different traces (%d vs %d bytes)", len(traceA), len(traceB))
 	}
 
 	keys := make([]string, 0, len(a))

@@ -227,7 +227,7 @@ func (p *Pipeline) EvaluateHybrid(modelObject string, pm PlacementModel, dc pilo
 	}
 	if plan := p.Faults; plan != nil {
 		// Live per-frame cloud RPC: each control tick advances the plan's
-		// clock, so the eval drives through real outage windows; a failed
+		// clock, so the eval drives through real partitions; a failed
 		// or too-slow round trip falls back to the student alone.
 		tick := time.Duration(float64(time.Second) / hz)
 		hd.CloudRPC = func(int) (int, error) {

@@ -23,7 +23,7 @@ func TestPlayBeatsSweepsAndReconnects(t *testing.T) {
 	h := NewHub()
 	reg := obs.NewRegistry()
 	h.Instrument(reg)
-	plan := faults.NewScriptedPlan(1, t0)
+	plan := faults.NewPlan(1, t0)
 	plan.AddSilenceWindow("late", faults.Window{Start: t0.Add(46 * time.Second), End: t0.Add(135 * time.Second)})
 	plan.AddSilenceWindow("gone", faults.Window{Start: t0, End: t0.Add(136 * time.Second)})
 	ids := map[string]string{}
@@ -110,7 +110,7 @@ func TestPlayBeatsSweepsAndReconnects(t *testing.T) {
 func TestPlayWithoutMembers(t *testing.T) {
 	h := NewHub()
 	d := connectedDevice(t, h)
-	plan := faults.NewScriptedPlan(1, t0)
+	plan := faults.NewPlan(1, t0)
 	h.Play(plan, nil, nil)
 	plan.Clock.Advance(time.Hour)
 	got, err := h.Device(d.ID)

@@ -1,12 +1,13 @@
 // Package faults is the deterministic fault-injection and resilience layer
-// of the continuum: seeded, virtual-time fault schedules (link outages and
-// degradation windows, transient object-store errors, device heartbeat
-// silence, GPU-node preemption) plus a reusable retry policy (exponential
-// backoff with jitter, per-attempt timeout, total budget) that accrues
-// virtual time through an injected clock instead of sleeping. Every run
-// with the same seed and profile replays byte-for-byte: schedules are
-// generated up front from a seeded RNG and consulted read-only afterwards,
-// and backoff jitter draws from the plan's own RNG in call order.
+// of the continuum: a plan holding the virtual clock and the schedules a
+// scenario installs (transient object-store errors, device heartbeat
+// silence, GPU-node preemption; link faults live in the scenario's shape
+// table), plus a reusable retry policy (exponential backoff with jitter,
+// per-attempt timeout, total budget) that accrues virtual time through
+// the clock instead of sleeping. Schedules are installed up front and
+// consulted read-only, and backoff jitter draws from the plan's own RNG in
+// call order, so every run with the same scenario and seed replays
+// byte-for-byte.
 package faults
 
 import (
@@ -18,7 +19,7 @@ import (
 // return it (usually wrapped) so callers can distinguish transient
 // injected failures from real programming errors.
 type Error struct {
-	Kind string // e.g. "link_outage", "objstore", "timeout"
+	Kind string // e.g. "link_partition", "objstore", "timeout"
 	Op   string // the operation that was refused
 }
 
@@ -43,20 +44,11 @@ func Retryable(err error) bool {
 }
 
 // Window is one half-open interval [Start, End) of virtual time during
-// which a fault is active. Factor 0 means a hard outage; Factor > 1 is a
-// degradation multiplier (latency and jitter scale up, bandwidth scales
-// down by the same factor).
+// which a fault is active.
 type Window struct {
 	Start, End time.Time
-	Factor     float64
 }
 
 func (w Window) contains(t time.Time) bool {
 	return !t.Before(w.Start) && t.Before(w.End)
-}
-
-// LinkState is what a network link looks like at one instant.
-type LinkState struct {
-	Down       bool
-	SlowFactor float64 // 1 when healthy, > 1 when degraded
 }

@@ -58,17 +58,19 @@ func TestBackoffGrowthAndClamp(t *testing.T) {
 	}
 }
 
-func mustPlan(t *testing.T, profile string, seed int64) *Plan {
+// mustPlan returns a plan at t0; every > 0 also arms one object-store
+// window over [t0, t0+Horizon) failing every every-th attempt.
+func mustPlan(t *testing.T, seed int64, every int) *Plan {
 	t.Helper()
-	p, err := NewPlan(profile, seed, t0)
-	if err != nil {
-		t.Fatal(err)
+	p := NewPlan(seed, t0)
+	if every > 0 {
+		p.AddStoreWindows(every, Window{Start: t0, End: t0.Add(Horizon)})
 	}
 	return p
 }
 
 func TestDoRetriesUntilSuccess(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := mustPlan(t, 7, 0)
 	calls := 0
 	err := p.Do("transfer", func(attempt int) (time.Duration, error) {
 		calls++
@@ -93,7 +95,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 }
 
 func TestDoNonRetryablePassesThrough(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := mustPlan(t, 7, 0)
 	sentinel := errors.New("object not found")
 	err := p.Do("get", func(int) (time.Duration, error) { return 0, sentinel })
 	if !errors.Is(err, sentinel) {
@@ -108,7 +110,7 @@ func TestDoNonRetryablePassesThrough(t *testing.T) {
 }
 
 func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := mustPlan(t, 7, 0)
 	p.Retry.MaxAttempts = 4
 	calls := 0
 	err := p.Do("transfer", func(int) (time.Duration, error) {
@@ -125,7 +127,7 @@ func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 func TestDoBudgetExhaustion(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := mustPlan(t, 7, 0)
 	p.Retry.Budget = 3 * time.Second
 	p.Retry.BaseBackoff = 2 * time.Second
 	p.Retry.Jitter = 0
@@ -141,7 +143,7 @@ func TestDoBudgetExhaustion(t *testing.T) {
 }
 
 func TestDoAttemptTimeout(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := mustPlan(t, 7, 0)
 	p.Retry.AttemptTimeout = time.Second
 	calls := 0
 	err := p.Do("rpc", func(attempt int) (time.Duration, error) {
@@ -164,39 +166,8 @@ func TestDoAttemptTimeout(t *testing.T) {
 	}
 }
 
-func TestUnknownProfile(t *testing.T) {
-	if _, err := NewPlan("nope", 1, t0); err == nil {
-		t.Fatal("want error for unknown profile")
-	}
-}
-
-func TestLossyWANScheduleHitsOutages(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 42)
-	outages, degraded := 0, 0
-	for off := time.Duration(0); off < time.Minute; off += time.Second {
-		p.Clock.Advance(0)
-		st := p.LinkState("campus-wan")
-		_ = st
-		probe, _ := NewPlan("lossy-wan", 42, t0) // fresh plan to probe offsets
-		probe.Clock.Advance(off)
-		st = probe.LinkState("campus-wan")
-		if st.Down {
-			outages++
-		} else if st.SlowFactor > 1 {
-			degraded++
-		}
-	}
-	if outages == 0 || degraded == 0 {
-		t.Fatalf("a 60s scan must cross outage and degradation windows; got down=%d slow=%d",
-			outages, degraded)
-	}
-	if st := p.LinkState("lab-lan"); st.Down || st.SlowFactor != 1 {
-		t.Fatalf("unscheduled link must stay healthy, got %+v", st)
-	}
-}
-
 func TestStoreFaultCadence(t *testing.T) {
-	p := mustPlan(t, "flaky-objstore", 3)
+	p := mustPlan(t, 3, 3)
 	var pattern []bool
 	for i := 0; i < 6; i++ {
 		pattern = append(pattern, p.StoreFault("put") != nil)
@@ -208,41 +179,18 @@ func TestStoreFaultCadence(t *testing.T) {
 	if s := p.Summary(); s.Injected["objstore"] != 2 {
 		t.Fatalf("Injected = %v, want objstore 2", s.Injected)
 	}
-	if err := mustPlan(t, "lossy-wan", 3).StoreFault("put"); err != nil {
-		t.Fatalf("lossy-wan must not inject objstore faults, got %v", err)
-	}
-}
-
-func TestHeartbeatGapSchedule(t *testing.T) {
-	p := mustPlan(t, "heartbeat-gap", 11)
-	devs := p.ScriptDevices()
-	if !reflect.DeepEqual(devs, []string{"chaos-pi-1", "chaos-pi-2"}) {
-		t.Fatalf("ScriptDevices = %v", devs)
-	}
-	for _, d := range devs {
-		silentAt := time.Time{}
-		for off := time.Duration(0); off < 10*time.Minute; off += 5 * time.Second {
-			if p.DeviceSilent(d, t0.Add(off)) {
-				silentAt = t0.Add(off)
-				break
-			}
-		}
-		if silentAt.IsZero() {
-			t.Fatalf("%s never goes silent in the first 10 minutes", d)
-		}
-		if p.DeviceSilent(d, t0) {
-			t.Fatalf("%s must start healthy", d)
-		}
+	if err := mustPlan(t, 3, 0).StoreFault("put"); err != nil {
+		t.Fatalf("a plan without store windows must not inject objstore faults, got %v", err)
 	}
 }
 
 // TestPlanDeterminism is the satellite determinism test: the same seed and
-// profile replayed through the same operation sequence yield identical
+// schedule replayed through the same operation sequence yield identical
 // attempt counts, fallback counts, injected tallies, registry snapshots,
 // and total virtual elapsed time. Run under -race in CI.
 func TestPlanDeterminism(t *testing.T) {
 	run := func() (Summary, map[string]float64, time.Duration) {
-		p := mustPlan(t, "chaos", 99)
+		p := mustPlan(t, 99, 3)
 		reg := obs.NewRegistry()
 		p.Instrument(reg)
 		for i := 0; i < 10; i++ {
@@ -276,7 +224,7 @@ func TestPlanDeterminism(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	p := mustPlan(t, "flaky-objstore", 1)
+	p := mustPlan(t, 1, 3)
 	p.StoreFault("get")
 	p.RecordAttempt("get")
 	p.RecordFallback()

@@ -11,12 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Plan is one deterministic fault campaign: a profile expanded, from a
-// seed, into concrete schedules over a virtual-time horizon, plus the
-// retry policy and the counters the run accrues. A nil *Plan means "no
-// faults": its Do runs the operation once.
+// Plan is one deterministic fault campaign: the run's virtual clock and
+// retry policy, the schedules a scenario installs (object-store windows,
+// device silences, a preemption point), and the counters the run
+// accrues. A nil *Plan means "no faults": its Do runs the operation once.
 type Plan struct {
-	Seed  int64
 	Clock *Clock
 	Retry Policy
 
@@ -30,7 +29,6 @@ type Plan struct {
 	// simulated GPU time crosses this fraction of the total (0 disables).
 	PreemptAfterFrac float64
 
-	links   map[string][]Window // link name -> fault windows (sorted)
 	silence map[string][]Window // scripted device -> silence windows
 
 	mu        sync.Mutex
@@ -43,14 +41,9 @@ type Plan struct {
 	metrics *obs.Registry
 }
 
-// Horizon is how far past the plan's start the generated schedules
-// extend; pipelines run well inside it.
+// Horizon is how far past a run's start fault schedules may extend (the
+// scenario DSL's limit); pipelines run well inside it.
 const Horizon = 4 * time.Hour
-
-// Profiles lists the named fault profiles NewPlan accepts.
-func Profiles() []string {
-	return []string{"lossy-wan", "flaky-objstore", "heartbeat-gap", "preempt", "chaos"}
-}
 
 // storeWindow arms object-store faults for one window: every every-th
 // attempt inside it fails, counting from the window's first attempt.
@@ -60,48 +53,16 @@ type storeWindow struct {
 	ops   int // attempts made inside the window so far
 }
 
-// NewPlan expands a named profile into a concrete plan whose schedules
-// start at the given virtual instant. The same profile, seed, and start
-// always produce the same plan.
-func NewPlan(profile string, seed int64, start time.Time) (*Plan, error) {
-	p := NewScriptedPlan(seed, start)
-	gen := rand.New(rand.NewSource(seed))
-	horizon := Window{Start: start, End: start.Add(Horizon)}
-	switch profile {
-	case "lossy-wan":
-		p.genLinkWindows(gen, start)
-	case "flaky-objstore":
-		p.AddStoreWindows(3, horizon)
-	case "heartbeat-gap":
-		p.genSilenceWindows(gen, start)
-	case "preempt":
-		p.PreemptAfterFrac = 0.35 + 0.3*gen.Float64()
-	case "chaos":
-		p.genLinkWindows(gen, start)
-		p.AddStoreWindows(3, horizon)
-		p.genSilenceWindows(gen, start)
-		p.PreemptAfterFrac = 0.35 + 0.3*gen.Float64()
-	default:
-		return nil, fmt.Errorf("faults: unknown profile %q (have %s)",
-			profile, strings.Join(Profiles(), ", "))
-	}
-	return p, nil
-}
-
-// NewScriptedPlan returns an empty plan whose fault schedules are
-// installed by a scenario (or a test) instead of expanded from a named
-// profile: the clock, retry policy, and fleet pacing every plan starts
-// from, and no windows. Install schedules with AddSilenceWindow and
-// AddStoreWindows before the run starts; link effects live in the
-// scenario's shape table, not here.
-func NewScriptedPlan(seed int64, start time.Time) *Plan {
+// NewPlan returns an empty plan starting at the given virtual instant:
+// the clock, retry policy (jitter seeded from seed), and fleet pacing
+// every run starts from. A scenario runtime (or a test) installs its
+// schedules with AddSilenceWindow and AddStoreWindows before the run.
+func NewPlan(seed int64, start time.Time) *Plan {
 	return &Plan{
-		Seed:           seed,
 		Clock:          NewClock(start),
 		Retry:          DefaultPolicy(),
 		HeartbeatEvery: 15 * time.Second,
 		SweepEvery:     45 * time.Second,
-		links:          map[string][]Window{},
 		silence:        map[string][]Window{},
 		rng:            rand.New(rand.NewSource(seed ^ 0x5eed)),
 		injected:       map[string]int{},
@@ -110,7 +71,7 @@ func NewScriptedPlan(seed int64, start time.Time) *Plan {
 
 // AddSilenceWindow scripts a silence window for a device's heartbeat
 // daemon. Call before the run starts; windows are kept in insertion
-// order and devices report via ScriptDevices like profile-generated ones.
+// order and the device reports via ScriptDevices.
 func (p *Plan) AddSilenceWindow(device string, w Window) {
 	p.silence[device] = append(p.silence[device], w)
 }
@@ -126,46 +87,6 @@ func (p *Plan) AddStoreWindows(every int, ws ...Window) {
 	}
 	for _, w := range ws {
 		p.store = append(p.store, storeWindow{Window: w, every: every})
-	}
-}
-
-// genLinkWindows scatters alternating outage and degradation windows over
-// the campus WAN. The cycle period stays under ~30s so any half-minute of
-// traffic crosses at least one outage, and every outage is shorter than
-// the retry policy's cumulative backoff, so retries always recover.
-func (p *Plan) genLinkWindows(gen *rand.Rand, start time.Time) {
-	const link = "campus-wan"
-	t := start.Add(time.Duration(2+gen.Intn(4)) * time.Second)
-	end := start.Add(Horizon)
-	var ws []Window
-	for t.Before(end) {
-		down := time.Duration(4+gen.Intn(7)) * time.Second // 4-10s outage
-		ws = append(ws, Window{Start: t, End: t.Add(down), Factor: 0})
-		t = t.Add(down)
-		slow := time.Duration(3+gen.Intn(5)) * time.Second // 3-7s degraded tail
-		ws = append(ws, Window{Start: t, End: t.Add(slow), Factor: 2 + 2*gen.Float64()})
-		t = t.Add(slow)
-		t = t.Add(time.Duration(8+gen.Intn(9)) * time.Second) // 8-16s healthy
-	}
-	p.links[link] = ws
-}
-
-// genSilenceWindows scripts two BYOD devices whose daemons go silent for
-// longer than the heartbeat window (batteries dying mid-session), then
-// come back and re-onboard.
-func (p *Plan) genSilenceWindows(gen *rand.Rand, start time.Time) {
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("chaos-pi-%d", i+1)
-		t := start.Add(time.Duration(45+gen.Intn(76)) * time.Second) // first gap 45-120s in
-		end := start.Add(Horizon)
-		var ws []Window
-		for t.Before(end) {
-			gap := time.Duration(120+gen.Intn(121)) * time.Second // 2-4 min silent
-			ws = append(ws, Window{Start: t, End: t.Add(gap)})
-			t = t.Add(gap)
-			t = t.Add(time.Duration(120+gen.Intn(181)) * time.Second) // 2-5 min healthy
-		}
-		p.silence[name] = ws
 	}
 }
 
@@ -248,23 +169,6 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("injected %d%s, retry attempts %d, hybrid fallbacks %d",
 		total, detail, s.Attempts, s.Fallbacks)
-}
-
-// LinkState reports what the named link looks like right now on the
-// plan's clock. Links with no schedule are always healthy.
-func (p *Plan) LinkState(link string) LinkState {
-	now := p.Clock.Now()
-	st := LinkState{SlowFactor: 1}
-	for _, w := range p.links[link] {
-		if w.contains(now) {
-			if w.Factor == 0 {
-				st.Down = true
-			} else if w.Factor > st.SlowFactor {
-				st.SlowFactor = w.Factor
-			}
-		}
-	}
-	return st
 }
 
 // StoreFault is the object-store injection hook: inside a store window

@@ -63,7 +63,7 @@ func (p Policy) backoff(attempt int, u float64) time.Duration {
 // Do runs fn under the plan's retry policy. fn returns the virtual
 // duration the attempt consumed and its error; on success the clock
 // advances by that cost and Do returns nil. Retryable failures (see
-// Retryable) back off — advancing the clock, so outage windows actually
+// Retryable) back off — advancing the clock, so partitions actually
 // pass — and try again; other errors return unchanged so callers keep
 // their errors.Is behavior. Every attempt, including the first, counts
 // into retry_attempts_total. On a nil plan Do runs fn once and returns

@@ -141,7 +141,7 @@ func TestDoEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := mustPlan(t, "lossy-wan", 7)
+			p := mustPlan(t, 7, 0)
 			p.Retry = tc.policy
 			calls := 0
 			err := p.Do("op", func(attempt int) (time.Duration, error) {
@@ -176,7 +176,7 @@ func TestDoEdgeCases(t *testing.T) {
 // the RNG stream.
 func TestZeroJitterSeedIndependence(t *testing.T) {
 	elapsed := func(seed int64) time.Duration {
-		p := mustPlan(t, "lossy-wan", seed)
+		p := mustPlan(t, seed, 0)
 		p.Retry = Policy{MaxAttempts: 4, BaseBackoff: 700 * time.Millisecond,
 			MaxBackoff: 2 * time.Second, Multiplier: 2}
 		_ = p.Do("op", func(int) (time.Duration, error) {

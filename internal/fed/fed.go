@@ -12,7 +12,7 @@
 // the fault plan's clock (a silence window long enough for the sweep to
 // evict them drops them from the round instead of stalling the barrier);
 // every broadcast and upload is billed through netem under the plan's
-// retry policy (outage windows turn into real backoff-and-retry, and an
+// retry policy (partitions turn into real backoff-and-retry, and an
 // exhausted budget drops the worker); the global checkpoint lands in
 // objstore after every round where the serve Registry's ETag poller can
 // hot-reload it; and everything emits fed_* spans, counters, and

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/pilot"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -70,12 +70,17 @@ func testDeps(t testing.TB, profile string, seed int64) Deps {
 		Start: testStart,
 	}
 	if profile != "" {
-		plan, err := faults.NewPlan(profile, seed, testStart)
+		s, err := scenario.Profile(profile, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan.Instrument(d.Obs.Metrics)
-		d.Plan = plan
+		rt, err := scenario.NewRuntime(s, seed, testStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Attach(d.Net)
+		d.Plan = rt.Plan()
+		d.Plan.Instrument(d.Obs.Metrics)
 	}
 	return d
 }
@@ -156,6 +161,31 @@ func TestFedSyncRound(t *testing.T) {
 	}
 	if got := snap.Counters["fed_checkpoints_total"]; got != float64(cfg.Rounds) {
 		t.Fatalf("fed_checkpoints_total = %v, want %d", got, cfg.Rounds)
+	}
+}
+
+// TestFedStoreFaultsReachCheckpoints is the store-hook regression: under
+// flaky-objstore the fleet's checkpoint writes must hit the plan's
+// injected store faults and retry through them, so every round still
+// checkpoints and the retries show on the fed_checkpoint op.
+func TestFedStoreFaultsReachCheckpoints(t *testing.T) {
+	cfg := testCfg()
+	cfg.Rounds = 3
+	deps := testDeps(t, "flaky-objstore", 1)
+	r := newTestRun(t, cfg, deps, 45)
+	if _, err := r.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	c := deps.Obs.Metrics.Snapshot().Counters
+	injected := c[`faults_injected_total{kind="objstore"}`]
+	if injected <= 0 {
+		t.Fatalf("no objstore faults injected under flaky-objstore: %v", deps.Plan.Summary())
+	}
+	if got := c["fed_checkpoints_total"]; got != float64(cfg.Rounds) {
+		t.Fatalf("fed_checkpoints_total = %v, want %d", got, cfg.Rounds)
+	}
+	if got, want := c[`retry_attempts_total{op="fed_checkpoint"}`], float64(cfg.Rounds)+injected; got != want {
+		t.Fatalf("fed_checkpoint attempts = %v, want %v (one per round plus one per injected fault)", got, want)
 	}
 }
 

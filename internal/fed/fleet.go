@@ -136,14 +136,15 @@ type Fleet struct {
 	afterRound func(round int, sc obs.SpanContext) error
 }
 
-// NewFleet wires deps onto one virtual clock and builds one worker per
-// shard, each with a trainable and a base pilot of architecture arch and
-// a compute speed drawn from cfg.Seed^speedSalt. When a hub is present,
-// every worker registers, flashes and boots a BYOD device; when the fault
-// plan scripts silence windows, the first workers take the scripted
-// device names so the plan's schedule lands on real fleet members. name
-// ("fed" or "gossip") prefixes everything the fleet emits. cfg must be
-// valid; NewFleet fills its zero-valued defaults in place.
+// NewFleet wires deps onto one virtual clock, arms the store with the
+// fault plan's object-store faults, and builds one worker per shard, each
+// with a trainable and a base pilot of architecture arch and a compute
+// speed drawn from cfg.Seed^speedSalt. When a hub is present, every
+// worker registers, flashes and boots a BYOD device; when the fault plan
+// scripts silence windows, the first workers take the scripted device
+// names so the plan's schedule lands on real fleet members. name ("fed"
+// or "gossip") prefixes everything the fleet emits. cfg must be valid;
+// NewFleet fills its zero-valued defaults in place.
 func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pilot.Config, shards [][]pilot.Sample) (*Fleet, error) {
 	if deps.Net == nil {
 		return nil, fmt.Errorf("%s: nil network", name)
@@ -177,9 +178,11 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 		store:      deps.Store,
 		afterRound: deps.AfterRound,
 	}
-	if deps.Plan != nil {
-		f.Clock = deps.Plan.Clock
-		deps.Net.SetFaults(deps.Plan)
+	if plan := deps.Plan; plan != nil {
+		f.Clock = plan.Clock
+		if deps.Store != nil {
+			deps.Store.SetFaultHook(func(op, _, _ string) error { return plan.StoreFault(op) })
+		}
 	} else {
 		start := deps.Start
 		if start.IsZero() {

@@ -72,12 +72,17 @@ func testDeps(t testing.TB, profile string, seed int64) Deps {
 		Start: testStart,
 	}
 	if profile != "" {
-		plan, err := faults.NewPlan(profile, seed, testStart)
+		s, err := scenario.Profile(profile, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan.Instrument(d.Obs.Metrics)
-		d.Plan = plan
+		rt, err := scenario.NewRuntime(s, seed, testStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Attach(d.Net)
+		d.Plan = rt.Plan()
+		d.Plan.Instrument(d.Obs.Metrics)
 	}
 	return d
 }
@@ -333,7 +338,7 @@ func TestGossipChurnRejoin(t *testing.T) {
 	cfg.Rounds = 5
 	cfg.RoundGap = 15 * time.Second
 	deps := testDeps(t, "", 5)
-	plan := faults.NewScriptedPlan(5, testStart)
+	plan := faults.NewPlan(5, testStart)
 	// Rounds start roughly every 15s; this window swallows rounds 1-2.
 	plan.AddSilenceWindow("rejoiner", faults.Window{
 		Start: testStart.Add(10 * time.Second),

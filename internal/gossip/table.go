@@ -64,9 +64,6 @@ func NewTable(self string, k int) *Table {
 	return &Table{self: Peer{Name: self, ID: IDOf(self)}, k: k}
 }
 
-// Self returns the owning peer.
-func (t *Table) Self() Peer { return t.self }
-
 // Insert files a peer into its distance bucket. It reports false — and
 // counts the rejection — for self-insertion, a duplicate, or a full
 // bucket.

@@ -59,35 +59,52 @@ type errTransferShape TransferResult
 func (e errTransferShape) Error() string { return "bad transfer result" }
 
 // TestConcurrentTransfersWithFaults repeats the hammer with a fault plan
-// attached, so the outage/degradation window lookups race against the
-// transfer path too. Transfers inside outage windows fail retryably; the
-// test only demands data-race freedom and byte accounting for successes.
+// and a partitioning, degrading shaper attached, so shape lookups,
+// piecewise billing and the partition counter race against the transfer
+// path too. Transfers that start inside a partition fail retryably; the
+// test demands data-race freedom, byte accounting for successes, and one
+// link_partition injection per refusal.
 func TestConcurrentTransfersWithFaults(t *testing.T) {
-	n := NewNet(13)
-	plan, err := faults.NewPlan("lossy-wan", 13, time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC))
-	if err != nil {
-		t.Fatal(err)
+	start := time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
+	plan := faults.NewPlan(13, start)
+	// 100ms cycles: 50ms healthy, 20ms partitioned, 30ms degraded 3x.
+	sh := &stepShaper{}
+	for i := 0; i < 200; i++ {
+		at := start.Add(time.Duration(i) * 100 * time.Millisecond)
+		sh.add(at.Add(50*time.Millisecond), LinkShape{Down: true})
+		sh.add(at.Add(70*time.Millisecond), LinkShape{Factor: 3})
+		sh.add(at.Add(100*time.Millisecond), LinkShape{})
 	}
+	n := NewNet(13)
 	n.SetFaults(plan)
+	n.SetShaper(sh, plan.Clock.Now)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var okBytes int64
-	var okCount int
+	var okCount, refused int
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				tr, err := n.Transfer(CampusWAN, 16<<10)
-				if err != nil {
-					continue // outage window: retryable by design
-				}
 				mu.Lock()
-				okBytes += tr.Bytes
-				okCount++
+				if err != nil {
+					if !faults.Retryable(err) {
+						t.Errorf("partition refusal not retryable: %v", err)
+					}
+					refused++
+				} else {
+					okBytes += tr.Bytes
+					okCount++
+				}
 				mu.Unlock()
-				plan.Clock.Advance(tr.Duration)
+				wait := 5 * time.Millisecond // a refused sender backs off
+				if err == nil {
+					wait = tr.Duration
+				}
+				plan.Clock.Advance(wait)
 			}
 		}()
 	}
@@ -96,5 +113,8 @@ func TestConcurrentTransfersWithFaults(t *testing.T) {
 	if bytes != okBytes || transfers != okCount {
 		t.Fatalf("stats (%d bytes, %d transfers) disagree with successes (%d, %d)",
 			bytes, transfers, okBytes, okCount)
+	}
+	if got := plan.Summary().Injected["link_partition"]; got != refused {
+		t.Fatalf("link_partition injections = %d, want one per refusal (%d)", got, refused)
 	}
 }

@@ -3,8 +3,6 @@ package netem
 import (
 	"testing"
 	"time"
-
-	"repro/internal/faults"
 )
 
 // Regression: Transfer used to bill the last partial packet as a full
@@ -34,53 +32,5 @@ func TestTransferBillsActualBytesNotMTU(t *testing.T) {
 					tc.bytes, r.Duration, want)
 			}
 		})
-	}
-}
-
-// A net wired to a lossy-wan plan must surface outage windows as typed
-// retryable errors and degraded windows as slower (never failed) traffic,
-// while staying healthy between windows.
-func TestNetConsultsFaultSchedule(t *testing.T) {
-	start := time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
-	plan, err := faults.NewPlan("lossy-wan", 42, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := NewNet(1)
-	n.SetFaults(plan)
-
-	// Walk the first 30 minutes of the schedule one second at a time; the
-	// lossy-wan cycle is short enough that this crosses many outage and
-	// degradation windows.
-	var failed, ok int
-	for i := 0; i < 1800; i++ {
-		plan.Clock.Advance(time.Second)
-		_, err := n.Transfer(CampusWAN, 1500)
-		switch {
-		case err == nil:
-			ok++
-		case faults.Retryable(err):
-			failed++
-		default:
-			t.Fatalf("outage produced a non-retryable error: %v", err)
-		}
-	}
-	if failed == 0 {
-		t.Error("no outage windows hit in 30 minutes of lossy-wan")
-	}
-	if ok == 0 {
-		t.Error("link never healthy in 30 minutes of lossy-wan")
-	}
-	sum := plan.Summary()
-	if sum.Injected["link_outage"] == 0 {
-		t.Errorf("no link_outage injections recorded: %v", sum.Injected)
-	}
-	if sum.Injected["link_degraded"] == 0 {
-		t.Errorf("no link_degraded injections recorded: %v", sum.Injected)
-	}
-
-	// Only the scheduled link is affected.
-	if _, err := n.Transfer(Loopback, 1500); err != nil {
-		t.Errorf("unscheduled link failed: %v", err)
 	}
 }

@@ -105,13 +105,6 @@ func (m *Mesh) Override(a, b string, l Link) error {
 	return nil
 }
 
-// Peers lists the mesh members in sorted order.
-func (m *Mesh) Peers() []string {
-	out := make([]string, len(m.peers))
-	copy(out, m.peers)
-	return out
-}
-
 // Pairs lists every unordered pair in canonical (sorted) order — the
 // deterministic iteration order callers bill traffic in.
 func (m *Mesh) Pairs() [][2]string {

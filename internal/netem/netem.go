@@ -139,36 +139,13 @@ func (n *Net) SetTracer(tr *obs.Tracer) {
 	n.mu.Unlock()
 }
 
-// SetFaults attaches a fault plan: links consult its outage and
-// degradation schedule at the plan's virtual now. Nil detaches.
+// SetFaults attaches the run's fault plan: partition refusals count as
+// link_partition injections on it. Link faults themselves come from the
+// shaper (SetShaper). Nil detaches.
 func (n *Net) SetFaults(p *faults.Plan) {
 	n.mu.Lock()
 	n.faults = p
 	n.mu.Unlock()
-}
-
-// applyFaults consults the fault schedule for the link at the plan's
-// current virtual time. During an outage it returns a typed retryable
-// error; during a degradation window it returns the link with latency and
-// jitter scaled up and bandwidth scaled down by the window's factor.
-func (n *Net) applyFaults(l Link, op string) (Link, error) {
-	n.mu.Lock()
-	plan := n.faults
-	n.mu.Unlock()
-	if plan == nil {
-		return l, nil
-	}
-	st := plan.LinkState(l.Name)
-	if st.Down {
-		plan.RecordInjection("link_outage")
-		return l, fmt.Errorf("netem: %s unreachable: %w", l.Name,
-			&faults.Error{Kind: "link_outage", Op: op})
-	}
-	if st.SlowFactor > 1 {
-		plan.RecordInjection("link_degraded")
-		l = LinkShape{Factor: st.SlowFactor}.Apply(l)
-	}
-	return l, nil
 }
 
 // sample returns latency with jitter noise, never negative.
@@ -239,10 +216,6 @@ func (n *Net) transfer(l Link, size int64, traceID string) (TransferResult, erro
 	if size < 0 {
 		return TransferResult{}, fmt.Errorf("netem: negative transfer size")
 	}
-	l, err := n.applyFaults(l, "transfer")
-	if err != nil {
-		return TransferResult{}, err
-	}
 	// With a shaper attached the link's latency, loss, and jitter come
 	// from the shape at transfer start, but serialization is billed
 	// piecewise across shape changes so mid-run mutations reach traffic
@@ -283,6 +256,7 @@ func (n *Net) transfer(l Link, size int64, traceID string) (TransferResult, erro
 	wire := size + int64(retrans)*mtu
 	var serialize time.Duration
 	if shaper != nil {
+		var err error
 		serialize, err = n.shapedSerialize(shaper, l, wire, t0)
 		if err != nil {
 			return TransferResult{}, err
@@ -342,10 +316,6 @@ func (n *Net) rtt(l Link, reqBytes, respBytes int, traceID string) (time.Duratio
 	}
 	if reqBytes < 0 || respBytes < 0 {
 		return 0, fmt.Errorf("netem: negative RPC size")
-	}
-	l, err := n.applyFaults(l, "rpc")
-	if err != nil {
-		return 0, err
 	}
 	// RPCs are small: the shape at call time governs the whole exchange
 	// (only bulk transfers bill piecewise across shape changes).

@@ -38,7 +38,7 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 // actually measured. All durations are simulated.
 type ProbeResult struct {
 	Link     string
-	Declared Link // effective profile (faults + shaper applied) at probe start
+	Declared Link // effective profile (shaper applied) at probe start
 
 	MeasuredBandwidth float64       // payload bytes/s over the bulk transfers
 	MeasuredRTT       time.Duration // mean small-RPC round trip
@@ -88,7 +88,7 @@ func (r ProbeResult) Check(tol float64) error {
 // transfers for bandwidth and loss, small RPCs for round-trip time. It
 // rides the normal transfer path, so probe traffic shows up in the
 // netem counters like any other traffic. Fails when the link is
-// partitioned or in an outage window at probe time.
+// partitioned at probe time.
 func (n *Net) Probe(l Link, cfg ProbeConfig) (ProbeResult, error) {
 	if err := l.Validate(); err != nil {
 		return ProbeResult{}, err

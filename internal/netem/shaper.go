@@ -74,9 +74,8 @@ type Shaper interface {
 }
 
 // SetShaper attaches a live link shaper and the virtual clock it is
-// indexed by; nil detaches. Unlike the fault plan's windows — which are
-// snapshotted once per transfer — shaped transfers bill serialization
-// piecewise: bytes moved before a shape change pay the old bandwidth and
+// indexed by; nil detaches. It is netem's one link-fault path. Shaped
+// transfers bill serialization piecewise: bytes moved before a shape change pay the old bandwidth and
 // bytes after it pay the new one, so mid-run mutations (a scenario phase
 // flipping, a netctl POST) take effect on traffic already in flight.
 func (n *Net) SetShaper(s Shaper, now func() time.Time) {
@@ -96,31 +95,16 @@ func (n *Net) shaperState() (Shaper, func() time.Time) {
 }
 
 // EffectiveLink reports what the base link looks like right now with the
-// attached fault schedule and shaper applied (the probe and the netctl
-// display both compare against it). ok is false while the link is
-// partitioned or in an outage window; the returned parameters are still
-// the shaped ones so callers can render them.
+// attached shaper applied (the probe and the netctl display both compare
+// against it). ok is false while the link is partitioned; the returned
+// parameters are still the shaped ones so callers can render them.
 func (n *Net) EffectiveLink(l Link) (Link, bool) {
-	n.mu.Lock()
-	plan := n.faults
-	n.mu.Unlock()
-	ok := true
-	if plan != nil {
-		st := plan.LinkState(l.Name)
-		if st.Down {
-			ok = false
-		} else {
-			l = LinkShape{Factor: st.SlowFactor}.Apply(l)
-		}
+	s, now := n.shaperState()
+	if s == nil {
+		return l, true
 	}
-	if s, now := n.shaperState(); s != nil {
-		shape, _ := s.ShapeAt(l.Name, now())
-		if shape.Down {
-			ok = false
-		}
-		l = shape.Apply(l)
-	}
-	return l, ok
+	shape, _ := s.ShapeAt(l.Name, now())
+	return shape.Apply(l), !shape.Down
 }
 
 // partitionErr is the typed refusal for a shaper-declared partition; it
@@ -140,9 +124,9 @@ func (n *Net) partitionErr(link, op string) error {
 // shapedSerialize integrates wire bytes over the shape timeline starting
 // at t0: each segment between shape changes contributes capacity at that
 // segment's bandwidth, and Down segments contribute nothing (the flow
-// stalls and resumes). base is the link after legacy fault windows but
-// before shaping. Returns the serialization duration, or an error when
-// the link partitions with no scheduled recovery.
+// stalls and resumes). base is the link before shaping. Returns the
+// serialization duration, or an error when the link partitions with no
+// scheduled recovery.
 func (n *Net) shapedSerialize(s Shaper, base Link, wire int64, t0 time.Time) (time.Duration, error) {
 	remaining := float64(wire)
 	t := t0

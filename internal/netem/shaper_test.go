@@ -96,7 +96,8 @@ func TestShapedTransferStallsThroughPartition(t *testing.T) {
 }
 
 // A link partitioned at transfer start with no scheduled recovery
-// refuses with a typed, retryable error.
+// refuses with a typed, retryable error, and each refusal counts as a
+// link_partition injection on the attached fault plan.
 func TestShapedTransferPartitionedRefuses(t *testing.T) {
 	t0 := time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
 	sh := &stepShaper{}
@@ -104,6 +105,8 @@ func TestShapedTransferPartitionedRefuses(t *testing.T) {
 
 	n := NewNet(1)
 	n.SetShaper(sh, func() time.Time { return t0 })
+	plan := faults.NewPlan(1, t0)
+	n.SetFaults(plan)
 
 	_, err := n.Transfer(Link{Name: "lab", Latency: time.Millisecond, Bandwidth: 1e6}, 1000)
 	if err == nil {
@@ -117,6 +120,9 @@ func TestShapedTransferPartitionedRefuses(t *testing.T) {
 	}
 	if _, err := n.RTT(Link{Name: "lab", Latency: time.Millisecond, Bandwidth: 1e6}, 64, 64); err == nil {
 		t.Fatal("rpc over a partitioned link succeeded")
+	}
+	if got := plan.Summary().Injected; got["link_partition"] != 2 || len(got) != 1 {
+		t.Fatalf("injected = %v, want link_partition 2", got)
 	}
 }
 

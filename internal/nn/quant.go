@@ -261,14 +261,3 @@ func quantizeLayers(src []Layer) ([]Layer, int, error) {
 	}
 	return out, quantized, nil
 }
-
-// QuantizeForInference returns an inference-only copy of m with its
-// GEMM-heavy layers quantized to int8 (see QuantizeSequential). The
-// float model stays authoritative: re-quantize after further training.
-func QuantizeForInference(m Model, mode string) (Model, error) {
-	s, ok := m.(*Sequential)
-	if !ok {
-		return nil, fmt.Errorf("nn: quantization supports Sequential models, got %T", m)
-	}
-	return QuantizeSequential(s, mode)
-}

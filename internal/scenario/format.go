@@ -21,6 +21,9 @@ func Format(s *Scenario) string {
 	if s.Seed != 0 {
 		b.WriteString("seed " + strconv.FormatInt(s.Seed, 10) + "\n")
 	}
+	if s.Preempt != 0 {
+		b.WriteString("preempt " + formatFloat(s.Preempt) + "\n")
+	}
 	for _, l := range s.Links {
 		b.WriteString("link " + l.Name)
 		writePatch(&b, l.Patch)

@@ -35,9 +35,9 @@ func ParseString(text string) (*Scenario, error) {
 
 // Parse reads a scenario file: one directive per line, '#' comments,
 // blank lines ignored. The first directive must be the version header
-// ("scenario v1"); declarations (name, seed, link, region) must precede
-// the first phase; links must be declared before regions or phases
-// reference them. Parse is strict — anything it accepts, Format renders
+// ("scenario v1"); declarations (name, seed, preempt, link, region) must
+// precede the first phase; links must be declared before regions or
+// phases reference them. Parse is strict — anything it accepts, Format renders
 // canonically and Parse accepts again with an equal AST.
 func Parse(r io.Reader) (*Scenario, error) {
 	s := &Scenario{}
@@ -68,6 +68,7 @@ type parser struct {
 	sawVersion bool
 	sawName    bool
 	sawSeed    bool
+	sawPreempt bool
 	sawPhase   bool
 	links      map[string]bool
 	regions    map[string]bool
@@ -135,6 +136,19 @@ func (p *parser) directive(raw string) error {
 		}
 		p.s.Seed = n
 		p.sawSeed = true
+	case "preempt":
+		if p.sawPreempt {
+			return p.errf("duplicate preempt")
+		}
+		if len(rest) != 1 {
+			return p.errf("preempt wants exactly one number")
+		}
+		f, err := strconv.ParseFloat(rest[0], 64)
+		if err != nil || !(f > 0 && f < 1) {
+			return p.errf("bad preempt %q (want a fraction in (0,1))", rest[0])
+		}
+		p.s.Preempt = f
+		p.sawPreempt = true
 	case "link":
 		return p.linkDecl(rest)
 	case "region":

@@ -12,6 +12,7 @@ const fullScenario = `# exercise every directive
 scenario v1
 name kitchen-sink
 seed 7
+preempt 0.4
 link campus-wan latency=20ms bandwidth=100Mbps loss=0.001 jitter=2ms
 link fabric
 region edge-b campus-wan fabric
@@ -28,8 +29,8 @@ func TestParseFullScenario(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if s.Name != "kitchen-sink" || s.Seed != 7 {
-		t.Fatalf("header = %q seed %d", s.Name, s.Seed)
+	if s.Name != "kitchen-sink" || s.Seed != 7 || s.Preempt != 0.4 {
+		t.Fatalf("header = %q seed %d preempt %g", s.Name, s.Seed, s.Preempt)
 	}
 	if len(s.Links) != 2 || len(s.Regions) != 1 || len(s.Phases) != 6 {
 		t.Fatalf("counts = %d links, %d regions, %d phases", len(s.Links), len(s.Regions), len(s.Phases))
@@ -70,6 +71,12 @@ func TestParseRejects(t *testing.T) {
 		{"zero seed", "scenario v1\nseed 0\n", "bad seed"},
 		{"bad seed", "scenario v1\nseed seven\n", "bad seed"},
 		{"duplicate seed", "scenario v1\nseed 1\nseed 2\n", "duplicate seed"},
+		{"duplicate preempt", "scenario v1\npreempt 0.5\npreempt 0.6\n", "duplicate preempt"},
+		{"zero preempt", "scenario v1\npreempt 0\n", "bad preempt"},
+		{"preempt one", "scenario v1\npreempt 1\n", "bad preempt"},
+		{"preempt NaN", "scenario v1\npreempt NaN\n", "bad preempt"},
+		{"preempt not a number", "scenario v1\npreempt soon\n", "bad preempt"},
+		{"preempt extra tokens", "scenario v1\npreempt 0.5 0.6\n", "exactly one number"},
 		{"duplicate link", "scenario v1\nlink wan\nlink wan\n", `duplicate link "wan"`},
 		{"link unknown key", "scenario v1\nlink wan mtu=9000\n", "link does not take mtu="},
 		{"link bad bandwidth", "scenario v1\nlink wan bandwidth=fast\n", "bad bandwidth"},
@@ -137,6 +144,7 @@ func TestParseAllows(t *testing.T) {
 		{"different devices overlap", head + "phase 0s..2m silence device=a\nphase 1m..3m silence device=b\n"},
 		{"comments and blanks", "# top\nscenario v1\n\n  # indented comment\nlink wan # trailing\n"},
 		{"objstore default every", head + "phase 0s..1m objstore\n"},
+		{"preempt fraction", "scenario v1\npreempt 0.47\n"},
 		{"adjacent phases touch", head + "phase 0s..1m partition link=wan\nphase 1m..2m partition link=wan\n"},
 	}
 	for _, tc := range cases {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/fed"
 	"repro/internal/gossip"
 	"repro/internal/netem"
@@ -63,12 +62,12 @@ func replaySamples(t testing.TB, n int) []pilot.Sample {
 }
 
 // replayCase pins one round-engine run: a topology and its config, run
-// under a library scenario file or a faults profile at a fixed seed, and
-// the golden its snapshot must match.
+// under a library scenario file or a generated fault profile at a fixed
+// seed, and the golden its snapshot must match.
 type replayCase struct {
 	name   string
 	golden string
-	// scn names a file under scenarios/; profile names a faults profile
+	// scn names a file under scenarios/; profile names a fault profile
 	// (exactly one of the two is set).
 	scn, profile string
 	seed         int64
@@ -239,29 +238,23 @@ func replay(t testing.TB, c replayCase) []byte {
 		Obs:   o,
 		Start: tableEpoch,
 	}
-	source := c.profile
 	var s *Scenario
-	var rt *Runtime
-	if c.scn != "" {
-		var err error
-		if s, err = Load(filepath.Join("..", "..", "scenarios", c.scn)); err != nil {
-			t.Fatal(err)
-		}
-		if rt, err = NewRuntime(s, c.seed, tableEpoch); err != nil {
-			t.Fatal(err)
-		}
-		rt.Start(o)
-		deps.Plan = rt.Plan()
-		rt.Attach(deps.Net)
-		source = s.Name
+	var err error
+	if c.profile != "" {
+		s, err = Profile(c.profile, c.seed)
 	} else {
-		plan, err := faults.NewPlan(c.profile, c.seed, tableEpoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.Instrument(o.Metrics)
-		deps.Plan = plan
+		s, err = Load(filepath.Join("..", "..", "scenarios", c.scn))
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(s, c.seed, tableEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(o)
+	deps.Plan = rt.Plan()
+	rt.Attach(deps.Net)
 
 	samples := replaySamples(t, c.samples)
 	nVal := len(samples) / 5
@@ -270,13 +263,10 @@ func replay(t testing.TB, c replayCase) []byte {
 		t.Fatal(err)
 	}
 	weights := c.run(t, deps, shards, samples[len(samples)-nVal:])
-	transitions := 0
-	if rt != nil {
-		// Play the clock out past the scenario horizon so every phase
-		// transition fires regardless of how long the rounds took.
-		rt.Clock().Advance(s.Horizon())
-		transitions = rt.Finish()
-	}
+	// Play the clock out past the scenario horizon so every phase
+	// transition fires regardless of how long the rounds took.
+	rt.Clock().Advance(s.Horizon())
+	transitions := rt.Finish()
 
 	var tb, pb bytes.Buffer
 	if err := o.Tracer.WriteJSONL(&tb); err != nil {
@@ -287,7 +277,7 @@ func replay(t testing.TB, c replayCase) []byte {
 	}
 	var got bytes.Buffer
 	fmt.Fprintf(&got, "scenario-replay golden v%d\n", replayGoldenVersion)
-	fmt.Fprintf(&got, "scenario: %s seed %d\n", source, c.seed)
+	fmt.Fprintf(&got, "scenario: %s seed %d\n", s.Name, c.seed)
 	fmt.Fprintf(&got, "transitions: %d\n", transitions)
 	fmt.Fprintf(&got, "trace_sha256: %x\n", sha256.Sum256(tb.Bytes()))
 	fmt.Fprintf(&got, "trace_lines: %d\n", bytes.Count(tb.Bytes(), []byte("\n")))

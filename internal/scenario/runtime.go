@@ -19,13 +19,13 @@ type Event struct {
 	Window string    `json:"window"`
 }
 
-// Runtime binds a parsed scenario to one run: a scripted fault plan
-// (objstore windows, device silences, the retry policy and virtual
-// clock) plus the compiled link-shape table, and a phase scheduler that
-// rides the clock's event loop emitting one scenario_phase span and one
-// scenario_transitions_total increment per transition. The same
-// scenario, seed, and epoch always produce the same runtime, so two
-// runs replay byte-identically.
+// Runtime binds a parsed scenario to one run: a fault plan (objstore
+// windows, device silences, the preemption point, the retry policy and
+// virtual clock) plus the compiled link-shape table, and a phase
+// scheduler that rides the clock's event loop emitting one
+// scenario_phase span and one scenario_transitions_total increment per
+// transition. The same scenario, seed, and epoch always produce the same
+// runtime, so two runs replay byte-identically.
 type Runtime struct {
 	scn   *Scenario
 	epoch time.Time
@@ -51,7 +51,8 @@ func NewRuntime(s *Scenario, seed int64, epoch time.Time) (*Runtime, error) {
 	if s.Seed != 0 {
 		seed = s.Seed
 	}
-	plan := faults.NewScriptedPlan(seed, epoch)
+	plan := faults.NewPlan(seed, epoch)
+	plan.PreemptAfterFrac = s.Preempt
 	for _, ph := range s.Phases {
 		switch ph.Kind {
 		case Objstore:
@@ -72,8 +73,8 @@ func NewRuntime(s *Scenario, seed int64, epoch time.Time) (*Runtime, error) {
 // Scenario returns the parsed scenario driving this run.
 func (rt *Runtime) Scenario() *Scenario { return rt.scn }
 
-// Plan is the scripted fault plan (clock, retries, store and silence
-// windows); hand it wherever a faults.Plan goes.
+// Plan is the run's fault plan (clock, retries, store and silence
+// windows, preemption); hand it wherever a faults.Plan goes.
 func (rt *Runtime) Plan() *faults.Plan { return rt.plan }
 
 // Table is the live link-shape timeline; it implements netem.Shaper and
@@ -89,8 +90,9 @@ func (rt *Runtime) Epoch() time.Time { return rt.epoch }
 // Seed is the effective seed after the file's pin.
 func (rt *Runtime) Seed() int64 { return rt.seed }
 
-// Attach points a netem fabric at this run: fault windows from the plan,
-// link shapes from the table, both indexed by the run's virtual clock.
+// Attach points a netem fabric at this run: link shapes come from the
+// table, indexed by the run's virtual clock, and partition refusals
+// count as link_partition injections on the plan.
 func (rt *Runtime) Attach(n *netem.Net) {
 	n.SetFaults(rt.plan)
 	n.SetShaper(rt.table, rt.plan.Clock.Now)
@@ -190,6 +192,10 @@ func (rt *Runtime) Describe() string {
 	if name == "" {
 		name = "(unnamed)"
 	}
-	return fmt.Sprintf("scenario %s: %d links, %d phases over %s (seed %d)",
+	out := fmt.Sprintf("scenario %s: %d links, %d phases over %s (seed %d)",
 		name, len(rt.scn.Links), len(rt.scn.Phases), rt.scn.Horizon(), rt.seed)
+	if rt.scn.Preempt != 0 {
+		out += fmt.Sprintf(", preempt at %.2f of GPU time", rt.scn.Preempt)
+	}
+	return out
 }

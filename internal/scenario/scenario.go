@@ -35,7 +35,8 @@ const (
 // the identity on the AST.
 type Scenario struct {
 	Name    string
-	Seed    int64 // 0 = unset; the run's -seed flag governs
+	Seed    int64   // 0 = unset; the run's -seed flag governs
+	Preempt float64 // training-lease preemption point, a fraction of GPU time; 0 = never
 	Links   []LinkDecl
 	Regions []RegionDecl
 	Phases  []Phase

@@ -60,35 +60,32 @@ func (t *Table) resetLive() {
 // compileLink flattens every phase targeting the link into sorted epochs.
 // The declaration's base patch holds outside phases; inside one, the
 // phase's effect composes over the base. Overlap validation guarantees
-// at most one phase covers a link at any instant.
+// at most one phase covers a link at any instant, so one sweep over the
+// link's phases in start order emits every epoch: the phase's shape at
+// its start, and the base again at its end unless the next phase starts
+// right there.
 func compileLink(s *Scenario, decl LinkDecl, start time.Time) []epoch {
 	base := netem.LinkShape{}
 	if !decl.Patch.Zero() {
 		p := decl.Patch
 		base.Patch = &p
 	}
-	offsets := map[time.Duration]bool{0: true}
+	var phs []Phase
 	for _, ph := range s.Phases {
 		if targetsLink(ph, s, decl.Name) {
-			offsets[ph.Start] = true
-			offsets[ph.End] = true
+			phs = append(phs, ph)
 		}
 	}
-	sorted := make([]time.Duration, 0, len(offsets))
-	for off := range offsets {
-		sorted = append(sorted, off)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	es := make([]epoch, 0, len(sorted))
-	for _, off := range sorted {
-		sh := base
-		for _, ph := range s.Phases {
-			if targetsLink(ph, s, decl.Name) && off >= ph.Start && off < ph.End {
-				sh = composeShape(base, ph)
-				break
-			}
+	sort.SliceStable(phs, func(i, j int) bool { return phs[i].Start < phs[j].Start })
+	es := []epoch{{at: start, shape: base}}
+	for i, ph := range phs {
+		if ph.Start > 0 { // a phase from 0 replaces the base epoch there
+			es = append(es, epoch{at: start.Add(ph.Start)})
 		}
-		es = append(es, epoch{at: start.Add(off), shape: sh})
+		es[len(es)-1].shape = composeShape(base, ph)
+		if i+1 == len(phs) || phs[i+1].Start > ph.End {
+			es = append(es, epoch{at: start.Add(ph.End), shape: base})
+		}
 	}
 	return es
 }
@@ -214,9 +211,13 @@ func (t *Table) Clear(link string, at time.Time) error {
 
 // Merge installs another scenario's link phases live, anchored at `at`:
 // each declared link's future (from `at` on) is replaced by the new
-// script. Links unknown to the table and non-link phases are rejected —
-// store and device faults cannot be re-scripted mid-run.
+// script. Links unknown to the table, non-link phases and a preemption
+// point are rejected — store, device and lease faults cannot be
+// re-scripted mid-run.
 func (t *Table) Merge(s *Scenario, at time.Time) error {
+	if s.Preempt != 0 {
+		return fmt.Errorf("scenario: live load cannot script preemption")
+	}
 	for _, ph := range s.Phases {
 		switch ph.Kind {
 		case Clean, Partition, Degrade, Shape:

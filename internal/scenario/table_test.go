@@ -139,6 +139,9 @@ func TestTableMergeLiveScenario(t *testing.T) {
 	if err := tbl.Merge(bad, at); err == nil {
 		t.Fatal("merge accepted an objstore phase")
 	}
+	if err := tbl.Merge(mustParse(t, "scenario v1\npreempt 0.5\n"), at); err == nil {
+		t.Fatal("merge accepted a preemption point")
+	}
 	unknown := mustParse(t, "scenario v1\nlink dsl\nphase 0s..1m partition link=dsl\n")
 	if err := tbl.Merge(unknown, at); err == nil {
 		t.Fatal("merge accepted an unknown link")

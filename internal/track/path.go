@@ -71,9 +71,6 @@ func NewClosedPath(pts []Point) (*Path, error) {
 // Length returns the total arclength of the closed path.
 func (p *Path) Length() float64 { return p.length }
 
-// NumPoints returns the number of sampled vertices.
-func (p *Path) NumPoints() int { return len(p.pts) }
-
 // wrap normalizes an arclength coordinate into [0, length).
 func (p *Path) wrap(s float64) float64 {
 	s = math.Mod(s, p.length)

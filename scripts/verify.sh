@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full pre-merge verification: vet, build, race-enabled tests, the
-# perfbench module's vet and self-test, a
-# fault-profile pipeline smoke run, a metrics-cardinality lint, a
+# perfbench module's vet and self-test, a fault-profile pipeline smoke
+# run (byte-identical same-seed traces), a metrics-cardinality lint, a
 # cross-subsystem trace smoke (byte-identical same-seed exports), a
 # scenario smoke (library checks, replay determinism, probe tolerance),
 # a gossip smoke (byte-identical same-seed overlay runs, partition
@@ -26,10 +26,11 @@ echo "==> perfbench: go vet ./... && go test ./..."
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fault-profile smoke run (lossy-wan)"
+echo "==> fault-profile smoke run (lossy-wan, byte-identical same-seed traces)"
 metrics=$(mktemp)
 out=$(mktemp)
-go run ./cmd/autolearn pipeline -faults lossy-wan -metrics "$metrics" >"$out" 2>&1 || {
+pt1=$(mktemp) pt2=$(mktemp)
+go run ./cmd/autolearn pipeline -faults lossy-wan -metrics "$metrics" -trace "$pt1" >"$out" 2>&1 || {
     echo "fault-profile pipeline failed:" >&2
     cat "$out" >&2
     exit 1
@@ -44,6 +45,15 @@ if [ -z "$fallbacks" ] || [ "$fallbacks" -eq 0 ]; then
     echo "hybrid_fallbacks_total missing or zero under lossy-wan (got '${fallbacks:-absent}')" >&2
     exit 1
 fi
+# A profile is a generated scenario on the virtual clock, so the
+# pipeline's fault-run trace is part of the determinism contract too.
+go run ./cmd/autolearn pipeline -faults lossy-wan -trace "$pt2" >/dev/null 2>&1 || {
+    echo "second traced fault-profile pipeline failed" >&2; exit 1; }
+cmp -s "$pt1" "$pt2" || {
+    echo "fault-profile smoke: same-seed pipeline runs exported different trace bytes" >&2
+    exit 1
+}
+rm -f "$pt1" "$pt2"
 
 # Metrics-cardinality lint: a label key whose value set keeps growing
 # (request IDs, timestamps, raw durations) would blow up any real TSDB.
