@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/faults"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pilot"
@@ -49,7 +50,7 @@ func cmdModels(args []string) error {
 	}
 	fmt.Printf("collecting %d expert records on %s ...\n", *ticks, m.Track.Name)
 	collect := root.Child("collect")
-	data := ses.Run(epoch)
+	data := ses.Run(faults.Epoch)
 	collect.SetAttr("records", len(data.Records))
 	collect.SetSimDuration("drive", data.Duration)
 	collect.End()
@@ -90,7 +91,7 @@ func cmdModels(args []string) error {
 		if err != nil {
 			return err
 		}
-		res := evalSes.Run(epoch)
+		res := evalSes.Run(faults.Epoch)
 		if err := drv.Err(); err != nil {
 			return err
 		}
@@ -191,8 +192,7 @@ func cmdHybrid(args []string) error {
 		return err
 	}
 	tr, err := p.Train(col.TubDir, pilot.Linear, "V100",
-		nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 1, ClipGrad: 5},
-		time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC))
+		nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 1, ClipGrad: 5}, faults.Epoch)
 	if err != nil {
 		return err
 	}

@@ -119,15 +119,12 @@ func cmdFedTrain(args []string) error {
 		Net:   netem.NewNet(*seed),
 		Hub:   edge.NewHub(),
 		Store: objstore.New(),
+		Plan:  rt.Plan(),
 		Obs:   o,
-		Start: epoch,
 	}
-	if rt != nil {
-		rt.Start(o)
-		deps.Plan = rt.Plan()
-		rt.Attach(deps.Net)
-		fmt.Printf("== %s\n", rt.Describe())
-	}
+	rt.Start(o)
+	rt.Attach(deps.Net)
+	fmt.Printf("== %s\n", rt.Describe())
 
 	initial, err := pilot.New(pcfg)
 	if err != nil {

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -105,8 +106,6 @@ func export(path string, write func(io.Writer) error, done func() string) error 
 	fmt.Println(done())
 	return nil
 }
-
-var epoch = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
 
 func main() {
 	if len(os.Args) < 2 {
@@ -195,7 +194,8 @@ pipeline and fed-train accept -faults PROFILE (lossy-wan, flaky-objstore,
 heartbeat-gap, preempt, chaos) to run under a fault scenario generated
 from the run seed. pipeline, fed-train, and serve accept -scenario FILE
 to run under a phase-scripted chaos scenario (see scenarios/); the same
-file plus the same seed replays byte-identically through any of them.`)
+file plus the same seed replays byte-identically through any of them.
+Without either flag, pipeline and fed-train run the empty scenario.`)
 }
 
 func cmdTracks() error {
@@ -232,7 +232,7 @@ func sessionOn(trackName string, camCfg sim.CameraConfig, drv func(*track.Track,
 	if err != nil {
 		return sim.SessionResult{}, nil, err
 	}
-	return ses.Run(epoch), trk, nil
+	return ses.Run(faults.Epoch), trk, nil
 }
 
 func cmdCollect(args []string) error {
@@ -498,11 +498,9 @@ func cmdPipeline(args []string) error {
 	}
 	o := of.observer()
 	m.Instrument(o)
-	if rt != nil {
-		rt.Start(o)
-		rt.Attach(m.Net)
-		fmt.Printf("== %s\n", rt.Describe())
-	}
+	rt.Start(o)
+	rt.Attach(m.Net)
+	fmt.Printf("== %s\n", rt.Describe())
 	student, err := m.Enroll("cli-student", "local")
 	if err != nil {
 		return err
@@ -516,11 +514,8 @@ func cmdPipeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	trainStart := epoch
-	if rt != nil {
-		if err := p.EnableFaults(rt.Plan()); err != nil {
-			return err
-		}
+	if err := p.EnableFaults(rt.Plan()); err != nil {
+		return err
 	}
 	fmt.Println("== phase 1: data collection (simulator path)")
 	col, err := p.CollectData(core.Simulator, "drive-1", 1000)
@@ -535,11 +530,8 @@ func cmdPipeline(args []string) error {
 	}
 	fmt.Printf("   %d marked, %d remain\n", marked, remaining)
 	fmt.Printf("== phase 3: training %s on %s\n", *model, *gpu)
-	if rt != nil {
-		trainStart = rt.Clock().Now()
-	}
 	tr, err := p.Train(col.TubDir, pilot.Kind(*model), testbed.GPUType(*gpu),
-		nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 2, ClipGrad: 5}, trainStart)
+		nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 2, ClipGrad: 5}, rt.Clock().Now())
 	if err != nil {
 		return err
 	}
@@ -553,7 +545,7 @@ func cmdPipeline(args []string) error {
 	}
 	fmt.Printf("   latency %v, laps %d, crashes %d, mean speed %.2f m/s\n",
 		ev.Latency.Round(time.Microsecond), ev.Report.Laps, ev.Report.Crashes, ev.Report.MeanSpeed)
-	if rt != nil {
+	if *profile != "" || *scnFile != "" {
 		// Under faults, also exercise the hybrid edge-cloud path: this is
 		// where cloud deadline misses fall back to the on-device pilot.
 		fmt.Println("== phase 5: hybrid inference under faults")
@@ -578,7 +570,7 @@ func cmdZero(args []string) error {
 		return err
 	}
 	res, err := m.Edge.ZeroToReady("donkeycar-1", "cli-student", m.Cfg.ProjectID,
-		"autolearn:latest", *imageMB<<20, epoch)
+		"autolearn:latest", *imageMB<<20, faults.Epoch)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -164,6 +165,32 @@ func TestCmdFedTrainStoreFaults(t *testing.T) {
 		}
 		if got := promValue(t, metrics, `faults_injected_total{kind="objstore"}`); got <= 0 {
 			t.Errorf("%s: no objstore faults injected", topology)
+		}
+	}
+}
+
+// TestCmdFedTrainFaultFree runs both topologies without -faults or
+// -scenario: the run is the empty scenario, so the fleet, its checkpoints
+// and the serving hook all run under the fault-free plan, and two
+// same-seed runs export byte-identical traces.
+func TestCmdFedTrainFaultFree(t *testing.T) {
+	dir := t.TempDir()
+	for _, topology := range []string{"star", "gossip"} {
+		var traces [2][]byte
+		for i := range traces {
+			path := filepath.Join(dir, topology+strconv.Itoa(i)+".jsonl")
+			if err := cmdFedTrain([]string{"-topology", topology, "-workers", "2", "-rounds", "2",
+				"-ticks", "240", "-trace", path}); err != nil {
+				t.Fatalf("%s: %v", topology, err)
+			}
+			var err error
+			if traces[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(traces[0]) == 0 || !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("%s: same-seed fault-free runs exported different traces (%d vs %d bytes)",
+				topology, len(traces[0]), len(traces[1]))
 		}
 	}
 }

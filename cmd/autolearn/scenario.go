@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -28,21 +29,21 @@ func cmdScenario(args []string) error {
 }
 
 // loadScenarioRuntime parses a scenario file into a runtime anchored at
-// the CLI's shared epoch — the same construction every subsystem uses,
-// so a file that checks out here replays identically under pipeline,
+// the shared epoch — the same construction every subsystem uses, so a
+// file that checks out here replays identically under pipeline,
 // fed-train, and serve.
 func loadScenarioRuntime(file string, seed int64) (*scenario.Runtime, error) {
 	s, err := scenario.Load(file)
 	if err != nil {
 		return nil, err
 	}
-	return scenario.NewRuntime(s, seed, epoch)
+	return scenario.NewRuntime(s, seed, faults.Epoch)
 }
 
-// faultRuntime builds the run's fault runtime for -faults NAME or
-// -scenario FILE, or returns nil when neither is set. A named profile is
-// a scenario generated from the run seed, so both flags run through the
-// same scenario runtime. cmd prefixes the flag-clash error.
+// faultRuntime builds the run's scenario runtime: the scenario -faults
+// NAME generates from the run seed, the file -scenario FILE names, or,
+// with neither flag, the empty scenario, which runs fault-free on the
+// same virtual clock. cmd prefixes the flag-clash error.
 func faultRuntime(cmd, profile, file string, seed int64) (*scenario.Runtime, error) {
 	switch {
 	case profile != "" && file != "":
@@ -54,9 +55,9 @@ func faultRuntime(cmd, profile, file string, seed int64) (*scenario.Runtime, err
 		if err != nil {
 			return nil, err
 		}
-		return scenario.NewRuntime(s, seed, epoch)
+		return scenario.NewRuntime(s, seed, faults.Epoch)
 	}
-	return nil, nil
+	return scenario.NewRuntime(&scenario.Scenario{Name: "fault-free"}, seed, faults.Epoch)
 }
 
 // finishRun is the tail pipeline and fed-train share. It prints the
@@ -65,16 +66,12 @@ func faultRuntime(cmd, profile, file string, seed int64) (*scenario.Runtime, err
 // the trace, and writes -trace. Heartbeat playback keeps running during
 // that drain, so nothing reported before it may count what it injects.
 func finishRun(rt *scenario.Runtime, o obs.Observer, of obsFlags) error {
-	if rt != nil {
-		fmt.Printf("== faults: %s\n", rt.Plan().Summary())
-	}
+	fmt.Printf("== faults: %s\n", rt.Plan().Summary())
 	if err := of.writeMetrics(o); err != nil {
 		return err
 	}
-	if rt != nil {
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
+	rt.Clock().Advance(rt.Scenario().Horizon())
+	fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
 	return of.writeTrace(o)
 }
 

@@ -196,12 +196,7 @@ func runServe(ctx context.Context, addr string, specs []modelSpec, cfg serve.Con
 	if rt != nil {
 		fabric := netem.NewNet(rt.Seed())
 		rt.Attach(fabric)
-		nsrv, err := netctl.New(netctl.Config{
-			Table: rt.Table(), Net: fabric, Now: rt.Clock().Now, Runtime: rt,
-		})
-		if err != nil {
-			return err
-		}
+		nsrv := netctl.New(rt, fabric)
 		nsrv.SetObserver(obs.Observer{Metrics: a.metrics})
 		rt.SetEventHook(nsrv.PublishEvent)
 		rt.Start(obs.Observer{Metrics: a.metrics})

@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/netctl"
 	"repro/internal/netem"
 	"repro/internal/obs"
@@ -106,45 +105,32 @@ func build(trackName string, hz float64, scnFile string) (*app, error) {
 		return nil, err
 	}
 
-	// The netctl pane: a second dashboard over a live link fabric. With a
-	// -scenario the fabric follows the script (the drive loop advances its
-	// clock in wall time); without one every shape arrives over REST.
-	start := time.Now().UTC()
-	fabric := netem.NewNet(1)
-	var clk *faults.Clock
-	var table *scenario.Table
-	var rt *scenario.Runtime
+	// The netctl pane: a second dashboard over a live link fabric, run by
+	// a scenario runtime whose clock the drive loop advances in wall time.
+	// A -scenario file scripts the fabric; without one the empty scenario
+	// declares the stock links and every shape arrives over REST. The
+	// runtime gets metrics only, so request spans stay on the wall clock.
+	var scn *scenario.Scenario
 	if scnFile != "" {
-		s, err := scenario.Load(scnFile)
-		if err != nil {
+		if scn, err = scenario.Load(scnFile); err != nil {
 			return nil, err
 		}
-		rt, err = scenario.NewRuntime(s, 1, start)
-		if err != nil {
-			return nil, err
-		}
-		clk, table = rt.Clock(), rt.Table()
 	} else {
-		var names []string
+		scn = &scenario.Scenario{Name: "fault-free"}
 		for _, l := range netem.Stock() {
-			names = append(names, l.Name)
+			scn.Links = append(scn.Links, scenario.LinkDecl{Name: l.Name})
 		}
-		clk, table = faults.NewClock(start), scenario.NewLinkTable(names...)
 	}
-	nsrv, err := netctl.New(netctl.Config{
-		Table: table, Net: fabric, Now: clk.Now, Links: netem.Stock(), Runtime: rt,
-	})
+	rt, err := scenario.NewRuntime(scn, 1, time.Now().UTC())
 	if err != nil {
 		return nil, err
 	}
+	fabric := netem.NewNet(1)
+	rt.Attach(fabric)
+	nsrv := netctl.New(rt, fabric)
 	nsrv.SetObserver(obs.Observer{Metrics: reg})
-	if rt != nil {
-		rt.SetEventHook(nsrv.PublishEvent)
-		rt.Attach(fabric)
-		rt.Start(obs.Observer{Tracer: tracer, Metrics: reg})
-	} else {
-		fabric.SetShaper(table, clk.Now)
-	}
+	rt.SetEventHook(nsrv.PublishEvent)
+	rt.Start(obs.Observer{Metrics: reg})
 
 	// Drive loop: controller commands move the physics; frame and state
 	// snapshots refresh /video and /state.
@@ -167,7 +153,7 @@ func build(trackName string, hz float64, scnFile string) (*app, error) {
 			front, back = back, front
 			frames.Inc()
 			tickHist.ObserveDuration(time.Since(t0))
-			clk.Advance(period)
+			rt.Clock().Advance(period)
 		}
 	}
 

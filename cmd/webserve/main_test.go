@@ -245,8 +245,8 @@ func TestRunShutsDownOnCancel(t *testing.T) {
 }
 
 // TestNetctlPaneMounted checks the second dashboard pane: the netctl
-// control plane is reachable under /netctl/ and its link fabric serves
-// the stock profiles.
+// control plane is reachable under /netctl/, its link fabric serves the
+// stock profiles, and it runs the empty scenario.
 func TestNetctlPaneMounted(t *testing.T) {
 	srv := startApp(t, 100)
 	resp, err := http.Get(srv.URL + "/netctl/")
@@ -282,5 +282,17 @@ func TestNetctlPaneMounted(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shape via pane = %d", resp.StatusCode)
+	}
+	// Without -scenario the pane runs the empty scenario over the stock
+	// links, and serves it like a scripted one.
+	resp, err = http.Get(srv.URL + "/netctl/scenario")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(buf.String(), "name fault-free\nlink campus-wan\n") {
+		t.Fatalf("/netctl/scenario = %d %q", resp.StatusCode, buf.String())
 	}
 }

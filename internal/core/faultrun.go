@@ -13,27 +13,29 @@ import (
 	"repro/internal/testbed"
 )
 
-// This file wires the fault-injection plan through the pipeline: the WAN
-// and the object store go through the plan's retry policy (a pipeline
-// without a plan runs each operation once), a scripted device fleet plays
-// heartbeats (and scheduled silences) into the edge hub as virtual time
-// passes, and training survives a lease preemption by resuming from its
-// per-epoch checkpoint.
+// This file wires the fault plan through the pipeline: the WAN and the
+// object store go through the plan's retry policy, a scripted device
+// fleet plays heartbeats (and scheduled silences) into the edge hub as
+// virtual time passes, and training survives a lease preemption by
+// resuming from its per-epoch checkpoint.
 
-// EnableFaults attaches a fault plan to the pipeline: the object store
-// injects its transient errors, and the plan's scripted devices (none for
-// scenarios without silence phases) are onboarded into the edge hub with
-// heartbeat playback driven by the plan's clock. Link faults reach the
-// module's network through the scenario runtime that built the plan
+// EnableFaults swaps a scenario's fault plan in for the fault-free one:
+// the tracer moves onto its clock, the object store injects its
+// transient errors, and the plan's scripted devices (none for scenarios
+// without silence phases) are onboarded into the edge hub with heartbeat
+// playback driven by the plan's clock. Link faults reach the module's
+// network through the scenario runtime that built the plan
 // (scenario.Runtime.Attach). Call it once, before running stages.
 func (p *Pipeline) EnableFaults(plan *faults.Plan) error {
 	if plan == nil {
 		return fmt.Errorf("core: nil fault plan")
 	}
-	if p.Faults != nil {
+	if p.scripted {
 		return fmt.Errorf("core: pipeline already has a fault plan")
 	}
+	p.scripted = true
 	p.Faults = plan
+	p.Obs.Tracer.SetClock(plan.Clock.Now)
 	p.M.Store.SetFaultHook(func(op, _, _ string) error { return plan.StoreFault(op) })
 	var members []edge.Member
 	for _, name := range plan.ScriptDevices() {
@@ -51,14 +53,6 @@ func (p *Pipeline) EnableFaults(plan *faults.Plan) error {
 	}
 	p.M.Edge.Play(plan, members, nil)
 	return nil
-}
-
-// advance moves the plan's virtual clock; without a plan it is a no-op
-// (the unfaulted pipeline has no clock to keep).
-func (p *Pipeline) advance(d time.Duration) {
-	if p.Faults != nil {
-		p.Faults.Clock.Advance(d)
-	}
 }
 
 // wanTransfer is Net.Transfer under the retry policy: partitions turn
@@ -125,7 +119,7 @@ func (p *Pipeline) controlLatency(pm PlacementModel, place Placement, paramCount
 func (p *Pipeline) runTraining(pl *pilot.Pilot, samples []pilot.Sample, cfg nn.TrainConfig,
 	res *TrainResult, start time.Time) (nn.History, *pilot.Pilot, error) {
 	plan := p.Faults
-	if plan == nil || plan.PreemptAfterFrac <= 0 || cfg.Epochs < 2 {
+	if plan.PreemptAfterFrac <= 0 || cfg.Epochs < 2 {
 		hist, err := pl.Train(samples, cfg)
 		return hist, pl, err
 	}
@@ -167,13 +161,13 @@ func (p *Pipeline) runTraining(pl *pilot.Pilot, samples []pilot.Sample, cfg nn.T
 	}
 	if !hist.Aborted {
 		// Early stopping beat the preemption to it; nothing to resume.
-		p.advance(time.Duration(done) * perEpoch)
+		plan.Clock.Advance(time.Duration(done) * perEpoch)
 		return hist, pl, nil
 	}
 
 	// The node dies mid-training: bill the GPU time burned so far, count
 	// the injection, and yank the lease (the node goes into maintenance).
-	p.advance(time.Duration(done) * perEpoch)
+	plan.Clock.Advance(time.Duration(done) * perEpoch)
 	plan.RecordInjection("preemption")
 	if err := p.M.Testbed.PreemptLease(res.Lease.ID); err != nil {
 		return hist, nil, err
@@ -191,7 +185,7 @@ func (p *Pipeline) runTraining(pl *pilot.Pilot, samples []pilot.Sample, cfg nn.T
 		return hist, nil, fmt.Errorf("core: redeploy after preemption: %w", err)
 	}
 	res.Lease, res.Instance = lease, inst
-	p.advance(inst.ReadyAt.Sub(now))
+	plan.Clock.Advance(inst.ReadyAt.Sub(now))
 
 	resumed, err := pilot.Load(bytes.NewReader(ckpt.Bytes()))
 	if err != nil {
@@ -214,7 +208,7 @@ func (p *Pipeline) runTraining(pl *pilot.Pilot, samples []pilot.Sample, cfg nn.T
 	if err != nil {
 		return hist, nil, err
 	}
-	p.advance(time.Duration(len(hist2.Epochs)) * perEpoch2)
+	plan.Clock.Advance(time.Duration(len(hist2.Epochs)) * perEpoch2)
 
 	// Merge the two halves into one run history.
 	merged := hist

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pilot"
@@ -146,5 +147,36 @@ func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("chaos counters diverged from %s (regenerate with UPDATE_GOLDEN=1 if intended):\n got:\n%s\n want:\n%s",
 			golden, got.Bytes(), want)
+	}
+}
+
+// EnableFaults swaps one scenario plan in for the pipeline's fault-free
+// plan: a nil plan and a second call are rejected and leave the plan in
+// place.
+func TestEnableFaultsOnce(t *testing.T) {
+	m := fastModule(t)
+	s, err := m.Enroll("student", "mu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.NewPipeline(s, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Faults == nil {
+		t.Fatal("new pipeline has no fault plan")
+	}
+	if err := p.EnableFaults(nil); err == nil {
+		t.Error("nil plan accepted")
+	}
+	plan := faults.NewPlan(1, t0)
+	if err := p.EnableFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableFaults(faults.NewPlan(2, t0)); err == nil {
+		t.Error("second plan accepted")
+	}
+	if p.Faults != plan {
+		t.Error("a rejected call replaced the pipeline's plan")
 	}
 }

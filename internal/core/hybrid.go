@@ -147,9 +147,10 @@ type HybridEvalResult struct {
 	StudentParams int
 	TeacherParams int
 	DistillLoss   float64
-	// Fallbacks counts eval frames the cloud missed (outage or deadline)
-	// and the on-device student served alone; nonzero only under a fault
-	// plan with a live per-frame cloud RPC.
+	// Fallbacks counts eval frames whose per-frame cloud round trip
+	// failed (outage) or missed its deadline, so the on-device student
+	// served them alone; nonzero only when a scenario partitions or slows
+	// the cloud link.
 	Fallbacks int
 }
 
@@ -225,21 +226,19 @@ func (p *Pipeline) EvaluateHybrid(modelObject string, pm PlacementModel, dc pilo
 	if err != nil {
 		return out, err
 	}
-	if plan := p.Faults; plan != nil {
-		// Live per-frame cloud RPC: each control tick advances the plan's
-		// clock, so the eval drives through real partitions; a failed
-		// or too-slow round trip falls back to the student alone.
-		tick := time.Duration(float64(time.Second) / hz)
-		hd.CloudRPC = func(int) (int, error) {
-			plan.Clock.Advance(tick)
-			d, err := p.M.Net.RTT(pm.Link, pm.FrameBytes, pm.CmdBytes)
-			if err != nil {
-				return 0, err
-			}
-			return DelayTicksFor(d, hz), nil
+	// Live per-frame cloud RPC: each control tick advances the plan's
+	// clock, so the eval drives through real partitions; a failed or
+	// too-slow round trip falls back to the student alone.
+	tick := time.Duration(float64(time.Second) / hz)
+	hd.CloudRPC = func(int) (int, error) {
+		p.Faults.Clock.Advance(tick)
+		d, err := p.M.Net.RTT(pm.Link, pm.FrameBytes, pm.CmdBytes)
+		if err != nil {
+			return 0, err
 		}
-		hd.OnFallback = plan.RecordFallback
+		return DelayTicksFor(d, hz), nil
 	}
+	hd.OnFallback = p.Faults.RecordFallback
 	delayed, err := NewDelayedDriver(hd, out.DelayTicks)
 	if err != nil {
 		return out, err

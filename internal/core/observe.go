@@ -13,8 +13,10 @@ import (
 // methods wrap the unexported implementations in pipeline.go with one
 // span per Fig. 1 stage (collect, clean, train, evaluate), all children
 // of a "pipeline" root span, and export stage metrics into the module's
-// registry. An uninstrumented module (the default) pays one nil check
-// per stage.
+// registry. Spans run on the fault plan's virtual clock, so they carry
+// modelled time and same-seed traces are byte-identical; the
+// autolearn_stage_seconds histogram times each stage on the wall clock.
+// An uninstrumented module (the default) pays one nil check per stage.
 
 // Instrument wires the module's subsystems — network, edge hub, testbed
 // — into the observer's metrics registry and stores the observer so
@@ -46,14 +48,16 @@ func (p *Pipeline) stageSpan(name string) *obs.Span {
 	return p.root.Child(name)
 }
 
-// endStage closes a stage span and records its wall-clock duration.
-func (p *Pipeline) endStage(sp *obs.Span, name string, err error) {
+// endStage closes a stage span and records the stage's wall-clock
+// duration since wall, the instant it opened. The span itself runs on
+// the plan's virtual clock and carries the stage's modelled time.
+func (p *Pipeline) endStage(sp *obs.Span, name string, wall time.Time, err error) {
 	if sp == nil {
 		return
 	}
 	sp.EndErr(err)
 	p.Obs.Metrics.Histogram("autolearn_stage_seconds", obs.DefSecondsBuckets,
-		obs.L("stage", name)).ObserveDuration(sp.EndTime.Sub(sp.StartTime))
+		obs.L("stage", name)).ObserveDuration(time.Since(wall))
 }
 
 // EndTrace closes the pipeline's root span. Call it after the last stage
@@ -69,7 +73,7 @@ func (p *Pipeline) EndTrace() {
 // CollectData runs one of the three Fig. 2 collection paths, leaving a tub
 // in the pipeline's work directory.
 func (p *Pipeline) CollectData(path CollectionPath, name string, ticks int) (CollectResult, error) {
-	sp := p.stageSpan("collect")
+	sp, wall := p.stageSpan("collect"), time.Now()
 	sp.SetAttr("path", string(path))
 	out, err := p.collectData(path, name, ticks)
 	sp.SetAttr("records", out.Records)
@@ -79,19 +83,19 @@ func (p *Pipeline) CollectData(path CollectionPath, name string, ticks int) (Col
 	sp.SetSimDuration("drive", out.Drive)
 	sp.SetSimDuration("transfer", out.Transfer)
 	p.Obs.Metrics.Counter("autolearn_records_collected_total").Add(float64(out.Records))
-	p.endStage(sp, "collect", err)
+	p.endStage(sp, "collect", wall, err)
 	return out, err
 }
 
 // CleanData runs tubclean's automatic detector over a collected tub
 // (the manual video review is available through the tub package directly).
 func (p *Pipeline) CleanData(tubDir string) (marked, remaining int, err error) {
-	sp := p.stageSpan("clean")
+	sp, wall := p.stageSpan("clean"), time.Now()
 	marked, remaining, err = p.cleanData(tubDir)
 	sp.SetAttr("marked", marked)
 	sp.SetAttr("remaining", remaining)
 	p.Obs.Metrics.Counter("autolearn_records_cleaned_total").Add(float64(marked))
-	p.endStage(sp, "clean", err)
+	p.endStage(sp, "clean", wall, err)
 	return marked, remaining, err
 }
 
@@ -100,7 +104,7 @@ func (p *Pipeline) CleanData(tubDir string) (marked, remaining int, err error) {
 // the object store (§3.3 "Model training").
 func (p *Pipeline) Train(tubDir string, kind pilot.Kind, gpu testbed.GPUType,
 	trainCfg nn.TrainConfig, start time.Time) (TrainResult, error) {
-	sp := p.stageSpan("train")
+	sp, wall := p.stageSpan("train"), time.Now()
 	sp.SetAttr("pilot", string(kind))
 	sp.SetAttr("gpu", string(gpu))
 
@@ -129,7 +133,7 @@ func (p *Pipeline) Train(tubDir string, kind pilot.Kind, gpu testbed.GPUType,
 	sp.SetSimDuration("provision", out.Provision)
 	sp.SetSimDuration("transfer", out.Transfer)
 	sp.SetSimDuration("gpu_train", out.SimGPUTime)
-	p.endStage(sp, "train", err)
+	p.endStage(sp, "train", wall, err)
 	return out, err
 }
 
@@ -137,7 +141,7 @@ func (p *Pipeline) Train(tubDir string, kind pilot.Kind, gpu testbed.GPUType,
 // and drives autonomously under the chosen inference placement, whose
 // control-loop latency is injected into the simulation as command delay.
 func (p *Pipeline) Evaluate(modelObject string, placement Placement, pm PlacementModel, ticks int) (EvalResult, error) {
-	sp := p.stageSpan("evaluate")
+	sp, wall := p.stageSpan("evaluate"), time.Now()
 	sp.SetAttr("placement", string(placement))
 	out, err := p.evaluate(modelObject, placement, pm, ticks)
 	sp.SetAttr("delay_ticks", out.DelayTicks)
@@ -146,6 +150,6 @@ func (p *Pipeline) Evaluate(modelObject string, placement Placement, pm Placemen
 	sp.SetAttr("mean_speed", out.Report.MeanSpeed)
 	sp.SetSimDuration("latency", out.Latency)
 	sp.SetSimDuration("download", out.Download)
-	p.endStage(sp, "evaluate", err)
+	p.endStage(sp, "evaluate", wall, err)
 	return out, err
 }

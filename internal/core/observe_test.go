@@ -3,12 +3,18 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pilot"
+	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
@@ -152,5 +158,131 @@ func TestUninstrumentedPipelineUnchanged(t *testing.T) {
 	p.EndTrace() // no-op
 	if p.Obs.Tracer != nil || p.root != nil {
 		t.Fatal("uninstrumented pipeline grew a tracer")
+	}
+}
+
+// faultFreeRun drives the Fig. 1 loop (collect, clean, train, evaluate)
+// on an instrumented seed-42 module with no scenario, and returns the
+// counter snapshot, the exported trace and its span count. The pipeline
+// runs on its fault-free plan, so its spans sit on that plan's virtual
+// clock.
+func faultFreeRun(t *testing.T) (map[string]float64, []byte, int) {
+	t.Helper()
+	cfg := fastConfig()
+	cfg.Seed = 42
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver()
+	m.Instrument(o)
+	s, err := m.Enroll("student", "mu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.NewPipeline(s, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := p.CollectData(Simulator, "drive", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.CleanData(col.TubDir); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := p.Train(col.TubDir, pilot.Linear, testbed.V100, defaultPipelineTrainConfig(), t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Evaluate(tr.ModelObject, EdgePlacement, DefaultPlacementModel(m.Net), 200); err != nil {
+		t.Fatal(err)
+	}
+	p.EndTrace()
+	var trace bytes.Buffer
+	if err := o.Tracer.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	return o.Metrics.Snapshot().Counters, trace.Bytes(), len(o.Tracer.Finished())
+}
+
+// The fault-free pipeline's replay golden: two same-seed runs export
+// byte-identical traces, and the span count, the trace's SHA-256 and the
+// counters match the checked-in golden (regenerate with UPDATE_GOLDEN=1).
+// Wall-clock histograms stay out of it; they are the only part of a run
+// that may vary.
+func TestPipelineTraceGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model twice")
+	}
+	counters, traceA, spans := faultFreeRun(t)
+	_, traceB, _ := faultFreeRun(t)
+	if len(traceA) == 0 || !bytes.Equal(traceA, traceB) {
+		t.Fatalf("same-seed fault-free pipelines exported different traces (%d vs %d bytes)", len(traceA), len(traceB))
+	}
+
+	keys := make([]string, 0, len(counters))
+	for k := range counters {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "fault-free pipeline trace, seed 42\n")
+	fmt.Fprintf(&got, "spans %d\n", spans)
+	fmt.Fprintf(&got, "trace sha256 %x\n", sha256.Sum256(traceA))
+	for _, k := range keys {
+		fmt.Fprintf(&got, "%s %g\n", k, counters[k])
+	}
+	golden := filepath.Join("testdata", "pipeline_trace_seed42.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, got.Len())
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("fault-free pipeline diverged from %s (regenerate with UPDATE_GOLDEN=1 if intended):\n got:\n%s\n want:\n%s",
+			golden, got.Bytes(), want)
+	}
+}
+
+// TestStageSecondsIsWallTime pins what autolearn_stage_seconds measures:
+// the stage's wall-clock time, even under a scenario runtime whose
+// virtual clock the stage spans run on. A 400-tick drive models 20 s,
+// which collecting it takes nowhere near.
+func TestStageSecondsIsWallTime(t *testing.T) {
+	m := fastModule(t)
+	o := obs.NewObserver()
+	m.Instrument(o)
+	rt, err := scenario.NewRuntime(&scenario.Scenario{Name: "empty"}, 1, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(o)
+	rt.Attach(m.Net)
+	s, err := m.Enroll("student", "mu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.NewPipeline(s, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableFaults(rt.Plan()); err != nil {
+		t.Fatal(err)
+	}
+	col, err := p.CollectData(Simulator, "drive", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := o.Metrics.Snapshot().HistSums[`autolearn_stage_seconds{stage="collect"}`]
+	if got <= 0 || got >= col.Drive.Seconds() {
+		t.Fatalf("collect stage_seconds sum = %gs, want wall time in (0, %gs) (the modelled drive time)",
+			got, col.Drive.Seconds())
 	}
 }

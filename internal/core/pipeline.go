@@ -36,15 +36,19 @@ type Pipeline struct {
 	// it was instrumented before NewPipeline.
 	Obs obs.Observer
 
-	// Faults, when set via EnableFaults, injects the plan's scheduled
-	// failures into every stage and routes WAN and object-store operations
-	// through its retry policy (see faultrun.go). Nil runs fault-free.
+	// Faults is the run's fault plan and virtual clock: every stage bills
+	// its modelled time to the clock, and WAN and object-store operations
+	// run under the plan's retry policy (see faultrun.go). NewPipeline
+	// starts on the fault-free plan; EnableFaults swaps in a scenario's.
 	Faults *faults.Plan
 
-	root *obs.Span // the "pipeline" span, parent of every stage span
+	root     *obs.Span // the "pipeline" span, parent of every stage span
+	scripted bool      // EnableFaults has swapped in a scenario's plan
 }
 
-// NewPipeline creates a pipeline for an enrolled student.
+// NewPipeline creates a pipeline for an enrolled student, on the
+// fault-free plan starting at faults.Epoch. The pipeline's spans run on
+// that plan's virtual clock.
 func (m *Module) NewPipeline(student *testbed.Session, workDir string) (*Pipeline, error) {
 	if student == nil {
 		return nil, fmt.Errorf("core: pipeline needs an enrolled student")
@@ -52,7 +56,9 @@ func (m *Module) NewPipeline(student *testbed.Session, workDir string) (*Pipelin
 	if workDir == "" {
 		return nil, fmt.Errorf("core: pipeline needs a work directory")
 	}
-	return &Pipeline{M: m, Student: student, WorkDir: workDir, WANLink: netem.CampusWAN, Obs: m.Obs}, nil
+	plan := faults.NewPlan(m.Cfg.Seed, faults.Epoch)
+	m.Obs.Tracer.SetClock(plan.Clock.Now)
+	return &Pipeline{M: m, Student: student, WorkDir: workDir, WANLink: netem.CampusWAN, Obs: m.Obs, Faults: plan}, nil
 }
 
 // CollectResult summarizes the data-collection phase.
@@ -183,7 +189,7 @@ func (p *Pipeline) collectData(path CollectionPath, name string, ticks int) (Col
 		out.Laps = res.Laps
 		out.Crashes = res.Crashes
 		out.Drive = res.Duration
-		p.advance(out.Drive)
+		p.Faults.Clock.Advance(out.Drive)
 		return out, nil
 	default:
 		return out, fmt.Errorf("core: unknown collection path %q", path)
@@ -233,7 +239,7 @@ func (p *Pipeline) train(tubDir string, kind pilot.Kind, gpu testbed.GPUType,
 	}
 	out.Instance = inst
 	out.Provision = inst.ReadyAt.Sub(start)
-	p.advance(out.Provision)
+	p.Faults.Clock.Advance(out.Provision)
 
 	// rsync the tub up.
 	t, err := tub.Open(tubDir)
@@ -265,7 +271,7 @@ func (p *Pipeline) train(tubDir string, kind pilot.Kind, gpu testbed.GPUType,
 	}
 	// Mirrors runTraining's condition for taking the preemption path, which
 	// bills its GPU time piecewise as it goes.
-	preemptible := p.Faults != nil && p.Faults.PreemptAfterFrac > 0 && trainCfg.Epochs >= 2
+	preemptible := p.Faults.PreemptAfterFrac > 0 && trainCfg.Epochs >= 2
 	hist, trained, err := p.runTraining(pl, samples, trainCfg, &out, start)
 	if err != nil {
 		return out, err
@@ -292,7 +298,7 @@ func (p *Pipeline) train(tubDir string, kind pilot.Kind, gpu testbed.GPUType,
 	out.SimGPUTime = simTime
 	if !preemptible {
 		// The preemption path already billed its GPU time piecewise.
-		p.advance(simTime)
+		p.Faults.Clock.Advance(simTime)
 	}
 
 	// Publish the checkpoint.

@@ -14,7 +14,8 @@ import (
 // Plan is one deterministic fault campaign: the run's virtual clock and
 // retry policy, the schedules a scenario installs (object-store windows,
 // device silences, a preemption point), and the counters the run
-// accrues. A nil *Plan means "no faults": its Do runs the operation once.
+// accrues. A plan with no schedules is the fault-free run: every run
+// owns a plan, so every run has one virtual clock.
 type Plan struct {
 	Clock *Clock
 	Retry Policy
@@ -40,6 +41,10 @@ type Plan struct {
 
 	metrics *obs.Registry
 }
+
+// Epoch is the virtual instant a run starts at unless its caller anchors
+// it elsewhere; the CLI, fleets and pipelines all start here.
+var Epoch = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
 
 // Horizon is how far past a run's start fault schedules may extend (the
 // scenario DSL's limit); pipelines run well inside it.

@@ -66,13 +66,8 @@ func (p Policy) backoff(attempt int, u float64) time.Duration {
 // Retryable) back off — advancing the clock, so partitions actually
 // pass — and try again; other errors return unchanged so callers keep
 // their errors.Is behavior. Every attempt, including the first, counts
-// into retry_attempts_total. On a nil plan Do runs fn once and returns
-// its error as is: no attempt is counted and no clock advances.
+// into retry_attempts_total.
 func (pl *Plan) Do(op string, fn func(attempt int) (cost time.Duration, err error)) error {
-	if pl == nil {
-		_, err := fn(1)
-		return err
-	}
 	pol := pl.Retry
 	max := pol.MaxAttempts
 	if max < 1 {

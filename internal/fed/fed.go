@@ -144,7 +144,7 @@ type Run struct {
 
 // NewRun assembles a run: the global pilot (the parameter server's copy)
 // over a fleet with one worker per shard (see NewFleet), plus heartbeat
-// playback when both a hub and a fault plan are present. shards must have
+// playback on the fleet's plan when a hub is present. shards must have
 // Cfg.Workers entries; val is the held-out set the server scores the
 // global model on after each round.
 func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) (*Run, error) {
@@ -165,7 +165,7 @@ func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample,
 	if r.Fleet, err = NewFleet("fed", 0xfed, &r.Cfg.FleetConfig, deps, global.Cfg, shards); err != nil {
 		return nil, err
 	}
-	if r.hub != nil && r.Plan != nil {
+	if r.hub != nil {
 		members := make([]edge.Member, len(r.Workers))
 		for i, w := range r.Workers {
 			members[i] = edge.Member{Name: w.Name, ID: w.deviceID}

@@ -86,15 +86,15 @@ func (c FleetConfig) Validate(name string) error {
 
 // Deps are the continuum substrates a run composes with. Net is required;
 // the rest are optional (nil Hub skips device registration, nil Store
-// skips checkpointing, nil Plan runs fault-free on a private clock).
+// skips checkpointing, nil Plan runs on a fault-free plan of its own).
 type Deps struct {
 	Net   *netem.Net
 	Hub   *edge.Hub
 	Store *objstore.Store
 	Plan  *faults.Plan
 	Obs   obs.Observer
-	// Start anchors the private clock when Plan is nil (Plan's own clock
-	// is used otherwise). The zero value is a fixed 2023 instant.
+	// Start anchors the fault-free plan's clock when Plan is nil (Plan's
+	// own clock is used otherwise). The zero value is faults.Epoch.
 	Start time.Time
 	// AfterRound, when set, runs at the end of every round inside the
 	// round's trace scope — the hook cmd/autolearn uses to hot-reload the
@@ -136,8 +136,9 @@ type Fleet struct {
 	afterRound func(round int, sc obs.SpanContext) error
 }
 
-// NewFleet wires deps onto one virtual clock, arms the store with the
-// fault plan's object-store faults, and builds one worker per shard, each
+// NewFleet wires deps onto the fault plan's virtual clock (a fault-free
+// plan anchored at deps.Start when deps.Plan is nil), arms the store with
+// the plan's object-store faults, and builds one worker per shard, each
 // with a trainable and a base pilot of architecture arch and a compute
 // speed drawn from cfg.Seed^speedSalt. When a hub is present, every
 // worker registers, flashes and boots a BYOD device; when the fault plan
@@ -167,8 +168,17 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 	if err != nil {
 		return nil, err
 	}
+	plan := deps.Plan
+	if plan == nil {
+		start := deps.Start
+		if start.IsZero() {
+			start = faults.Epoch
+		}
+		plan = faults.NewPlan(cfg.Seed, start)
+	}
 	f := &Fleet{
-		Plan:       deps.Plan,
+		Plan:       plan,
+		Clock:      plan.Clock,
 		Obs:        deps.Obs,
 		Codec:      codec,
 		name:       name,
@@ -178,17 +188,8 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 		store:      deps.Store,
 		afterRound: deps.AfterRound,
 	}
-	if plan := deps.Plan; plan != nil {
-		f.Clock = plan.Clock
-		if deps.Store != nil {
-			deps.Store.SetFaultHook(func(op, _, _ string) error { return plan.StoreFault(op) })
-		}
-	} else {
-		start := deps.Start
-		if start.IsZero() {
-			start = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
-		}
-		f.Clock = faults.NewClock(start)
+	if deps.Store != nil {
+		deps.Store.SetFaultHook(func(op, _, _ string) error { return plan.StoreFault(op) })
 	}
 	// The run lives entirely in virtual time, so its spans should too:
 	// re-clock the tracer onto the run's clock and hand it to every
@@ -205,10 +206,7 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 		}
 	}
 
-	var scripted []string
-	if deps.Plan != nil {
-		scripted = deps.Plan.ScriptDevices()
-	}
+	scripted := plan.ScriptDevices()
 	speedRNG := rand.New(rand.NewSource(cfg.Seed ^ speedSalt))
 	for i := range shards {
 		w := &Worker{
@@ -258,24 +256,16 @@ func (f *Fleet) CheckpointAt() (container, object string) {
 	return f.cfg.Container, f.cfg.Object
 }
 
-// Transfer bills size bytes over link, under the fault plan's retry
-// policy when one is attached. It returns the total virtual time the
-// operation consumed, including backoff waits; the clock has already
-// advanced by it. A retryable failure that exhausts the policy budget is
-// reported as (elapsed, err) with faults.Retryable(err) true — the caller
-// drops the worker or skips the exchange instead of stalling the round.
-// The trace context rides along so each WAN attempt (including the
-// retries a fault plan injects) emits its own netem_transfer span under
-// the caller's stage span.
+// Transfer bills size bytes over link under the fault plan's retry
+// policy. It returns the total virtual time the operation consumed,
+// including backoff waits; the clock has already advanced by it. A
+// retryable failure that exhausts the policy budget is reported as
+// (elapsed, err) with faults.Retryable(err) true — the caller drops the
+// worker or skips the exchange instead of stalling the round. The trace
+// context rides along so each WAN attempt (including the retries a fault
+// plan injects) emits its own netem_transfer span under the caller's
+// stage span.
 func (f *Fleet) Transfer(sc obs.SpanContext, op string, size int64, link netem.Link) (time.Duration, error) {
-	if f.Plan == nil {
-		tr, err := f.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		f.Clock.Advance(tr.Duration)
-		return tr.Duration, nil
-	}
 	before := f.Clock.Now()
 	err := f.Plan.Do(op, func(int) (time.Duration, error) {
 		tr, err := f.net.TransferCtx(sc, link, size)
@@ -400,11 +390,10 @@ func (w *Worker) reclaimResidual(enc Encoded) {
 // fresh accumulator is allocated on the next sparsified upload.
 func (w *Worker) clearResidual() { w.residual = nil }
 
-// Checkpoint writes model to the object store (under the retry policy
-// when a fault plan injects transient store errors), where the serving
-// registry's ETag poll picks it up. Each store attempt emits an
-// objstore_put span under a <name>_checkpoint span. It is a no-op when
-// checkpointing is disabled.
+// Checkpoint writes model to the object store under the fault plan's
+// retry policy, where the serving registry's ETag poll picks it up. Each
+// store attempt emits an objstore_put span under a <name>_checkpoint
+// span. It is a no-op when checkpointing is disabled.
 func (f *Fleet) Checkpoint(round int, parent *obs.Span, model *pilot.Pilot) error {
 	container, object := f.CheckpointAt()
 	if container == "" {

@@ -146,7 +146,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// Its store survives, so when the window passes the next round's
 	// digest exchanges anti-entropy it back to the fleet head version.
 	for _, w := range r.workers {
-		w.offline = r.Plan != nil && r.Plan.DeviceSilent(w.Name, r.Clock.Now())
+		w.offline = r.Plan.DeviceSilent(w.Name, r.Clock.Now())
 		if w.offline {
 			rr.Offline = append(rr.Offline, w.Idx)
 		}

@@ -23,26 +23,14 @@ import (
 	"repro/internal/scenario"
 )
 
-// Config wires a server to one fabric. Table, Net, and Now are
-// mandatory; Links defaults to resolving the table's link names against
-// the stock netem profiles; Runtime is optional and enables the
-// /scenario view and transition counts.
-type Config struct {
-	Table   *scenario.Table
-	Net     *netem.Net
-	Now     func() time.Time  // the fabric's virtual clock
-	Links   []netem.Link      // base profiles; default: stock lookup per table link
-	Runtime *scenario.Runtime // optional scripted scenario behind the table
-}
-
-// Server handles the netctl API. Safe for concurrent use: the table and
-// net carry their own locks, and the server's mutex covers the observer
-// and the event fan-out.
+// Server handles the netctl API over the fabric a scenario runtime
+// scripts. Safe for concurrent use: the table and net carry their own
+// locks, and the server's mutex covers the observer and the event
+// fan-out.
 type Server struct {
+	rt    *scenario.Runtime
 	table *scenario.Table
 	net   *netem.Net
-	now   func() time.Time
-	rt    *scenario.Runtime
 	links map[string]netem.Link
 
 	mu      sync.Mutex
@@ -54,29 +42,20 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New builds a server over the fabric described by cfg.
-func New(cfg Config) (*Server, error) {
-	if cfg.Table == nil || cfg.Net == nil || cfg.Now == nil {
-		return nil, fmt.Errorf("netctl: Table, Net, and Now are all required")
-	}
+// New builds a server over rt's fabric: its shape table, its virtual
+// clock, and its declared links, whose base profiles are the stock netem
+// links of the same names. net is the fabric rt is attached to.
+func New(rt *scenario.Runtime, net *netem.Net) *Server {
 	s := &Server{
-		table: cfg.Table,
-		net:   cfg.Net,
-		now:   cfg.Now,
-		rt:    cfg.Runtime,
+		rt:    rt,
+		table: rt.Table(),
+		net:   net,
 		links: map[string]netem.Link{},
 		subs:  map[int]chan scenario.Event{},
 		mux:   http.NewServeMux(),
 	}
-	for _, name := range cfg.Table.Links() {
-		l, _ := netem.ByName(name)
-		s.links[name] = l
-	}
-	for _, l := range cfg.Links {
-		if err := l.Validate(); err != nil {
-			return nil, fmt.Errorf("netctl: link %s: %w", l.Name, err)
-		}
-		s.links[l.Name] = l
+	for _, name := range s.table.Links() {
+		s.links[name], _ = netem.ByName(name)
 	}
 	s.mux.HandleFunc("/links", s.handleLinks)
 	s.mux.HandleFunc("/links/shape", s.handleShape)
@@ -86,8 +65,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/state", s.handleState)
 	s.mux.HandleFunc("/events", s.handleEvents)
 	s.mux.HandleFunc("/", s.handleIndex)
-	return s, nil
+	return s
 }
+
+// now is the fabric's virtual clock.
+func (s *Server) now() time.Time { return s.rt.Clock().Now() }
 
 // SetObserver attaches metrics: mutations, probes, and live scenario
 // loads are counted. Call before serving.
@@ -314,10 +296,6 @@ func (s *Server) handleClear(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		if s.rt == nil {
-			http.Error(w, "no scenario loaded", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, scenario.Format(s.rt.Scenario()))
 	case http.MethodPost:
@@ -421,16 +399,13 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	events := append([]scenario.Event(nil), s.recent...)
 	s.mu.Unlock()
-	state := map[string]any{
-		"now":    s.now().UTC().Format(time.RFC3339Nano),
-		"links":  s.viewLinks(),
-		"events": events,
-	}
-	if s.rt != nil {
-		state["scenario"] = s.rt.Describe()
-		state["transitions"] = s.rt.Transitions()
-	}
-	writeJSON(w, state)
+	writeJSON(w, map[string]any{
+		"now":         s.now().UTC().Format(time.RFC3339Nano),
+		"links":       s.viewLinks(),
+		"events":      events,
+		"scenario":    s.rt.Describe(),
+		"transitions": s.rt.Transitions(),
+	})
 }
 
 // handleEvents streams phase transitions and live mutations as

@@ -39,10 +39,7 @@ func newTestServer(t *testing.T) (*Server, *scenario.Runtime, *netem.Net, obs.Ob
 	}
 	net := netem.NewNet(11)
 	rt.Attach(net)
-	srv, err := New(Config{Table: rt.Table(), Net: net, Now: rt.Clock().Now, Runtime: rt})
-	if err != nil {
-		t.Fatalf("netctl: %v", err)
-	}
+	srv := New(rt, net)
 	o := obs.NewObserver()
 	srv.SetObserver(o)
 	rt.SetEventHook(srv.PublishEvent)

@@ -180,61 +180,3 @@ func TestRTTLatencyMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPathFlatten(t *testing.T) {
-	p, err := NewPath("test", WiFiLocal, CampusWAN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := p.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Latency != WiFiLocal.Latency+CampusWAN.Latency {
-		t.Errorf("latency %v", l.Latency)
-	}
-	// Bottleneck bandwidth is the Wi-Fi hop.
-	if l.Bandwidth != WiFiLocal.Bandwidth {
-		t.Errorf("bandwidth %g", l.Bandwidth)
-	}
-	// Compounded loss exceeds either hop's.
-	if l.LossRate <= WiFiLocal.LossRate || l.LossRate <= CampusWAN.LossRate {
-		t.Errorf("loss %g not compounded", l.LossRate)
-	}
-	if l.LossRate >= WiFiLocal.LossRate+CampusWAN.LossRate {
-		t.Errorf("loss %g exceeds union bound", l.LossRate)
-	}
-}
-
-func TestPathValidation(t *testing.T) {
-	if _, err := NewPath("empty"); err == nil {
-		t.Error("empty path accepted")
-	}
-	if _, err := NewPath("bad", Link{Bandwidth: 0}); err == nil {
-		t.Error("invalid hop accepted")
-	}
-}
-
-func TestCarToCloudSlowerThanAnyHop(t *testing.T) {
-	n := NewNet(11)
-	viaPath, err := n.TransferPath(CarToCloud(), 10<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := n.Transfer(FabricManaged, 10<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaPath.Duration <= direct.Duration {
-		t.Errorf("multi-hop (%v) not slower than the fastest hop (%v)", viaPath.Duration, direct.Duration)
-	}
-	d, err := n.RTTPath(CarToCloud(), 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow for jitter draws below nominal: floor minus several sigmas.
-	floor := 2*(WiFiLocal.Latency+CampusWAN.Latency+FabricManaged.Latency) - 8*CampusWAN.Jitter
-	if d < floor {
-		t.Errorf("path RTT %v below propagation floor %v", d, floor)
-	}
-}

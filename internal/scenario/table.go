@@ -35,26 +35,10 @@ func NewTable(s *Scenario, start time.Time) *Table {
 		t.sched[decl.Name] = compileLink(s, decl, start)
 	}
 	t.names = sortedCopy(s.LinkNames())
-	t.resetLive()
-	return t
-}
-
-// NewLinkTable builds an empty timeline over the given links — the
-// standalone netctl fabric, where every shape arrives live.
-func NewLinkTable(links ...string) *Table {
-	t := &Table{sched: map[string][]epoch{}, live: map[string][]epoch{}}
-	for _, name := range links {
-		t.sched[name] = nil
-	}
-	t.names = sortedCopy(links)
-	t.resetLive()
-	return t
-}
-
-func (t *Table) resetLive() {
 	for name, es := range t.sched {
 		t.live[name] = append([]epoch(nil), es...)
 	}
+	return t
 }
 
 // compileLink flattens every phase targeting the link into sorted epochs.

@@ -1,12 +1,12 @@
 #!/bin/sh
 # Full pre-merge verification: vet, build, race-enabled tests, the
-# perfbench module's vet and self-test, a fault-profile pipeline smoke
-# run (byte-identical same-seed traces), a metrics-cardinality lint, a
-# cross-subsystem trace smoke (byte-identical same-seed exports), a
-# scenario smoke (library checks, replay determinism, probe tolerance),
-# a gossip smoke (byte-identical same-seed overlay runs, partition
-# survival vs the star control), the registry contention guard, and
-# gofmt.
+# perfbench module's vet and self-test, fault-profile and fault-free
+# pipeline smoke runs (byte-identical same-seed traces), a
+# metrics-cardinality lint, a cross-subsystem trace smoke
+# (byte-identical same-seed exports), a scenario smoke (library checks,
+# replay determinism, probe tolerance), a gossip smoke (byte-identical
+# same-seed overlay runs, partition survival vs the star control), the
+# registry contention guard, and gofmt.
 # Run from the repo root: ./scripts/verify.sh
 set -eu
 
@@ -26,7 +26,7 @@ echo "==> perfbench: go vet ./... && go test ./..."
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fault-profile smoke run (lossy-wan, byte-identical same-seed traces)"
+echo "==> pipeline smoke runs (lossy-wan and fault-free, byte-identical same-seed traces)"
 metrics=$(mktemp)
 out=$(mktemp)
 pt1=$(mktemp) pt2=$(mktemp)
@@ -51,6 +51,21 @@ go run ./cmd/autolearn pipeline -faults lossy-wan -trace "$pt2" >/dev/null 2>&1 
     echo "second traced fault-profile pipeline failed" >&2; exit 1; }
 cmp -s "$pt1" "$pt2" || {
     echo "fault-profile smoke: same-seed pipeline runs exported different trace bytes" >&2
+    exit 1
+}
+# Without flags the pipeline runs the empty scenario: the same runtime,
+# tally and virtual clock, so its trace replays byte-identically too.
+go run ./cmd/autolearn pipeline -trace "$pt1" >"$out" 2>&1 || {
+    echo "fault-free pipeline failed:" >&2; cat "$out" >&2; exit 1; }
+if ! grep -q '^== faults:' "$out"; then
+    echo "fault-free pipeline printed no fault summary (not run as the empty scenario):" >&2
+    cat "$out" >&2
+    exit 1
+fi
+go run ./cmd/autolearn pipeline -trace "$pt2" >/dev/null 2>&1 || {
+    echo "second traced fault-free pipeline failed" >&2; exit 1; }
+cmp -s "$pt1" "$pt2" || {
+    echo "fault-free smoke: same-seed pipeline runs exported different trace bytes" >&2
     exit 1
 }
 rm -f "$pt1" "$pt2"
