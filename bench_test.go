@@ -1116,6 +1116,47 @@ func BenchmarkPilotInference(b *testing.B) {
 	}
 }
 
+// BenchmarkPilotInferenceQuant times InferBatch on the CLI's 64×48
+// inferred pilot, float64 against int8, at a lone request (b1) and a
+// full training-size batch (b32): the serving shapes where int8 has to
+// beat the float64 kernels to be worth enabling.
+func BenchmarkPilotInferenceQuant(b *testing.B) {
+	for _, batch := range []int{1, 32} {
+		for _, mode := range []string{"float64", nn.QuantInt8} {
+			b.Run(fmt.Sprintf("%s/b%d", mode, batch), func(b *testing.B) {
+				cfg := pilot.DefaultConfig(pilot.Inferred, 64, 48, 1)
+				p, err := pilot.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if mode == nn.QuantInt8 {
+					if err := p.EnableQuant(mode); err != nil {
+						b.Fatal(err)
+					}
+				}
+				rng := rand.New(rand.NewSource(1))
+				samples := make([]pilot.Sample, batch)
+				for i := range samples {
+					f, err := sim.NewFrame(cfg.Width, cfg.Height, cfg.Channels)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for j := range f.Pix {
+						f.Pix[j] = uint8(rng.Intn(256))
+					}
+					samples[i] = pilot.Sample{Frames: []*sim.Frame{f}}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.InferBatch(samples); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // e11Samples builds the federated fleet's synthetic driving set: frames
 // whose bright column encodes steering, at the small geometry the serving
 // benchmarks use, so local training stays CPU-cheap.

@@ -150,7 +150,7 @@ func cmdServe(args []string) error {
 	replicas := fs.Int("replicas", 0, fmt.Sprintf("scheduler shards per model, each with its own pilot instance (0 = 1, max %d)", serve.MaxReplicas))
 	quant := fs.String("quant", "", "quantized inference mode: int8 (empty = float64)")
 	poll := fs.Duration("poll", 2*time.Second, "checkpoint reload poll interval (0 disables)")
-	scnFile := fs.String("scenario", "", "scenario file scripting the serving WAN (netctl pane at /netctl/)")
+	scnFile := fs.String("scenario", "", "scenario file scripting the serving WAN with link phases (netctl pane at /netctl/); objstore, silence and preempt are rejected")
 	fs.Parse(args)
 
 	specs, err := parseModelSpecs(*models)
@@ -160,6 +160,9 @@ func cmdServe(args []string) error {
 	var rt *scenario.Runtime
 	if *scnFile != "" {
 		if rt, err = loadScenarioRuntime(*scnFile, 1); err != nil {
+			return err
+		}
+		if err := servable(rt.Scenario()); err != nil {
 			return err
 		}
 	}
@@ -180,6 +183,22 @@ func cmdServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return runServe(ctx, *addr, specs, cfg, *quant, *poll, rt)
+}
+
+// servable rejects the scenario directives serve cannot apply: objstore
+// and silence phases and preempt act on a run's object store, heartbeat
+// devices and training lease, and a server has none of them, so running
+// such a file would silently ignore part of it.
+func servable(s *scenario.Scenario) error {
+	if s.Preempt > 0 {
+		return fmt.Errorf("serve: scenario %q sets preempt, but serve holds no training lease; serve applies link phases only", s.Name)
+	}
+	for _, ph := range s.Phases {
+		if ph.Kind == scenario.Objstore || ph.Kind == scenario.Silence {
+			return fmt.Errorf("serve: scenario %q has a %s phase at %v..%v; serve applies link phases only", s.Name, ph.Kind, ph.Start, ph.End)
+		}
+	}
+	return nil
 }
 
 // runServe serves until ctx is canceled, then drains the HTTP server and

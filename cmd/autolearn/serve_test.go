@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/pilot"
@@ -40,6 +42,35 @@ func TestParseModelSpecs(t *testing.T) {
 func TestCmdServeRequiresModels(t *testing.T) {
 	if err := cmdServe(nil); err == nil {
 		t.Fatal("serve without -models accepted")
+	}
+}
+
+// TestCmdServeRejectsUnservableScenario: serve -scenario refuses, by
+// name and before loading any model, each directive it cannot apply,
+// while the link-only library files get past the check (and fail only
+// on the missing checkpoint).
+func TestCmdServeRejectsUnservableScenario(t *testing.T) {
+	dir := t.TempDir()
+	models := "m=" + filepath.Join(dir, "missing.ckpt")
+	for i, c := range []struct{ directive, line string }{
+		{"objstore", "phase 0s..1m objstore every=2"},
+		{"silence", "phase 0s..1m silence device=edge-pi-1"},
+		{"preempt", "preempt 0.5"},
+	} {
+		file := filepath.Join(dir, fmt.Sprintf("s%d.scn", i))
+		if err := os.WriteFile(file, []byte("scenario v1\n"+c.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := cmdServe([]string{"-models", models, "-addr", "127.0.0.1:0", "-scenario", file})
+		if err == nil || !strings.Contains(err.Error(), c.directive) {
+			t.Errorf("%s: serve -scenario returned %v, want an error naming %q", c.directive, err, c.directive)
+		}
+	}
+	for _, file := range []string{"../../scenarios/clean.scn", "../../scenarios/lossy-wan.scn"} {
+		err := cmdServe([]string{"-models", models, "-addr", "127.0.0.1:0", "-scenario", file})
+		if err == nil || !strings.Contains(err.Error(), "missing.ckpt") {
+			t.Errorf("%s: serve -scenario returned %v, want it accepted and the missing checkpoint reported", file, err)
+		}
 	}
 }
 

@@ -453,7 +453,7 @@ func Install(vals [][]float64, pilots ...*pilot.Pilot) error {
 				return fmt.Errorf("fed: install tensor %d: %d values into %d weights", i, len(vals[i]), len(prm.W.Data))
 			}
 			copy(prm.W.Data, vals[i])
-			prm.Grad.Zero()
+			prm.ZeroGrad()
 		}
 	}
 	return nil

@@ -141,6 +141,7 @@ func (bn *BatchNorm) Backward(grad *Tensor) (*Tensor, error) {
 	}
 	count := float64(nBatch * spatial)
 	dx := NewTensor(grad.Shape...)
+	dBeta, dGamma := bn.beta.grad().Data, bn.gamma.grad().Data
 	for f := 0; f < bn.Features; f++ {
 		var sumDy, sumDyXhat float64
 		for n := 0; n < nBatch; n++ {
@@ -150,8 +151,8 @@ func (bn *BatchNorm) Backward(grad *Tensor) (*Tensor, error) {
 				sumDyXhat += grad.Data[i] * bn.lastXHat.Data[i]
 			}
 		}
-		bn.beta.Grad.Data[f] += sumDy
-		bn.gamma.Grad.Data[f] += sumDyXhat
+		dBeta[f] += sumDy
+		dGamma[f] += sumDyXhat
 		g := bn.gamma.W.Data[f]
 		std := bn.lastStd[f]
 		for n := 0; n < nBatch; n++ {

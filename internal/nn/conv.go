@@ -183,6 +183,7 @@ func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 	patch := c.InC * c.K * c.K
 
 	// Bias gradient.
+	db := c.b.grad().Data
 	for i := 0; i < n; i++ {
 		for f := 0; f < c.OutC; f++ {
 			base := ((i*c.OutC + f) * oh) * ow
@@ -190,7 +191,7 @@ func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 			for p := 0; p < oh*ow; p++ {
 				s += grad.Data[base+p]
 			}
-			c.b.Grad.Data[f] += s
+			db[f] += s
 		}
 	}
 
@@ -215,7 +216,7 @@ func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 	// dW[f, tap] = sum_pos gmat[pos, f] * cols[pos, tap]  (= gmatᵀ × cols)
 	dw := getScratch(c.OutC, patch)
 	gemmTransAInto(gmat.Data, c.cols.Data, dw.Data, n*oh*ow, c.OutC, patch)
-	if err := c.w.Grad.AddScaled(dw, 1); err != nil {
+	if err := c.w.grad().AddScaled(dw, 1); err != nil {
 		return nil, err
 	}
 	releaseScratch(dw)
@@ -411,6 +412,7 @@ func (c *Conv3D) Backward(grad *Tensor) (*Tensor, error) {
 	n, t, h, w := x.Shape[0], x.Shape[2], x.Shape[3], x.Shape[4]
 	ot, oh, ow := c.outT, c.outH, c.outW
 	dx := NewTensor(n, c.InC, t, h, w)
+	db, dw := c.b.grad().Data, c.w.grad().Data
 	for i := 0; i < n; i++ {
 		for f := 0; f < c.OutC; f++ {
 			for oz := 0; oz < ot; oz++ {
@@ -420,14 +422,14 @@ func (c *Conv3D) Backward(grad *Tensor) (*Tensor, error) {
 						if g == 0 {
 							continue
 						}
-						c.b.Grad.Data[f] += g
+						db[f] += g
 						for ch := 0; ch < c.InC; ch++ {
 							for kz := 0; kz < c.KT; kz++ {
 								for ky := 0; ky < c.K; ky++ {
 									for kx := 0; kx < c.K; kx++ {
 										xi := (((i*c.InC+ch)*t+(oz+kz))*h+(oy*c.Stride+ky))*w + ox*c.Stride + kx
 										wi := (((f*c.InC+ch)*c.KT+kz)*c.K+ky)*c.K + kx
-										c.w.Grad.Data[wi] += g * x.Data[xi]
+										dw[wi] += g * x.Data[xi]
 										dx.Data[xi] += g * c.w.W.Data[wi]
 									}
 								}

@@ -13,6 +13,12 @@ package nn
 // kernels may round differently from the naive references (partial-sum
 // grouping), but the difference is bounded well below 1e-12 for
 // unit-scale data, which kerneltest asserts.
+//
+// Where the CPU and OS support AVX2 (useAVX2), the inner kernels run in
+// assembly (simd_amd64.s) that forms every output from the same IEEE
+// multiplies and adds, in the same order, as the portable Go kernels
+// below (gemmRowGo, gemmTransBGo), so the two paths agree bit for bit
+// and the portable kernels stay the reference for the assembly.
 
 const (
 	// gemmTileM × gemmTileN is the C tile each parallel work unit owns in
@@ -21,47 +27,19 @@ const (
 	// sweeps the tile.
 	gemmTileM = 64
 	gemmTileN = 64
+
+	// gemmBlockBytes sizes the k blocks of the row kernels: each worker
+	// sweeps all of its C rows over one block of B rows (about this many
+	// bytes) before moving on, so B streams from memory once per worker
+	// instead of once per C row. Blocks are whole four-step groups, which
+	// leaves every element's accumulation order unchanged.
+	gemmBlockBytes = 128 << 10
 )
 
 // gemmInto computes C = A×B on raw row-major buffers (overwrite, not
-// accumulate): A is [m,k], B is [k,n], C is [m,n]. The inner kernel
-// processes four k-steps per pass so each C row is loaded and stored
-// n/4 times less than the naive ikj loop.
+// accumulate): A is [m,k], B is [k,n], C is [m,n].
 func gemmInto(a, b, c []float64, m, k, n int) {
-	work := func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ai := a[i*k : (i+1)*k]
-			ci := c[i*n : (i+1)*n]
-			for j := range ci {
-				ci[j] = 0
-			}
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				av0, av1, av2, av3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				b0 := b[p*n : (p+1)*n]
-				b1 := b[(p+1)*n : (p+2)*n]
-				b2 := b[(p+2)*n : (p+3)*n]
-				b3 := b[(p+3)*n : (p+4)*n]
-				for j := range ci {
-					ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := ai[p]
-				if av == 0 {
-					continue
-				}
-				bp := b[p*n : (p+1)*n]
-				for j := range ci {
-					ci[j] += av * bp[j]
-				}
-			}
-		}
-	}
-	parallelFor(m, m*k*n, work)
+	gemmRows(gemmRow, a, k, 1, b, nil, c, m, k, n, nil)
 }
 
 // gemmBiasInto computes C = A×B + bias (bias broadcast across rows) and
@@ -69,33 +47,50 @@ func gemmInto(a, b, c []float64, m, k, n int) {
 // is still cache-hot. epi receives the flat [lo, hi) index range of C it
 // must process; ranges from concurrent workers never overlap.
 func gemmBiasInto(a, b, bias, c []float64, m, k, n int, epi func(lo, hi int)) {
+	gemmRows(gemmRow, a, k, 1, b, bias, c, m, k, n, epi)
+}
+
+// gemmTransAInto computes C = Aᵀ×B (overwrite) for A [k,m], B [k,n],
+// C [m,n]. Row i's coefficients are column i of A, read with stride m.
+func gemmTransAInto(a, b, c []float64, k, m, n int) {
+	gemmRows(gemmRow, a, 1, m, b, nil, c, m, k, n, nil)
+}
+
+// rowKernel accumulates one C row: c[j] += Σ_p a[p·astep]·b[p·n+j] for
+// p in [0, k). gemmRowGo defines the order; gemmRowAVX2 reproduces it.
+type rowKernel func(a []float64, astep int, b, c []float64, k, n int)
+
+// gemmRow is the row kernel the CPU supports.
+func gemmRow(a []float64, astep int, b, c []float64, k, n int) {
+	if useAVX2 {
+		gemmRowAVX2(a, astep, b, c, k, n)
+		return
+	}
+	gemmRowGo(a, astep, b, c, k, n)
+}
+
+// gemmRows drives a row kernel over C = A'×B + bias, where A' row i,
+// tap p is a[i·aRow + p·aStep]. C rows start from bias, or zero when
+// bias is nil. Workers own disjoint row ranges and sweep them k block by
+// k block (gemmBlockBytes), so each element's order is fixed regardless
+// of worker count; epi, when non-nil, runs on each worker's finished
+// range.
+func gemmRows(row rowKernel, a []float64, aRow, aStep int, b, bias, c []float64, m, k, n int, epi func(lo, hi int)) {
+	kb := max(4, gemmBlockBytes/(8*max(n, 1))&^3)
 	work := func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ai := a[i*k : (i+1)*k]
-			ci := c[i*n : (i+1)*n]
-			copy(ci, bias)
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				av0, av1, av2, av3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
+		for p0 := 0; p0 < k || p0 == 0; p0 += kb {
+			p1 := min(p0+kb, k)
+			for i := i0; i < i1; i++ {
+				ci := c[i*n : (i+1)*n]
+				if p0 == 0 {
+					if bias != nil {
+						copy(ci, bias)
+					} else {
+						clear(ci)
+					}
 				}
-				b0 := b[p*n : (p+1)*n]
-				b1 := b[(p+1)*n : (p+2)*n]
-				b2 := b[(p+2)*n : (p+3)*n]
-				b3 := b[(p+3)*n : (p+4)*n]
-				for j := range ci {
-					ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := ai[p]
-				if av == 0 {
-					continue
-				}
-				bp := b[p*n : (p+1)*n]
-				for j := range ci {
-					ci[j] += av * bp[j]
+				if p1 > p0 {
+					row(a[i*aRow+p0*aStep:], aStep, b[p0*n:p1*n], ci, p1-p0, n)
 				}
 			}
 		}
@@ -106,56 +101,59 @@ func gemmBiasInto(a, b, bias, c []float64, m, k, n int, epi func(lo, hi int)) {
 	parallelFor(m, m*k*n, work)
 }
 
-// gemmTransAInto computes C = Aᵀ×B (overwrite) for A [k,m], B [k,n],
-// C [m,n]. Workers own disjoint row blocks of C and sweep all of A/B, so
-// the k-order per element is fixed regardless of worker count. The column
-// of A is read with stride m; blocking k keeps the active B rows in L1.
-func gemmTransAInto(a, b, c []float64, k, m, n int) {
-	work := func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ci := c[i*n : (i+1)*n]
-			for j := range ci {
-				ci[j] = 0
-			}
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				av0 := a[p*m+i]
-				av1 := a[(p+1)*m+i]
-				av2 := a[(p+2)*m+i]
-				av3 := a[(p+3)*m+i]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				b0 := b[p*n : (p+1)*n]
-				b1 := b[(p+1)*n : (p+2)*n]
-				b2 := b[(p+2)*n : (p+3)*n]
-				b3 := b[(p+3)*n : (p+4)*n]
-				for j := range ci {
-					ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				bp := b[p*n : (p+1)*n]
-				for j := range ci {
-					ci[j] += av * bp[j]
-				}
-			}
+// gemmRowGo is the portable row kernel. It processes four k-steps per
+// pass, c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j], so each C
+// row is loaded and stored a quarter as often as in the naive loop; a
+// group whose four coefficients are all zero is skipped, and the k%4
+// tail runs one step at a time, skipping zero coefficients.
+func gemmRowGo(a []float64, astep int, b, c []float64, k, n int) {
+	c = c[:n]
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		av0, av1, av2, av3 := a[p*astep], a[(p+1)*astep], a[(p+2)*astep], a[(p+3)*astep]
+		if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+			continue
+		}
+		b0 := b[p*n : (p+1)*n]
+		b1 := b[(p+1)*n : (p+2)*n]
+		b2 := b[(p+2)*n : (p+3)*n]
+		b3 := b[(p+3)*n : (p+4)*n]
+		for j := range c {
+			c[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
 		}
 	}
-	parallelFor(m, m*k*n, work)
+	for ; p < k; p++ {
+		av := a[p*astep]
+		if av == 0 {
+			continue
+		}
+		bp := b[p*n : (p+1)*n]
+		for j := range c {
+			c[j] += av * bp[j]
+		}
+	}
 }
 
 // gemmTransBInto computes C = A×Bᵀ (overwrite) for A [m,k], B [n,k],
-// C [m,n]. The output is 2-D-tiled into gemmTileM × gemmTileN blocks
-// scheduled across workers (instead of whole-row chunks), and rows of A
-// and B are both contiguous, so inside a tile the kernel register-tiles
-// 2×4 output elements: each pass loads two A rows and four B rows once
-// and feeds eight dot-product accumulators.
+// C [m,n], on the AVX2 tile kernel when the CPU has it and C has at
+// least one whole 4-row block: below that, packing B costs more than
+// the kernel saves (1×64×2240 ran 5× slower packed than portable).
 func gemmTransBInto(a, b, c []float64, m, k, n int) {
+	if useAVX2 && m >= 4 {
+		gemmTransBAVX2(a, b, c, m, k, n)
+		return
+	}
+	gemmTransBGo(a, b, c, m, k, n)
+}
+
+// gemmTransBGo is the portable A×Bᵀ kernel. The output is 2-D-tiled into
+// gemmTileM × gemmTileN blocks scheduled across workers (instead of
+// whole-row chunks), and rows of A and B are both contiguous, so inside
+// a tile the kernel register-tiles 2×4 output elements: each pass loads
+// two A rows and four B rows once and feeds eight dot-product
+// accumulators. Every output is the sequential sum over p = 0..k-1 from
+// +0.
+func gemmTransBGo(a, b, c []float64, m, k, n int) {
 	mt := (m + gemmTileM - 1) / gemmTileM
 	nt := (n + gemmTileN - 1) / gemmTileN
 	parallelForTiles(mt, nt, m*k*n, func(ti, tj int) {

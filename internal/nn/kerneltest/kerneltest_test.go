@@ -51,11 +51,13 @@ func TestGEMMGrid(t *testing.T) {
 // TestGEMMDeterminism asserts the kernels are bitwise identical across
 // repeated runs and across worker counts: each output element is
 // accumulated in a fixed k-order by exactly one goroutine, so the
-// result may not depend on scheduling at all.
+// result may not depend on scheduling at all. The shapes cover partial
+// 4-row blocks and 8-column panels of the AVX2 A×Bᵀ kernel, several k
+// blocks of the row kernels ({9, 2003, 25}), and the pilot's conv2 GEMM.
 func TestGEMMDeterminism(t *testing.T) {
 	defer nn.SetMaxWorkers(nn.SetMaxWorkers(1))
 	for _, v := range Variants() {
-		for _, s := range [][3]int{{65, 33, 65}, {130, 25, 8}, {16, 576, 50}} {
+		for _, s := range [][3]int{{65, 33, 65}, {130, 25, 8}, {16, 576, 50}, {9, 2003, 25}, {4480, 72, 16}} {
 			rng := rand.New(rand.NewSource(42))
 			ar, ac := v.AShape(s[0], s[1], s[2])
 			br, bc := v.BShape(s[0], s[1], s[2])
@@ -126,10 +128,11 @@ func TestQuantGrid(t *testing.T) {
 // TestQuantDeterminism asserts the quantized kernel is bitwise stable
 // across runs and worker counts: every stage (rounding, integer GEMM,
 // dequantization) is exact, so there is no tolerance to hide behind.
+// {5, 10000, 50} spans several weight blocks of the AVX2 kernel.
 func TestQuantDeterminism(t *testing.T) {
 	defer nn.SetMaxWorkers(nn.SetMaxWorkers(1))
 	for _, v := range QuantVariants() {
-		for _, s := range [][3]int{{32, 100, 24}, {5, 33, 12}, {16, 576, 50}} {
+		for _, s := range [][3]int{{32, 100, 24}, {5, 33, 12}, {16, 576, 50}, {5, 10000, 50}} {
 			rng := rand.New(rand.NewSource(77))
 			a := RandTensor(rng, s[0], s[1])
 			b := RandTensor(rng, s[2], s[1])
@@ -253,12 +256,22 @@ func compareWeights(t *testing.T, label string, a, b [][]float64) {
 	}
 }
 
-// BenchmarkGEMM measures the optimized kernels on the two panel shapes
-// that dominate pilot-model training (conv im2col and the dense head),
-// for scripts/bench.sh to track alongside the end-to-end experiments.
+// gemmBenchShapes lists, per layout, the logical (m, k, n) problems
+// BenchmarkGEMM times: the conv im2col and dense-head panels, then the
+// pilot's hot GEMMs in training (the 64×48 inferred pilot at batch 32:
+// conv1 and conv2 forward, weight gradients and input gradients, and its
+// 2240→64 Dense, whose biased forward shares MatMul's row kernel).
+var gemmBenchShapes = map[string][][3]int{
+	"MatMul":       {{560, 25, 8}, {64, 576, 50}, {4480, 16, 72}, {32, 2240, 64}},
+	"MatMulTransA": {{560, 25, 8}, {64, 576, 50}, {8, 21120, 25}, {16, 4480, 72}, {2240, 32, 64}},
+	"MatMulTransB": {{560, 25, 8}, {64, 576, 50}, {21120, 25, 8}, {4480, 72, 16}, {32, 64, 2240}},
+}
+
+// BenchmarkGEMM measures the optimized kernels on gemmBenchShapes, for
+// scripts/bench.sh to track alongside the end-to-end experiments.
 func BenchmarkGEMM(b *testing.B) {
 	for _, v := range Variants() {
-		for _, s := range [][3]int{{560, 25, 8}, {64, 576, 50}} {
+		for _, s := range gemmBenchShapes[v.Name] {
 			rng := rand.New(rand.NewSource(1))
 			ar, ac := v.AShape(s[0], s[1], s[2])
 			br, bc := v.BShape(s[0], s[1], s[2])

@@ -10,14 +10,34 @@ import (
 // params (e.g. batch-norm running statistics) are serialized with the
 // model but skipped by optimizers.
 type Param struct {
-	Name   string
-	W      *Tensor
+	Name string
+	W    *Tensor
+	// Grad is nil until the param first trains: the first backward pass
+	// or optimizer step allocates it zeroed, so a model that only runs
+	// inference (a loaded checkpoint that serves, evaluates or teaches)
+	// never holds gradient memory.
 	Grad   *Tensor
 	Frozen bool
 }
 
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, W: NewTensor(shape...), Grad: NewTensor(shape...)}
+	return &Param{Name: name, W: NewTensor(shape...)}
+}
+
+// grad returns the gradient, allocating it zeroed on first use.
+func (p *Param) grad() *Tensor {
+	if p.Grad == nil {
+		p.Grad = NewTensor(p.W.Shape...)
+	}
+	return p.Grad
+}
+
+// ZeroGrad clears the accumulated gradient. A param that has not
+// trained has none to clear.
+func (p *Param) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
 }
 
 // Layer is one differentiable stage. Forward caches whatever Backward
@@ -86,14 +106,15 @@ func (d *Dense) backwardParamsOnly(grad *Tensor) error {
 	n := grad.Shape[0]
 	dw := getScratch(d.In, d.Out)
 	gemmTransAInto(d.lastX.Data, grad.Data, dw.Data, n, d.In, d.Out)
-	if err := d.w.Grad.AddScaled(dw, 1); err != nil {
+	if err := d.w.grad().AddScaled(dw, 1); err != nil {
 		return err
 	}
 	releaseScratch(dw)
+	db := d.b.grad().Data
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*d.Out : (i+1)*d.Out]
 		for j := 0; j < d.Out; j++ {
-			d.b.Grad.Data[j] += row[j]
+			db[j] += row[j]
 		}
 	}
 	return nil

@@ -165,16 +165,17 @@ func (l *LSTM) Backward(grad *Tensor) (*Tensor, error) {
 			copy(xt.Data[i*l.In:(i+1)*l.In], l.xs.Data[(i*t+step)*l.In:(i*t+step+1)*l.In])
 		}
 		gemmTransAInto(xt.Data, dz.Data, dwx.Data, n, l.In, h4)
-		if err := l.wx.Grad.AddScaled(dwx, 1); err != nil {
+		if err := l.wx.grad().AddScaled(dwx, 1); err != nil {
 			return nil, err
 		}
 		gemmTransAInto(l.hs[step].Data, dz.Data, dwh.Data, n, l.Hidden, h4)
-		if err := l.wh.Grad.AddScaled(dwh, 1); err != nil {
+		if err := l.wh.grad().AddScaled(dwh, 1); err != nil {
 			return nil, err
 		}
+		db := l.b.grad().Data
 		for i := 0; i < n; i++ {
 			for j := 0; j < h4; j++ {
-				l.b.Grad.Data[j] += dz.Data[i*h4+j]
+				db[j] += dz.Data[i*h4+j]
 			}
 		}
 		// Input and previous-hidden gradients.

@@ -140,7 +140,7 @@ func gradCheck(t *testing.T, layer Layer, x *Tensor, tol float64) {
 	c.RandNormal(r, 1)
 	// Analytic gradient.
 	for _, p := range layer.Params() {
-		p.Grad.Zero()
+		p.ZeroGrad()
 	}
 	dx, err := layer.Backward(c)
 	if err != nil {
@@ -175,7 +175,7 @@ func gradCheck(t *testing.T, layer Layer, x *Tensor, tol float64) {
 	// Numeric gradient w.r.t. a sample of parameter entries.
 	obj() // restore caches for current x
 	for _, p := range layer.Params() {
-		p.Grad.Zero()
+		p.ZeroGrad()
 	}
 	if _, err := layer.Backward(c); err != nil {
 		t.Fatal(err)
@@ -189,8 +189,8 @@ func gradCheck(t *testing.T, layer Layer, x *Tensor, tol float64) {
 		lo := obj()
 		p.W.Data[i] = orig
 		num := (hi - lo) / (2 * eps)
-		if math.Abs(num-p.Grad.Data[i]) > tol*(1+math.Abs(num)) {
-			t.Errorf("param %s grad [%d]: analytic %g vs numeric %g", p.Name, i, p.Grad.Data[i], num)
+		if g := p.grad().Data[i]; math.Abs(num-g) > tol*(1+math.Abs(num)) {
+			t.Errorf("param %s grad [%d]: analytic %g vs numeric %g", p.Name, i, g, num)
 		}
 	}
 }
@@ -589,7 +589,7 @@ func TestTrainDeterministic(t *testing.T) {
 
 func TestGradientClipping(t *testing.T) {
 	p := newParam("w", 2)
-	p.Grad.Data[0] = 100
+	p.grad().Data[0] = 100
 	p.Grad.Data[1] = -50
 	pre := ClipGradients([]*Param{p}, 1)
 	if pre != 100 {

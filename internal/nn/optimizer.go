@@ -57,9 +57,10 @@ func (s *SGD) Name() string { return "sgd" }
 func (s *SGD) Step(params []*Param) error {
 	for _, p := range params {
 		if p.Frozen {
-			p.Grad.Zero()
+			p.ZeroGrad()
 			continue
 		}
+		g := p.grad()
 		if s.Momentum > 0 {
 			v, ok := s.vel[p]
 			if !ok {
@@ -67,15 +68,15 @@ func (s *SGD) Step(params []*Param) error {
 				s.vel[p] = v
 			}
 			for i := range v.Data {
-				v.Data[i] = s.Momentum*v.Data[i] - s.LR*p.Grad.Data[i]
+				v.Data[i] = s.Momentum*v.Data[i] - s.LR*g.Data[i]
 				p.W.Data[i] += v.Data[i]
 			}
 		} else {
 			for i := range p.W.Data {
-				p.W.Data[i] -= s.LR * p.Grad.Data[i]
+				p.W.Data[i] -= s.LR * g.Data[i]
 			}
 		}
-		p.Grad.Zero()
+		g.Zero()
 	}
 	return nil
 }
@@ -114,7 +115,7 @@ func (a *Adam) Step(params []*Param) error {
 	invBC2 := 1 / bc2
 	for _, p := range params {
 		if p.Frozen {
-			p.Grad.Zero()
+			p.ZeroGrad()
 			continue
 		}
 		m, ok := a.m[p]
@@ -124,23 +125,28 @@ func (a *Adam) Step(params []*Param) error {
 			a.v[p] = NewTensor(p.W.Shape...)
 		}
 		v := a.v[p]
-		w, gd, md, vd := p.W.Data, p.Grad.Data, m.Data, v.Data
+		g := p.grad()
+		w, gd, md, vd := p.W.Data, g.Data, m.Data, v.Data
 		for i := range w {
-			g := gd[i]
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*g
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*g*g
+			gi := gd[i]
+			md[i] = a.Beta1*md[i] + (1-a.Beta1)*gi
+			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*gi*gi
 			w[i] -= step * md[i] / (math.Sqrt(vd[i]*invBC2) + a.Eps)
 		}
-		p.Grad.Zero()
+		g.Zero()
 	}
 	return nil
 }
 
 // ClipGradients scales all gradients down so the global max-abs does not
-// exceed limit. Returns the pre-clip max.
+// exceed limit. Returns the pre-clip max. Params that have not trained
+// have no gradient and count as zero.
 func ClipGradients(params []*Param, limit float64) float64 {
 	maxAbs := 0.0
 	for _, p := range params {
+		if p.Grad == nil {
+			continue
+		}
 		if m := p.Grad.MaxAbs(); m > maxAbs {
 			maxAbs = m
 		}
@@ -148,6 +154,9 @@ func ClipGradients(params []*Param, limit float64) float64 {
 	if limit > 0 && maxAbs > limit {
 		scale := limit / maxAbs
 		for _, p := range params {
+			if p.Grad == nil {
+				continue
+			}
 			for i := range p.Grad.Data {
 				p.Grad.Data[i] *= scale
 			}

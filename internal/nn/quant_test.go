@@ -253,11 +253,11 @@ func TestQuantizeSequentialStructure(t *testing.T) {
 // bound scaled by the conv's own operands.
 func TestQConv2DAboveThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	conv, err := NewConv2D(8, 16, 3, 1, rng) // patch 72, OutC 16
+	conv, err := NewConv2D(8, 64, 3, 1, rng) // patch 72, OutC 64
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSequential(conv, &ReLU{}, &Flatten{}, NewDense(16*6*6, 2, rng))
+	s := NewSequential(conv, &ReLU{}, &Flatten{}, NewDense(64*6*6, 2, rng))
 	qs, err := QuantizeSequential(s, QuantInt8)
 	if err != nil {
 		t.Fatal(err)

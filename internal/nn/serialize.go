@@ -62,7 +62,7 @@ func LoadCheckpoint(r io.Reader, build func(meta map[string]string) ([]*Param, e
 			return nil, fmt.Errorf("nn: param %d (%s) size %d != model %d", i, sp.Name, len(sp.Data), p.W.Size())
 		}
 		copy(p.W.Data, sp.Data)
-		p.Grad.Zero()
+		p.ZeroGrad()
 	}
 	return cp.Meta, nil
 }

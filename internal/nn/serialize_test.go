@@ -71,7 +71,7 @@ func TestGoldenCheckpointRoundTrip(t *testing.T) {
 	got := goldenParams()
 	for _, p := range got {
 		p.W.Zero()
-		p.Grad.Fill(1) // must be zeroed by LoadParams
+		p.grad().Fill(1) // must be zeroed by LoadParams
 	}
 	meta, err := LoadParams(bytes.NewReader(blob), got)
 	if err != nil {

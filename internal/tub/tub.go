@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"image"
 	"image/png"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/sim"
@@ -71,15 +71,18 @@ type Tub struct {
 // once) can serve later LoadFrame calls without reopening the file — file
 // opens dominate the collect→clean→train loop on slow filesystems, and the
 // cleaner, the trainer, and the collector each Open their own handle to
-// the same directory. Keyed by the image file path; entries are in the
-// file's native channel count and converted per request. Bounded by
-// frameCacheMaxBytes: past it, new frames are simply not cached (files
-// remain the source of truth).
+// the same directory. Keyed by tub directory, then image file name;
+// entries are in the file's native channel count and converted per
+// request. Frames are kept only while their tub exists: Create drops the
+// frames of every cached tub whose directory is gone, so a removed tub
+// neither serves pixels nor pins memory. Bounded by frameCacheMaxBytes:
+// past it, new frames are simply not cached (files remain the source of
+// truth).
 var frameCache = struct {
 	sync.Mutex
-	m     map[string]*sim.Frame
+	tubs  map[string]map[string]*sim.Frame // tub dir → image name → frame
 	bytes int
-}{m: make(map[string]*sim.Frame)}
+}{tubs: make(map[string]map[string]*sim.Frame)}
 
 const frameCacheMaxBytes = 64 << 20
 
@@ -87,36 +90,48 @@ func (t *Tub) framePath(name string) string {
 	return filepath.Join(t.Dir, imagesDir, name)
 }
 
-func cachePutFrame(path string, f *sim.Frame) {
+func cachePutFrame(dir, name string, f *sim.Frame) {
+	dir = filepath.Clean(dir)
 	frameCache.Lock()
 	defer frameCache.Unlock()
-	if _, ok := frameCache.m[path]; ok {
+	frames := frameCache.tubs[dir]
+	if _, ok := frames[name]; ok {
 		return
 	}
 	if frameCache.bytes+len(f.Pix) > frameCacheMaxBytes {
 		return
 	}
-	frameCache.m[path] = f
+	if frames == nil {
+		frames = make(map[string]*sim.Frame)
+		frameCache.tubs[dir] = frames
+	}
+	frames[name] = f
 	frameCache.bytes += len(f.Pix)
 }
 
-func cacheGetFrame(path string) *sim.Frame {
+func cacheGetFrame(dir, name string) *sim.Frame {
 	frameCache.Lock()
 	defer frameCache.Unlock()
-	return frameCache.m[path]
+	return frameCache.tubs[filepath.Clean(dir)][name]
 }
 
-// cachePurgeDir drops cached frames under dir, so re-initializing a tub in
-// a previously used directory cannot serve stale pixels.
-func cachePurgeDir(dir string) {
-	prefix := filepath.Join(dir, imagesDir) + string(filepath.Separator)
+// cacheSweep drops the cached frames of dir, so re-initializing a tub in
+// a previously used directory cannot serve stale pixels, and those of
+// every tub whose directory no longer exists.
+func cacheSweep(dir string) {
+	dir = filepath.Clean(dir)
 	frameCache.Lock()
 	defer frameCache.Unlock()
-	for p, f := range frameCache.m {
-		if strings.HasPrefix(p, prefix) {
-			frameCache.bytes -= len(f.Pix)
-			delete(frameCache.m, p)
+	for d, frames := range frameCache.tubs {
+		if d != dir {
+			if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
 		}
+		for _, f := range frames {
+			frameCache.bytes -= len(f.Pix)
+		}
+		delete(frameCache.tubs, d)
 	}
 }
 
@@ -133,7 +148,7 @@ func Create(dir string) (*Tub, error) {
 	if err := os.MkdirAll(filepath.Join(dir, imagesDir), 0o755); err != nil {
 		return nil, fmt.Errorf("tub: create: %w", err)
 	}
-	cachePurgeDir(dir)
+	cacheSweep(dir)
 	t := &Tub{Dir: dir}
 	m := manifest{
 		Inputs:         []string{KeyImage, KeyAngle, KeyThrottle, KeyMode},
@@ -299,7 +314,7 @@ func (t *Tub) saveFrame(index int, f *sim.Frame) (string, error) {
 	if err := frameEncoder.Encode(fp, img); err != nil {
 		return "", fmt.Errorf("tub: encode image: %w", err)
 	}
-	cachePutFrame(t.framePath(name), cloneFrame(f))
+	cachePutFrame(t.Dir, name, cloneFrame(f))
 	return name, nil
 }
 
@@ -337,11 +352,10 @@ func convertFrame(src *sim.Frame, channels int) (*sim.Frame, error) {
 // LoadFrame reads a record's image back as a sim.Frame with the requested
 // channel count (1 or 3).
 func (t *Tub) LoadFrame(name string, channels int) (*sim.Frame, error) {
-	path := t.framePath(name)
-	if cached := cacheGetFrame(path); cached != nil {
+	if cached := cacheGetFrame(t.Dir, name); cached != nil {
 		return convertFrame(cached, channels)
 	}
-	fp, err := os.Open(path)
+	fp, err := os.Open(t.framePath(name))
 	if err != nil {
 		return nil, fmt.Errorf("tub: load image: %w", err)
 	}
@@ -387,7 +401,7 @@ func (t *Tub) LoadFrame(name string, channels int) (*sim.Frame, error) {
 			}
 		}
 	}
-	cachePutFrame(path, native)
+	cachePutFrame(t.Dir, name, native)
 	return convertFrame(native, channels)
 }
 

@@ -236,6 +236,38 @@ func TestImagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameCacheDropsRemovedTub: once a tub's directory is removed, the
+// next Create drops its cached frames, so LoadFrame on the old handle
+// goes to the (missing) file instead of serving the removed pixels, and
+// the frames stop counting against the cache bound.
+func TestFrameCacheDropsRemovedTub(t *testing.T) {
+	root := t.TempDir()
+	gone := filepath.Join(root, "gone")
+	tb, err := Create(gone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, err := tb.saveFrame(0, mkFrame(t, 8, 6, 1, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.LoadFrame(name, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(gone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(filepath.Join(root, "next")); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := tb.LoadFrame(name, 1); err == nil {
+		t.Fatalf("LoadFrame served a removed tub's frame (first pixel %d)", f.Pix[0])
+	}
+	if cacheGetFrame(gone, name) != nil {
+		t.Error("removed tub's frame is still cached")
+	}
+}
+
 func TestWriterRejectsNilFrame(t *testing.T) {
 	tb, err := Create(t.TempDir())
 	if err != nil {

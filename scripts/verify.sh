@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full pre-merge verification: vet, build, race-enabled tests, the
+# Full pre-merge verification: vet, build, an arm64 cross-build, a
+# no-FMA lint of nn's assembly, race-enabled tests, the
 # perfbench module's vet and self-test, fault-profile and fault-free
 # pipeline smoke runs (byte-identical same-seed traces), a
 # metrics-cardinality lint, a cross-subsystem trace smoke
@@ -17,6 +18,20 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+# nn's AVX2 kernels are amd64 assembly chosen at run time; every other
+# architecture must still vet and build on the portable kernels alone.
+echo "==> arm64 cross-build (portable nn kernels)"
+GOARCH=arm64 go vet ./internal/nn/...
+GOARCH=arm64 go build ./...
+
+# A fused multiply-add rounds once where the portable kernels round
+# twice, so a single FMA in nn's assembly would move every golden.
+echo "==> no fused multiply-add in internal/nn assembly"
+if grep -nE 'VFN?M(ADD|SUB)' internal/nn/*.s; then
+    echo "internal/nn/*.s uses a fused multiply-add; keep separate VMULPD/VADDPD" >&2
+    exit 1
+fi
 
 # perfbench is its own module, so ./... above skips it; building it here
 # makes a program API change that breaks the benchmark fail verify.
@@ -502,4 +517,4 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "OK: vet, build, race tests, perfbench vet and self-test, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
+echo "OK: vet, build, arm64 cross-build, FMA lint, race tests, perfbench vet and self-test, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
