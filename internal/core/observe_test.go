@@ -206,19 +206,28 @@ func faultFreeRun(t *testing.T) (map[string]float64, []byte, int) {
 	return o.Metrics.Snapshot().Counters, trace.Bytes(), len(o.Tracer.Finished())
 }
 
-// The fault-free pipeline's replay golden: two same-seed runs export
-// byte-identical traces, and the span count, the trace's SHA-256 and the
-// counters match the checked-in golden (regenerate with UPDATE_GOLDEN=1).
-// Wall-clock histograms stay out of it; they are the only part of a run
-// that may vary.
+// The fault-free pipeline's replay golden: same-seed runs at the
+// default, 1 and 3 nn kernel workers export byte-identical traces, and
+// the span count, the trace's SHA-256 and the counters match the
+// checked-in golden (regenerate with UPDATE_GOLDEN=1). Wall-clock
+// histograms stay out of it; they are the only part of a run that may
+// vary.
 func TestPipelineTraceGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains a model twice")
+		t.Skip("trains a model three times")
 	}
 	counters, traceA, spans := faultFreeRun(t)
-	_, traceB, _ := faultFreeRun(t)
-	if len(traceA) == 0 || !bytes.Equal(traceA, traceB) {
-		t.Fatalf("same-seed fault-free pipelines exported different traces (%d vs %d bytes)", len(traceA), len(traceB))
+	if len(traceA) == 0 {
+		t.Fatal("fault-free pipeline exported an empty trace")
+	}
+	for _, w := range []int{1, 3} {
+		prev := nn.SetMaxWorkers(w)
+		_, traceB, _ := faultFreeRun(t)
+		nn.SetMaxWorkers(prev)
+		if !bytes.Equal(traceA, traceB) {
+			t.Fatalf("same-seed fault-free pipelines exported different traces at the default and %d kernel workers (%d vs %d bytes)",
+				w, len(traceA), len(traceB))
+		}
 	}
 
 	keys := make([]string, 0, len(counters))

@@ -7,16 +7,16 @@ import (
 )
 
 // Conv2D is a valid (no padding) 2-D convolution over [N, C, H, W] input
-// with an [F, C, KH, KW] kernel. By default it lowers to an im2col matrix
-// multiply; Naive switches to the direct nested-loop kernel (kept for the
-// ablation benchmark comparing the two).
+// with an [F, C, KH, KW] kernel. By default it lowers each image to an
+// im2col matrix and multiplies; Naive switches to the direct nested-loop
+// kernel (kept for the ablation benchmark comparing the two).
 type Conv2D struct {
 	InC, OutC, K, Stride int
 	Naive                bool
 
 	w, b  *Param
 	lastX *Tensor
-	cols  *Tensor // cached im2col matrix for backward
+	cols  *Tensor // lowered input of the last training forward, for dW
 	outH  int
 	outW  int
 }
@@ -45,13 +45,19 @@ func (c *Conv2D) outDims(h, w int) (int, int, error) {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return c.forward(x, nil)
+	return c.forward(x, nil, train)
 }
 
-// forward lowers the convolution to a blocked GEMM over scratch-pooled
-// im2col buffers, optionally applying a fused activation epilogue to the
-// output while it is cache-hot.
-func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+// forward carries each image through the whole layer on one worker, a
+// band of output rows at a time: lower the band (im2col), multiply it
+// by the filters (A×Bᵀ against panels packed once per call), then write
+// its part of y[i] in [F, oh, ow] order with the bias added and the
+// fused activation, if any, applied while the band is cache-hot. Every
+// output is the sequential tap sum from +0, then + b[f], then the
+// activation. A training forward lowers into the whole lowered matrix,
+// which dW reads; an inference forward lowers each band into the
+// worker's own block and keeps nothing.
+func (c *Conv2D) forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		return nil, fmt.Errorf("nn: conv2d expects [N,%d,H,W], got %v", c.InC, x.Shape)
 	}
@@ -61,81 +67,112 @@ func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 		return nil, err
 	}
 	c.lastX, c.outH, c.outW = x, oh, ow
-	if c.Naive {
-		y, err := c.forwardNaive(x, n, h, w, oh, ow)
-		if err == nil && act != nil {
-			act.fuseInto(y)(0, len(y.Data))
-		}
-		return y, err
-	}
-	// im2col: rows are output positions, columns are receptive-field taps.
-	patch := c.InC * c.K * c.K
 	releaseScratch(c.cols) // drop a cached matrix from a backward-less pass
-	cols := getScratch(n*oh*ow, patch)
-	c.im2col(x, cols, n, h, w, oh, ow)
-	c.cols = cols
-	wMat, err := c.w.W.Reshape(c.OutC, patch)
-	if err != nil {
-		return nil, err
-	}
-	out2d := getScratch(n*oh*ow, c.OutC)
-	gemmTransBInto(cols.Data, wMat.Data, out2d.Data, n*oh*ow, patch, c.OutC)
+	c.cols = nil
 	y := NewTensor(n, c.OutC, oh, ow)
-	// Transpose [pos, f] into [n, f, oh, ow] and add bias.
-	for i := 0; i < n; i++ {
-		for p := 0; p < oh*ow; p++ {
-			row := out2d.Data[(i*oh*ow+p)*c.OutC:]
-			for f := 0; f < c.OutC; f++ {
-				y.Data[((i*c.OutC+f)*oh*ow)+p] = row[f] + c.b.W.Data[f]
+	var epi func(lo, hi int)
+	if act != nil {
+		epi = act.fuseInto(y)
+	}
+	if c.Naive {
+		c.forwardNaive(x, y, n, h, w, oh, ow)
+		if epi != nil {
+			epi(0, len(y.Data))
+		}
+		return y, nil
+	}
+	pos, patch, nf := oh*ow, c.InC*c.K*c.K, c.OutC
+	if train {
+		c.cols = getScratch(n*pos, patch)
+	}
+	var panels *Tensor
+	if useAVX2 {
+		panels = packTransB(c.w.W.Data, patch, nf)
+	}
+	bias := c.b.W.Data
+	// A band's lowered rows fill about 64 KB, so a worker's own blocks
+	// stay that small and its [pos, F] product stays in L1 across the F
+	// passes of the layout.
+	rows := min(oh, max(1, 8192/(ow*patch)))
+	parallelFor(n, n*pos*patch*nf, func(i0, i1 int) {
+		out := getScratch(rows*ow, nf)
+		var own *Tensor // this worker's lowered band, when not training
+		if !train {
+			own = getScratch(rows*ow, patch)
+		}
+		for i := i0; i < i1; i++ {
+			for oy0 := 0; oy0 < oh; oy0 += rows {
+				oy1 := min(oy0+rows, oh)
+				p0, m := oy0*ow, (oy1-oy0)*ow
+				var a []float64
+				if train {
+					a = c.cols.Data[(i*pos+p0)*patch : (i*pos+p0+m)*patch]
+				} else {
+					a = own.Data[:m*patch]
+				}
+				c.lower(x.Data, i, h, w, oy0, oy1, ow, a)
+				gemmTransBSerial(a, c.w.W.Data, panels, out.Data, m, patch, nf)
+				for f, bf := range bias {
+					lo := (i*nf+f)*pos + p0
+					seg := y.Data[lo : lo+m]
+					for p := range seg {
+						seg[p] = out.Data[p*nf+f] + bf
+					}
+					if epi != nil {
+						epi(lo, lo+m)
+					}
+				}
 			}
 		}
-	}
-	releaseScratch(out2d)
-	if act != nil {
-		act.fuseInto(y)(0, len(y.Data))
-	}
+		releaseScratch(out)
+		releaseScratch(own)
+	})
+	releaseScratch(panels)
 	return y, nil
 }
 
-func (c *Conv2D) im2col(x, cols *Tensor, n, h, w, oh, ow int) {
-	patch := c.InC * c.K * c.K
-	work := func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := cols.Data[((i*oh+oy)*ow+ox)*patch:]
-					t := 0
-					for ch := 0; ch < c.InC; ch++ {
-						base := ((i*c.InC + ch) * h) * w
-						for ky := 0; ky < c.K; ky++ {
-							src := base + (oy*c.Stride+ky)*w + ox*c.Stride
-							// Unrolled taps for the common kernel sizes:
-							// a memmove call costs more than 3-5 scalar
-							// stores.
-							switch c.K {
-							case 3:
-								s := x.Data[src : src+3 : src+3]
-								d := row[t : t+3 : t+3]
-								d[0], d[1], d[2] = s[0], s[1], s[2]
-							case 5:
-								s := x.Data[src : src+5 : src+5]
-								d := row[t : t+5 : t+5]
-								d[0], d[1], d[2], d[3], d[4] = s[0], s[1], s[2], s[3], s[4]
-							default:
-								copy(row[t:t+c.K], x.Data[src:src+c.K])
-							}
-							t += c.K
-						}
+// lower writes output rows [oy0, oy1) of image i of x [N, InC, h, w]
+// as im2col rows: row (oy-oy0)·ow+ox holds the receptive field of that
+// output position, taps in (ch, ky, kx) order, the layout of the
+// [F, InC·K·K] filter rows. The loops run (oy, ch, ky, ox), so each pass
+// reads one input row left to right and fills one K-tap run of every
+// row in the band oy.
+func (c *Conv2D) lower(x []float64, i, h, w, oy0, oy1, ow int, rows []float64) {
+	k, s := c.K, c.Stride
+	patch := c.InC * k * k
+	img := x[i*c.InC*h*w : (i+1)*c.InC*h*w]
+	for oy := oy0; oy < oy1; oy++ {
+		band := rows[(oy-oy0)*ow*patch : (oy-oy0+1)*ow*patch]
+		for ch := 0; ch < c.InC; ch++ {
+			for ky := 0; ky < k; ky++ {
+				src := img[(ch*h+oy*s+ky)*w : (ch*h+oy*s+ky+1)*w]
+				dst := band[(ch*k+ky)*k:]
+				// Unrolled taps for the common kernel sizes: a memmove
+				// call costs more than 3-5 scalar stores.
+				switch k {
+				case 3:
+					for ox := 0; ox < ow; ox++ {
+						a := src[ox*s : ox*s+3 : ox*s+3]
+						d := dst[ox*patch : ox*patch+3 : ox*patch+3]
+						d[0], d[1], d[2] = a[0], a[1], a[2]
+					}
+				case 5:
+					for ox := 0; ox < ow; ox++ {
+						a := src[ox*s : ox*s+5 : ox*s+5]
+						d := dst[ox*patch : ox*patch+5 : ox*patch+5]
+						d[0], d[1], d[2], d[3], d[4] = a[0], a[1], a[2], a[3], a[4]
+					}
+				default:
+					for ox := 0; ox < ow; ox++ {
+						copy(dst[ox*patch:ox*patch+k], src[ox*s:ox*s+k])
 					}
 				}
 			}
 		}
 	}
-	parallelFor(n, n*oh*ow*patch, work)
 }
 
-func (c *Conv2D) forwardNaive(x *Tensor, n, h, w, oh, ow int) (*Tensor, error) {
-	y := NewTensor(n, c.OutC, oh, ow)
+func (c *Conv2D) forwardNaive(x, y *Tensor, n, h, w, oh, ow int) {
 	work := func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			for f := 0; f < c.OutC; f++ {
@@ -158,7 +195,6 @@ func (c *Conv2D) forwardNaive(x *Tensor, n, h, w, oh, ow int) (*Tensor, error) {
 		}
 	}
 	parallelFor(n, n*c.OutC*oh*ow*c.InC*c.K*c.K, work)
-	return y, nil
 }
 
 // Backward implements Layer.
@@ -167,98 +203,113 @@ func (c *Conv2D) Backward(grad *Tensor) (*Tensor, error) {
 }
 
 // backwardParamsOnly implements noInputGrad: when the layer is first in a
-// Sequential, its input gradient is discarded, so the dCols GEMM and the
-// col2im scatter — as expensive as the whole forward pass — are skipped.
+// Sequential, its input gradient is discarded, so the dCols products and
+// the col2im scatter — as expensive as the whole forward pass — are
+// skipped.
 func (c *Conv2D) backwardParamsOnly(grad *Tensor) error {
 	_, err := c.backward(grad, false)
 	return err
 }
 
+// backward runs two passes per image across workers. The first
+// transposes the image's gradient [F, oh·ow] into its rows of gmat
+// [n·oh·ow, F] and sums each filter's gradient; the sums are folded into
+// db in image order. dW is one Aᵀ×B over every position: its four-step
+// groups cross image boundaries, so a per-image split would regroup its
+// sums. The second pass forms the image's dCols rows (gmat row ×
+// filters, full k = F) in the worker's block and scatters them into dx
+// (col2im).
 func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 	if c.lastX == nil {
 		return nil, fmt.Errorf("nn: conv2d backward before forward")
 	}
 	n, h, w := c.lastX.Shape[0], c.lastX.Shape[2], c.lastX.Shape[3]
 	oh, ow := c.outH, c.outW
-	patch := c.InC * c.K * c.K
+	pos, patch, nf := oh*ow, c.InC*c.K*c.K, c.OutC
 
-	// Bias gradient.
+	// An inference or naive forward kept no lowered matrix: rebuild it.
+	lowerToo := c.cols == nil
+	if lowerToo {
+		c.cols = getScratch(n*pos, patch)
+	}
+	gmat := getScratch(n*pos, nf)
+	sums := getScratch(n, nf)
+	parallelFor(n, n*pos*nf, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			gi := grad.Data[i*nf*pos : (i+1)*nf*pos]
+			gm := gmat.Data[i*pos*nf : (i+1)*pos*nf]
+			for f := 0; f < nf; f++ {
+				var s float64
+				for p, v := range gi[f*pos : (f+1)*pos] {
+					s += v
+					gm[p*nf+f] = v
+				}
+				sums.Data[i*nf+f] = s
+			}
+			if lowerToo {
+				c.lower(c.lastX.Data, i, h, w, 0, oh, ow, c.cols.Data[i*pos*patch:(i+1)*pos*patch])
+			}
+		}
+	})
 	db := c.b.grad().Data
 	for i := 0; i < n; i++ {
-		for f := 0; f < c.OutC; f++ {
-			base := ((i*c.OutC + f) * oh) * ow
-			var s float64
-			for p := 0; p < oh*ow; p++ {
-				s += grad.Data[base+p]
-			}
+		for f, s := range sums.Data[i*nf : (i+1)*nf] {
 			db[f] += s
 		}
 	}
-
-	// Rearrange grad [n, f, oh, ow] into [n*oh*ow, f].
-	gmat := getScratch(n*oh*ow, c.OutC)
-	for i := 0; i < n; i++ {
-		for f := 0; f < c.OutC; f++ {
-			base := ((i*c.OutC + f) * oh) * ow
-			for p := 0; p < oh*ow; p++ {
-				gmat.Data[(i*oh*ow+p)*c.OutC+f] = grad.Data[base+p]
-			}
-		}
-	}
-
-	if c.cols == nil {
-		// Naive path: rebuild the im2col matrix for gradient computation.
-		cols := getScratch(n*oh*ow, patch)
-		c.im2col(c.lastX, cols, n, h, w, oh, ow)
-		c.cols = cols
-	}
+	releaseScratch(sums)
 
 	// dW[f, tap] = sum_pos gmat[pos, f] * cols[pos, tap]  (= gmatᵀ × cols)
-	dw := getScratch(c.OutC, patch)
-	gemmTransAInto(gmat.Data, c.cols.Data, dw.Data, n*oh*ow, c.OutC, patch)
-	if err := c.w.grad().AddScaled(dw, 1); err != nil {
-		return nil, err
-	}
+	dw := getScratch(nf, patch)
+	gemmTransAInto(gmat.Data, c.cols.Data, dw.Data, n*pos, nf, patch)
+	err := c.w.grad().AddScaled(dw, 1)
 	releaseScratch(dw)
-
-	if !needDX {
+	releaseScratch(c.cols)
+	c.cols = nil
+	if err != nil || !needDX {
 		releaseScratch(gmat)
-		releaseScratch(c.cols)
-		c.cols = nil
-		return nil, nil
-	}
-
-	// dCols = gmat × wMat  → scatter back (col2im).
-	wMat, err := c.w.W.Reshape(c.OutC, patch)
-	if err != nil {
 		return nil, err
 	}
-	dcols := getScratch(n*oh*ow, patch)
-	gemmInto(gmat.Data, wMat.Data, dcols.Data, n*oh*ow, c.OutC, patch)
-	releaseScratch(gmat)
+
 	dx := NewTensor(n, c.InC, h, w)
-	for i := 0; i < n; i++ {
+	parallelFor(n, n*pos*nf*patch, func(i0, i1 int) {
+		dcols := getScratch(pos, patch)
+		for i := i0; i < i1; i++ {
+			for p := 0; p < pos; p++ {
+				row := dcols.Data[p*patch : (p+1)*patch]
+				clear(row)
+				gemmRow(gmat.Data[(i*pos+p)*nf:], 1, c.w.W.Data, row, nf, patch)
+			}
+			c.col2im(dcols.Data, dx.Data[i*c.InC*h*w:(i+1)*c.InC*h*w], h, w, oh, ow)
+		}
+		releaseScratch(dcols)
+	})
+	releaseScratch(gmat)
+	return dx, nil
+}
+
+// col2im adds one image's dCols rows into its input gradient dx
+// [InC, h, w]. The loops run (ch, oy, ky, ox, kx), the mirror of lower,
+// so each pass adds into one dx row left to right, and every dx element
+// receives its terms in (oy, ox) order: one tap per output position
+// reaches it.
+func (c *Conv2D) col2im(dcols, dx []float64, h, w, oh, ow int) {
+	k, s := c.K, c.Stride
+	patch := c.InC * k * k
+	for ch := 0; ch < c.InC; ch++ {
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := dcols.Data[((i*oh+oy)*ow+ox)*patch:]
-				t := 0
-				for ch := 0; ch < c.InC; ch++ {
-					base := ((i*c.InC + ch) * h) * w
-					for ky := 0; ky < c.K; ky++ {
-						dst := base + (oy*c.Stride+ky)*w + ox*c.Stride
-						for kx := 0; kx < c.K; kx++ {
-							dx.Data[dst+kx] += row[t]
-							t++
-						}
+			for ky := 0; ky < k; ky++ {
+				drow := dx[(ch*h+oy*s+ky)*w : (ch*h+oy*s+ky+1)*w]
+				src := dcols[(ch*k+ky)*k:]
+				for ox := 0; ox < ow; ox++ {
+					d := drow[ox*s : ox*s+k]
+					for kx, v := range src[(oy*ow+ox)*patch : (oy*ow+ox)*patch+k] {
+						d[kx] += v
 					}
 				}
 			}
 		}
 	}
-	releaseScratch(dcols)
-	releaseScratch(c.cols)
-	c.cols = nil
-	return dx, nil
 }
 
 // Params implements Layer.

@@ -146,6 +146,21 @@ func gemmTransBInto(a, b, c []float64, m, k, n int) {
 	gemmTransBGo(a, b, c, m, k, n)
 }
 
+// gemmTransBSerial computes C = A×Bᵀ (overwrite) for A [m,k], B [n,k],
+// C [m,n] on the calling goroutine, each output the same sequential
+// tap sum from +0 as gemmTransBInto. packed is B as packTransB leaves
+// it when the CPU has AVX2, and nil otherwise, so a caller running many
+// products against one B packs it once.
+func gemmTransBSerial(a, b []float64, packed *Tensor, c []float64, m, k, n int) {
+	if packed == nil {
+		gemmTransBTile(a, b, c, k, n, 0, m, 0, n)
+		return
+	}
+	for q := 0; q*8 < n; q++ {
+		gemmTransBPanelAVX2(a, packed.Data[q*k*8:(q+1)*k*8], c, k, n, 0, m, q*8)
+	}
+}
+
 // gemmTransBGo is the portable A×Bᵀ kernel. The output is 2-D-tiled into
 // gemmTileM × gemmTileN blocks scheduled across workers (instead of
 // whole-row chunks), and rows of A and B are both contiguous, so inside

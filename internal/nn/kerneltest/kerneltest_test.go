@@ -1,6 +1,7 @@
 package kerneltest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -251,6 +252,36 @@ func compareWeights(t *testing.T, label string, a, b [][]float64) {
 			if a[pi][i] != b[pi][i] {
 				t.Fatalf("%s: param %d element %d differs bitwise: %v vs %v",
 					label, pi, i, a[pi][i], b[pi][i])
+			}
+		}
+	}
+}
+
+// TestMatMulTransBBitwise: every A×Bᵀ output is the sequential tap sum
+// from +0, as in the naive reference, so the two agree bit for bit with
+// B's panels packed across 1–3 workers, on the benchmarked shapes (the
+// Dense dx product 32×64×2240 among them) and on one whose last panel
+// is partial.
+func TestMatMulTransBBitwise(t *testing.T) {
+	defer nn.SetMaxWorkers(nn.SetMaxWorkers(1))
+	for _, s := range append(gemmBenchShapes["MatMulTransB"], [3]int{12, 40, 2237}) {
+		rng := rand.New(rand.NewSource(int64(s[0] + s[2])))
+		a := RandTensor(rng, s[0], s[1])
+		b := RandTensor(rng, s[2], s[1])
+		want, err := nn.MatMulTransBRef(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 1; w <= 3; w++ {
+			nn.SetMaxWorkers(w)
+			got, err := nn.MatMulTransB(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%v workers=%d: element %d is %v, reference %v", s, w, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}

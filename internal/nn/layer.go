@@ -68,12 +68,12 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // Forward implements Layer: one fused GEMM computes y = xW + b, with the
 // bias folded into the kernel's row initialization.
 func (d *Dense) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return d.forward(x, nil)
+	return d.forward(x, nil, train)
 }
 
 // forward runs the fused kernel, optionally applying an activation
 // epilogue to each output row range while it is cache-hot.
-func (d *Dense) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+func (d *Dense) forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error) {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		return nil, fmt.Errorf("nn: dense expects [N,%d], got %v", d.In, x.Shape)
 	}
@@ -133,10 +133,11 @@ type fusedActivation interface {
 }
 
 // epilogueFuser is implemented by layers (Dense, Conv2D) that can apply a
-// fusedActivation to their output without a separate pass.
+// fusedActivation to their output without a separate pass. train is
+// Forward's flag: an inference pass may skip caches only backward reads.
 type epilogueFuser interface {
 	Layer
-	forward(x *Tensor, act fusedActivation) (*Tensor, error)
+	forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error)
 }
 
 // noInputGrad is implemented by layers (Dense, Conv2D) that can accumulate
@@ -148,7 +149,10 @@ type noInputGrad interface {
 	backwardParamsOnly(grad *Tensor) error
 }
 
-// ReLU is the rectified-linear activation.
+// ReLU is the rectified-linear activation. A value is kept unless it is
+// below zero, so −0 and NaN pass through; a dropped value becomes +0.
+// Both passes select bits through an all-ones or zero mask, without a
+// branch per element.
 type ReLU struct{ mask []bool }
 
 // Forward implements Layer.
@@ -165,29 +169,39 @@ func (r *ReLU) fuseInto(y *Tensor) func(lo, hi int) {
 	}
 	r.mask = r.mask[:len(y.Data)]
 	return func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if y.Data[i] < 0 {
-				y.Data[i] = 0
-				r.mask[i] = false
-			} else {
-				r.mask[i] = true
-			}
+		ys, keep := y.Data[lo:hi], r.mask[lo:hi]
+		for i, v := range ys {
+			k := !(v < 0)
+			keep[i] = k
+			ys[i] = math.Float64frombits(math.Float64bits(v) & keepBits(k))
 		}
 	}
 }
 
-// Backward implements Layer. The upstream gradient is masked in place:
-// every producer in this package hands each backward gradient to exactly
-// one consumer, so reusing the buffer saves a clone per batch.
+// keepBits is the select mask for a kept (all ones) or dropped (zero)
+// element; the compiler turns it into a conditional move.
+func keepBits(keep bool) uint64 {
+	var m uint64
+	if keep {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// Backward implements Layer. The upstream gradient is masked in place,
+// across workers: every producer in this package hands each backward
+// gradient to exactly one consumer, so reusing the buffer saves a clone
+// per batch.
 func (r *ReLU) Backward(grad *Tensor) (*Tensor, error) {
 	if len(r.mask) != len(grad.Data) {
 		return nil, fmt.Errorf("nn: relu backward size mismatch")
 	}
-	for i := range grad.Data {
-		if !r.mask[i] {
-			grad.Data[i] = 0
+	parallelFor(len(grad.Data), len(grad.Data), func(lo, hi int) {
+		g, keep := grad.Data[lo:hi], r.mask[lo:hi]
+		for i, k := range keep {
+			g[i] = math.Float64frombits(math.Float64bits(g[i]) & keepBits(k))
 		}
-	}
+	})
 	return grad, nil
 }
 
@@ -326,7 +340,7 @@ func (s *Sequential) Forward(x *Tensor, train bool) (*Tensor, error) {
 	for i := 0; i < len(s.Layers); i++ {
 		if f, ok := s.Layers[i].(epilogueFuser); ok && i+1 < len(s.Layers) {
 			if act, ok := s.Layers[i+1].(fusedActivation); ok {
-				x, err = f.forward(x, act)
+				x, err = f.forward(x, act, train)
 				if err != nil {
 					return nil, fmt.Errorf("layer %d: %w", i, err)
 				}

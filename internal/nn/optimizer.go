@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Optimizer updates parameters from their accumulated gradients and zeroes
@@ -53,30 +54,37 @@ func NewSGD(lr, momentum float64) (*SGD, error) {
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "sgd" }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Each param's update, and the gradient
+// reset, is one elementwise pass across workers.
 func (s *SGD) Step(params []*Param) error {
 	for _, p := range params {
 		if p.Frozen {
 			p.ZeroGrad()
 			continue
 		}
-		g := p.grad()
+		w, g := p.W.Data, p.grad().Data
 		if s.Momentum > 0 {
 			v, ok := s.vel[p]
 			if !ok {
 				v = NewTensor(p.W.Shape...)
 				s.vel[p] = v
 			}
-			for i := range v.Data {
-				v.Data[i] = s.Momentum*v.Data[i] - s.LR*g.Data[i]
-				p.W.Data[i] += v.Data[i]
-			}
+			vd := v.Data
+			parallelFor(len(w), 4*len(w), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					vd[i] = s.Momentum*vd[i] - s.LR*g[i]
+					w[i] += vd[i]
+					g[i] = 0
+				}
+			})
 		} else {
-			for i := range p.W.Data {
-				p.W.Data[i] -= s.LR * g.Data[i]
-			}
+			parallelFor(len(w), 4*len(w), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					w[i] -= s.LR * g[i]
+					g[i] = 0
+				}
+			})
 		}
-		g.Zero()
 	}
 	return nil
 }
@@ -124,32 +132,41 @@ func (a *Adam) Step(params []*Param) error {
 			a.m[p] = m
 			a.v[p] = NewTensor(p.W.Shape...)
 		}
-		v := a.v[p]
-		g := p.grad()
-		w, gd, md, vd := p.W.Data, g.Data, m.Data, v.Data
-		for i := range w {
-			gi := gd[i]
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*gi
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*gi*gi
-			w[i] -= step * md[i] / (math.Sqrt(vd[i]*invBC2) + a.Eps)
-		}
-		g.Zero()
+		w, gd, md, vd := p.W.Data, p.grad().Data, m.Data, a.v[p].Data
+		parallelFor(len(w), 16*len(w), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				gi := gd[i]
+				md[i] = a.Beta1*md[i] + (1-a.Beta1)*gi
+				vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*gi*gi
+				w[i] -= step * md[i] / (math.Sqrt(vd[i]*invBC2) + a.Eps)
+				gd[i] = 0
+			}
+		})
 	}
 	return nil
 }
 
 // ClipGradients scales all gradients down so the global max-abs does not
 // exceed limit. Returns the pre-clip max. Params that have not trained
-// have no gradient and count as zero.
+// have no gradient and count as zero. The scan and the scale are
+// elementwise passes across workers; the max skips NaN, so it does not
+// depend on how the scan is split.
 func ClipGradients(params []*Param, limit float64) float64 {
 	maxAbs := 0.0
+	var mu sync.Mutex
 	for _, p := range params {
 		if p.Grad == nil {
 			continue
 		}
-		if m := p.Grad.MaxAbs(); m > maxAbs {
-			maxAbs = m
-		}
+		g := p.Grad.Data
+		parallelFor(len(g), len(g), func(lo, hi int) {
+			m := absMax(g[lo:hi])
+			mu.Lock()
+			if m > maxAbs {
+				maxAbs = m
+			}
+			mu.Unlock()
+		})
 	}
 	if limit > 0 && maxAbs > limit {
 		scale := limit / maxAbs
@@ -157,9 +174,12 @@ func ClipGradients(params []*Param, limit float64) float64 {
 			if p.Grad == nil {
 				continue
 			}
-			for i := range p.Grad.Data {
-				p.Grad.Data[i] *= scale
-			}
+			g := p.Grad.Data
+			parallelFor(len(g), len(g), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					g[i] *= scale
+				}
+			})
 		}
 	}
 	return maxAbs

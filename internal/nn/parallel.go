@@ -12,12 +12,16 @@ import (
 const parallelThreshold = 1 << 16
 
 // maxWorkers caps kernel parallelism. Tests may lower it; 0 means
-// runtime.NumCPU(). Atomic because concurrent training runs (e.g. the
-// metrics-instrumented race tests) may read it while a test adjusts it.
+// runtime.GOMAXPROCS(0). Atomic because concurrent training runs (e.g.
+// the metrics-instrumented race tests) may read it while a test adjusts
+// it.
 var maxWorkers atomic.Int64
 
-// SetMaxWorkers overrides the kernel worker count (0 restores the default
-// of NumCPU). It returns the previous setting so callers can restore it.
+// SetMaxWorkers overrides the kernel worker count. 0 restores the
+// default, GOMAXPROCS at the time of each call, so a GOMAXPROCS=1 run
+// or `go test -cpu 1` runs every kernel on one goroutine. It returns the
+// previous setting so callers can restore it. Results are bitwise the
+// same for every worker count.
 func SetMaxWorkers(n int) int {
 	return int(maxWorkers.Swap(int64(n)))
 }
@@ -28,14 +32,14 @@ func parallelFor(n, opEstimate int, work func(i0, i1 int)) {
 	if n <= 0 {
 		return
 	}
-	workers := int(maxWorkers.Load())
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	workers := 1
+	if opEstimate >= parallelThreshold {
+		if workers = int(maxWorkers.Load()); workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		workers = min(workers, n)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || opEstimate < parallelThreshold {
+	if workers <= 1 {
 		work(0, n)
 		return
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,6 +106,23 @@ func TestParallelForSmallProblemNoAlloc(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("work never ran")
+	}
+}
+
+// TestParallelForFollowsGOMAXPROCS: with no SetMaxWorkers override a
+// kernel splits into as many chunks as GOMAXPROCS allows, so a
+// GOMAXPROCS=1 run (or go test -cpu 1) keeps every kernel on the calling
+// goroutine.
+func TestParallelForFollowsGOMAXPROCS(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		var chunks atomic.Int32
+		parallelFor(64, forceParallel, func(i0, i1 int) { chunks.Add(1) })
+		if got := int(chunks.Load()); got != procs {
+			t.Errorf("GOMAXPROCS %d: work split into %d chunks, want %d", procs, got, procs)
+		}
 	}
 }
 

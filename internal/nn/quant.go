@@ -66,12 +66,12 @@ func (d *QDense) grow(m int) {
 
 // Forward implements Layer.
 func (d *QDense) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return d.forward(x, nil)
+	return d.forward(x, nil, train)
 }
 
 // forward implements epilogueFuser so Sequential fuses a following ReLU
 // or Tanh into the dequantization pass, mirroring Dense.
-func (d *QDense) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+func (d *QDense) forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error) {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		return nil, fmt.Errorf("nn: qdense expects [N,%d], got %v", d.In, x.Shape)
 	}
@@ -140,12 +140,15 @@ func NewQConv2D(c *Conv2D) (*QConv2D, error) {
 
 // Forward implements Layer.
 func (c *QConv2D) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return c.forward(x, nil)
+	return c.forward(x, nil, train)
 }
 
-// forward implements epilogueFuser, applying a fused activation to the
-// output while it is cache-hot, mirroring Conv2D.
-func (c *QConv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+// forward implements epilogueFuser. Each image is lowered by Conv2D's
+// own routine, and dequantized, biased, laid out [F, oh, ow] and run
+// through the fused activation on one worker while its block is
+// cache-hot, mirroring Conv2D. The activation scale is per call, so
+// quantization and the int8 product run over the whole batch.
+func (c *QConv2D) forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error) {
 	src := c.src
 	if len(x.Shape) != 4 || x.Shape[1] != src.InC {
 		return nil, fmt.Errorf("nn: qconv2d expects [N,%d,H,W], got %v", src.InC, x.Shape)
@@ -155,37 +158,48 @@ func (c *QConv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	patch := src.InC * src.K * src.K
-	m := n * oh * ow
+	pos, patch, nf := oh*ow, src.InC*src.K*src.K, src.OutC
+	m := n * pos
 	cols := getScratch(m, patch)
-	src.im2col(x, cols, n, h, w, oh, ow)
+	parallelFor(n, m*patch, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			src.lower(x.Data, i, h, w, 0, oh, ow, cols.Data[i*pos*patch:(i+1)*pos*patch])
+		}
+	})
 	if cap(c.au) < m*patch {
 		c.au = make([]uint8, m*patch)
 	}
 	if cap(c.rowSum) < m {
 		c.rowSum = make([]int32, m)
 	}
-	if cap(c.acc) < m*src.OutC {
-		c.acc = make([]int32, m*src.OutC)
+	if cap(c.acc) < m*nf {
+		c.acc = make([]int32, m*nf)
 	}
-	c.au, c.rowSum, c.acc = c.au[:m*patch], c.rowSum[:m], c.acc[:m*src.OutC]
+	c.au, c.rowSum, c.acc = c.au[:m*patch], c.rowSum[:m], c.acc[:m*nf]
 	scale := quantizeActs(cols.Data, m, patch, c.au, c.rowSum)
 	releaseScratch(cols)
 	qgemmBiased(c.au, c.rowSum, m, c.q, c.acc)
-	y := NewTensor(n, src.OutC, oh, ow)
-	// Transpose [pos, f] into [n, f, oh, ow], dequantizing and adding
-	// bias on the way out.
-	for i := 0; i < n; i++ {
-		for p := 0; p < oh*ow; p++ {
-			row := c.acc[(i*oh*ow+p)*src.OutC:]
-			for f := 0; f < src.OutC; f++ {
-				y.Data[((i*src.OutC+f)*oh*ow)+p] = float64(row[f])*(scale*c.q.Scale[f]) + src.b.W.Data[f]
+	y := NewTensor(n, nf, oh, ow)
+	var epi func(lo, hi int)
+	if act != nil {
+		epi = act.fuseInto(y)
+	}
+	bias := src.b.W.Data
+	parallelFor(n, m*nf, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			acc := c.acc[i*pos*nf : (i+1)*pos*nf]
+			yi := y.Data[i*nf*pos : (i+1)*nf*pos]
+			for f, bf := range bias {
+				yf := yi[f*pos : (f+1)*pos]
+				for p := range yf {
+					yf[p] = float64(acc[p*nf+f])*(scale*c.q.Scale[f]) + bf
+				}
+			}
+			if epi != nil {
+				epi(i*nf*pos, (i+1)*nf*pos)
 			}
 		}
-	}
-	if act != nil {
-		act.fuseInto(y)(0, len(y.Data))
-	}
+	})
 	return y, nil
 }
 

@@ -282,6 +282,64 @@ func TestQConv2DAboveThreshold(t *testing.T) {
 	}
 }
 
+// TestQConv2DMatchesReferenceBitwise runs QConv2D's per-image layout
+// and activation pass on the TestQConv2DAboveThreshold shape, and at a
+// batch of 32 that splits across workers, at 1–3 workers against the
+// whole-batch loop it replaced (im2col, quantize, int8 product, then a
+// serial transpose with dequantization and bias, then ReLU), bit for
+// bit, including the ReLU mask.
+func TestQConv2DMatchesReferenceBitwise(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	rng := rand.New(rand.NewSource(6))
+	conv, err := NewConv2D(8, 64, 3, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specialFill(rng, conv.b.W.Data, false)
+	qc, err := NewQConv2D(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 32} {
+		x := NewTensor(n, 8, 8, 8)
+		x.RandNormal(rng, 1)
+		oh, ow, patch, nf := 6, 6, 72, 64
+		m := n * oh * ow
+		cols := NewTensor(m, patch)
+		refIm2col(conv, x, cols, n, 8, 8, oh, ow)
+		au, rowSum, acc := make([]uint8, m*patch), make([]int32, m), make([]int32, m*nf)
+		scale := quantizeActs(cols.Data, m, patch, au, rowSum)
+		qgemmBiased(au, rowSum, m, qc.q, acc)
+		want := NewTensor(n, nf, oh, ow)
+		for i := 0; i < n; i++ {
+			for p := 0; p < oh*ow; p++ {
+				row := acc[(i*oh*ow+p)*nf:]
+				for f := 0; f < nf; f++ {
+					want.Data[((i*nf+f)*oh*ow)+p] = float64(row[f])*(scale*qc.q.Scale[f]) + conv.b.W.Data[f]
+				}
+			}
+		}
+		wantMask := refReLU(want.Data)
+
+		for workers := 1; workers <= 3; workers++ {
+			SetMaxWorkers(workers)
+			var relu ReLU
+			got, err := qc.forward(x, &relu, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := firstDiff(got.Data, want.Data); i >= 0 {
+				t.Fatalf("n=%d workers=%d: element %d is %v, reference %v", n, workers, i, got.Data[i], want.Data[i])
+			}
+			for i := range wantMask {
+				if relu.mask[i] != wantMask[i] {
+					t.Fatalf("n=%d workers=%d: relu mask[%d] is %v, reference %v", n, workers, i, relu.mask[i], wantMask[i])
+				}
+			}
+		}
+	}
+}
+
 // TestQuantInferenceOnly: the quantized layers refuse Backward, and the
 // unknown-mode and no-quantizable-layer paths error cleanly.
 func TestQuantInferenceOnly(t *testing.T) {

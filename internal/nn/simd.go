@@ -18,42 +18,50 @@ func gemmRowAVX2(a []float64, astep int, b, c []float64, k, n int) {
 }
 
 // gemmTransBAVX2 is gemmTransBGo on the AVX2 4×8 tile kernel, bit for
-// bit. B is packed once into ⌈n/8⌉ panels of k×8 — eight B rows
-// interleaved tap by tap, zero past n — from the scratch arena, so the
-// kernel reads eight outputs' taps with two loads. Tiles of gemmTileM
-// rows × one panel are dealt to workers; each output belongs to one.
+// bit. B is packed once by packTransB; tiles of gemmTileM rows × one
+// panel are dealt to workers, and each output belongs to one.
 func gemmTransBAVX2(a, b, c []float64, m, k, n int) {
 	if k == 0 {
 		clear(c[:m*n])
 		return
 	}
-	np := (n + 7) / 8
-	packed := getScratch(np * k * 8)
-	pd := packed.Data
-	zero := getScratchZero(k) // stands in for the B rows past n
-	var rows [8][]float64
-	for q := 0; q < np; q++ {
-		for jj := range rows {
-			if j := q*8 + jj; j < n {
-				rows[jj] = b[j*k : (j+1)*k]
-			} else {
-				rows[jj] = zero.Data
-			}
-		}
-		panel := pd[q*k*8 : (q+1)*k*8]
-		for p := 0; p < k; p++ {
-			d := panel[p*8 : p*8+8]
-			d[0], d[1], d[2], d[3] = rows[0][p], rows[1][p], rows[2][p], rows[3][p]
-			d[4], d[5], d[6], d[7] = rows[4][p], rows[5][p], rows[6][p], rows[7][p]
-		}
-	}
-	releaseScratch(zero)
+	packed := packTransB(b, k, n)
 	mt := (m + gemmTileM - 1) / gemmTileM
-	parallelForTiles(mt, np, m*k*n, func(ti, q int) {
+	parallelForTiles(mt, (n+7)/8, m*k*n, func(ti, q int) {
 		i0 := ti * gemmTileM
-		gemmTransBPanelAVX2(a, pd[q*k*8:(q+1)*k*8], c, k, n, i0, min(i0+gemmTileM, m), q*8)
+		gemmTransBPanelAVX2(a, packed.Data[q*k*8:(q+1)*k*8], c, k, n, i0, min(i0+gemmTileM, m), q*8)
 	})
 	releaseScratch(packed)
+}
+
+// packTransB packs B [n,k] for the AVX2 A×Bᵀ kernel into ⌈n/8⌉ panels
+// of k×8 from the scratch arena: eight B rows interleaved tap by tap,
+// zero past n, so the kernel reads eight outputs' taps with two loads.
+// Panels are packed across workers.
+func packTransB(b []float64, k, n int) *Tensor {
+	np := (n + 7) / 8
+	packed := getScratch(np * k * 8)
+	parallelFor(np, np*k*8, func(q0, q1 int) {
+		for q := q0; q < q1; q++ {
+			panel := packed.Data[q*k*8 : (q+1)*k*8]
+			if j0 := q * 8; j0+8 > n { // the last, partial panel
+				clear(panel)
+				for j := j0; j < n; j++ {
+					for p, v := range b[j*k : (j+1)*k] {
+						panel[p*8+j-j0] = v
+					}
+				}
+				continue
+			}
+			r := b[q*8*k : (q+1)*8*k]
+			for p := 0; p < k; p++ {
+				d := panel[p*8 : p*8+8]
+				d[0], d[1], d[2], d[3] = r[p], r[k+p], r[2*k+p], r[3*k+p]
+				d[4], d[5], d[6], d[7] = r[4*k+p], r[5*k+p], r[6*k+p], r[7*k+p]
+			}
+		}
+	})
+	return packed
 }
 
 // gemmTransBPanelAVX2 computes C rows [i0, i1) × columns [j0, j0+8) ∩

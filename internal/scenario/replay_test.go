@@ -15,6 +15,7 @@ import (
 	"repro/internal/fed"
 	"repro/internal/gossip"
 	"repro/internal/netem"
+	"repro/internal/nn"
 	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/pilot"
@@ -295,16 +296,21 @@ func replay(t testing.TB, c replayCase) []byte {
 	return got.Bytes()
 }
 
-// TestScenarioReplayGolden replays every pinned case twice with the same
-// seed: the two runs must export byte-identical snapshots, and the
-// snapshot must match the case's checked-in golden (regenerate with
-// UPDATE_GOLDEN=1).
+// TestScenarioReplayGolden replays every pinned case with the same seed
+// at the default, 1 and 3 nn kernel workers: the runs must export
+// byte-identical snapshots, and the snapshot must match the case's
+// checked-in golden (regenerate with UPDATE_GOLDEN=1).
 func TestScenarioReplayGolden(t *testing.T) {
 	for _, c := range replayCases {
 		t.Run(c.name, func(t *testing.T) {
 			got := replay(t, c)
-			if again := replay(t, c); !bytes.Equal(got, again) {
-				t.Fatal("same-seed replays exported different snapshots")
+			for _, w := range []int{1, 3} {
+				prev := nn.SetMaxWorkers(w)
+				again := replay(t, c)
+				nn.SetMaxWorkers(prev)
+				if !bytes.Equal(got, again) {
+					t.Fatalf("same-seed replays exported different snapshots at the default and %d kernel workers", w)
+				}
 			}
 			golden := filepath.Join("testdata", c.golden)
 			if os.Getenv("UPDATE_GOLDEN") != "" {

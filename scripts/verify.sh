@@ -1,13 +1,14 @@
 #!/bin/sh
 # Full pre-merge verification: vet, build, an arm64 cross-build, a
-# no-FMA lint of nn's assembly, race-enabled tests, the
-# perfbench module's vet and self-test, fault-profile and fault-free
-# pipeline smoke runs (byte-identical same-seed traces), a
-# metrics-cardinality lint, a cross-subsystem trace smoke
-# (byte-identical same-seed exports), a scenario smoke (library checks,
-# replay determinism, probe tolerance), a gossip smoke (byte-identical
-# same-seed overlay runs, partition survival vs the star control), the
-# registry contention guard, and gofmt.
+# no-FMA lint of nn's assembly, race-enabled tests, the bitwise and
+# golden tests at GOMAXPROCS 1, 2 and 3, the perfbench module's vet and
+# self-test, fault-profile and fault-free pipeline smoke runs
+# (byte-identical same-seed traces), a metrics-cardinality lint, a
+# cross-subsystem trace smoke (byte-identical same-seed exports), a
+# scenario smoke (library checks, replay determinism, probe tolerance),
+# a gossip smoke (byte-identical same-seed overlay runs, partition
+# survival vs the star control), the registry contention guard, and
+# gofmt.
 # Run from the repo root: ./scripts/verify.sh
 set -eu
 
@@ -40,6 +41,15 @@ echo "==> perfbench: go vet ./... && go test ./..."
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# nn's kernels split their work across GOMAXPROCS workers by default,
+# and no output may depend on the split (README, "invariant to
+# SetMaxWorkers"): the bitwise kernel tests and the goldens run at
+# GOMAXPROCS 1, 2 and 3.
+echo "==> bitwise and golden tests at -cpu 1,2,3"
+go test -count=1 -cpu 1,2,3 \
+    -run 'Bitwise|Golden|Determinis|MatchReference|MatchesPortable|KBlocks|ChaosPipeline|FromCheckpoint' \
+    ./internal/nn/... ./internal/core ./internal/scenario ./internal/pilot
 
 echo "==> pipeline smoke runs (lossy-wan and fault-free, byte-identical same-seed traces)"
 metrics=$(mktemp)
@@ -517,4 +527,4 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "OK: vet, build, arm64 cross-build, FMA lint, race tests, perfbench vet and self-test, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
+echo "OK: vet, build, arm64 cross-build, FMA lint, race tests, bitwise and golden tests at -cpu 1,2,3, perfbench vet and self-test, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
