@@ -172,6 +172,57 @@ var replayCases = []replayCase{
 			return runGossip(t, cfg, deps, shards, val)
 		},
 	},
+	{
+		// The star with real local SGD, a 3-of-4 quorum and the raw
+		// codec, whose uploads are the exact float64 deltas, under a
+		// shaped, lossy WAN.
+		name: "star/raw/quorum/lossy-wan", golden: "replay_star_raw_quorum_lossy_wan_v1.golden",
+		scn: "lossy-wan.scn", seed: 11, workers: 4, samples: 60,
+		run: func(t testing.TB, deps fed.Deps, shards [][]pilot.Sample, val []pilot.Sample) []float64 {
+			cfg := fed.DefaultConfig()
+			cfg.Workers = 4
+			cfg.Rounds = 3
+			cfg.BatchSize = 8
+			cfg.Seed = 11
+			cfg.Quorum = 3
+			cfg.RoundGap = 30 * time.Second
+			return runFed(t, cfg, deps, shards, val)
+		},
+	},
+	{
+		// A 200-worker hierarchical star with serialized ingress,
+		// synthetic local steps and the raw codec under a cascading
+		// outage: the fleet-scale path at a size a test can afford.
+		name: "hier/raw/synthetic-200/cascading-outage", golden: "replay_hier_raw_synthetic_cascading_outage_v1.golden",
+		scn: "cascading-outage.scn", seed: 9, workers: 200, samples: 250,
+		run: func(t testing.TB, deps fed.Deps, shards [][]pilot.Sample, val []pilot.Sample) []float64 {
+			cfg := fed.DefaultConfig()
+			cfg.Workers = 200
+			cfg.Rounds = 3
+			cfg.BatchSize = 8
+			cfg.Seed = 9
+			cfg.RoundGap = 15 * time.Second
+			cfg.Hierarchical = true
+			cfg.IngressSerial = true
+			cfg.SyntheticLocal = true
+			return runFed(t, cfg, deps, shards, val)
+		},
+	},
+	{
+		// Gossip on its default raw codec under a cloud partition: parcels
+		// carry the exact float64 deltas scaled by each shard weight.
+		name: "gossip/raw/cloud-partition", golden: "replay_gossip_raw_cloud_partition_v1.golden",
+		scn: "cloud-partition.scn", seed: 13, workers: 4, samples: 60,
+		run: func(t testing.TB, deps fed.Deps, shards [][]pilot.Sample, val []pilot.Sample) []float64 {
+			cfg := gossip.DefaultConfig()
+			cfg.Workers = 4
+			cfg.Rounds = 4
+			cfg.BatchSize = 8
+			cfg.Seed = 13
+			cfg.RoundGap = 15 * time.Second
+			return runGossip(t, cfg, deps, shards, val)
+		},
+	},
 }
 
 // runFed executes a star run and returns its final global weights.
