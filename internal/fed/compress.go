@@ -29,11 +29,13 @@ type Encoded struct {
 
 // Codec is one compression profile. EncodeDelta compresses an upload
 // (residual is the sender's error-feedback accumulator, updated in place;
-// nil disables feedback). BroadcastBytes prices the downlink copy of a
-// model with n scalars, and BroadcastValue is the receiver-side decode of
-// one broadcast weight. Sparsifies reports whether the profile defers
-// part of the delta into the residual (callers allocate accumulators only
-// for profiles that need them).
+// nil disables feedback). It owns the delta it is handed: the caller
+// neither reads nor writes it afterwards, so a codec may return it, or
+// write into it, instead of copying it. BroadcastBytes prices the
+// downlink copy of a model with n scalars, and BroadcastValue is the
+// receiver-side decode of one broadcast weight. Sparsifies reports
+// whether the profile defers part of the delta into the residual
+// (callers allocate accumulators only for profiles that need them).
 type Codec interface {
 	Name() string
 	EncodeDelta(delta [][]float64, residual [][]float64) Encoded
@@ -58,21 +60,18 @@ func NewCodec(profile string, topKFrac float64) (Codec, error) {
 	return nil, fmt.Errorf("fed: unknown compress profile %q (have none, fp16, topk)", profile)
 }
 
-// rawCodec ships float64 both ways: 8 bytes per scalar, no loss.
+// rawCodec ships float64 both ways: 8 bytes per scalar, no loss. The
+// receiver decodes exactly the delta, so it is returned as it is.
 type rawCodec struct{}
 
 func (rawCodec) Name() string { return "none" }
 
 func (rawCodec) EncodeDelta(delta [][]float64, residual [][]float64) Encoded {
 	var n int64
-	out := make([][]float64, len(delta))
-	for i, t := range delta {
+	for _, t := range delta {
 		n += int64(len(t))
-		cp := make([]float64, len(t))
-		copy(cp, t)
-		out[i] = cp
 	}
-	return Encoded{WireBytes: 8 * n, Values: out}
+	return Encoded{WireBytes: 8 * n, Values: delta}
 }
 
 func (rawCodec) BroadcastBytes(n int) int64       { return 8 * int64(n) }

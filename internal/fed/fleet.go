@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/edge"
@@ -103,16 +105,20 @@ type Deps struct {
 	AfterRound func(round int, sc obs.SpanContext) error
 }
 
-// Worker is one edge learner: its shard, the trainable pilot it runs
-// local epochs on, the base pilot it diffs against, its device on the
-// hub, its fixed compute speed, and its error-feedback residual.
+// Worker is one edge learner: its shard, the one trainable pilot it runs
+// local epochs on, the weights its round started from, its device on the
+// hub, its fixed compute speed, and its error-feedback residual. Base is
+// read-only and may be shared: the star hands every live worker the same
+// broadcast snapshot, and gossip hands each worker the weights rebuilt
+// from its parcel store.
 type Worker struct {
 	Idx   int          // fleet position; billing and reductions run in this order
 	Name  string       // device name (a scripted one when the fault plan names devices)
-	Local *pilot.Pilot // trainable copy
-	Base  *pilot.Pilot // the round's starting weights, which Local is diffed against
+	Local *pilot.Pilot // trainable copy, built once and never replaced
+	Base  [][]float64  // the round's starting weights, which Local is diffed against
 
 	deviceID string
+	params   []*nn.Param // Local's parameters, looked up once
 	shard    []pilot.Sample
 	speed    float64     // compute speed factor; higher is faster
 	residual [][]float64 // error feedback for sparsified uploads
@@ -139,13 +145,14 @@ type Fleet struct {
 // NewFleet wires deps onto the fault plan's virtual clock (a fault-free
 // plan anchored at deps.Start when deps.Plan is nil), arms the store with
 // the plan's object-store faults, and builds one worker per shard, each
-// with a trainable and a base pilot of architecture arch and a compute
-// speed drawn from cfg.Seed^speedSalt. When a hub is present, every
-// worker registers, flashes and boots a BYOD device; when the fault plan
-// scripts silence windows, the first workers take the scripted device
-// names so the plan's schedule lands on real fleet members. name ("fed"
-// or "gossip") prefixes everything the fleet emits. cfg must be valid;
-// NewFleet fills its zero-valued defaults in place.
+// with one trainable pilot of architecture arch and a compute speed drawn
+// from cfg.Seed^speedSalt; a worker has no base until its first Start.
+// When a hub is present, every worker registers, flashes and boots a BYOD
+// device; when the fault plan scripts silence windows, the first workers
+// take the scripted device names so the plan's schedule lands on real
+// fleet members. name ("fed" or "gossip") prefixes everything the fleet
+// emits. cfg must be valid; NewFleet fills its zero-valued defaults in
+// place.
 func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pilot.Config, shards [][]pilot.Sample) (*Fleet, error) {
 	if deps.Net == nil {
 		return nil, fmt.Errorf("%s: nil network", name)
@@ -221,9 +228,7 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 		if w.Local, err = pilot.New(arch); err != nil {
 			return nil, fmt.Errorf("%s: worker %d pilot: %w", name, i, err)
 		}
-		if w.Base, err = pilot.New(arch); err != nil {
-			return nil, fmt.Errorf("%s: worker %d base pilot: %w", name, i, err)
-		}
+		w.params = w.Local.Model().Params()
 		if deps.Hub != nil {
 			d, err := deps.Hub.RegisterDevice(w.Name, name+"-fleet")
 			if err != nil {
@@ -277,25 +282,35 @@ func (f *Fleet) Transfer(sc obs.SpanContext, op string, size int64, link netem.L
 	return f.Clock.Now().Sub(before), err
 }
 
-// Train runs train on every given worker concurrently. Each worker's
-// arithmetic is self-contained (own model, own seeded RNG streams), so
-// scheduling cannot change the result. Afterwards it opens one
-// <name>_local_train span per worker under span, in slice order so span
-// IDs and timestamps stay deterministic, each carrying the worker's
-// simulated cost: samples x epochs x per-sample cost over its speed. The
-// fleet trains in parallel in simulated time, so the clock advances once,
-// by the slowest cost, letting heartbeat windows and fault schedules
-// progress through the round. Train returns the costs by worker index
-// (zero for workers it did not train).
+// Train runs train on every given worker, on min(len(workers), GOMAXPROCS)
+// goroutines that take workers in slice order. Each worker's arithmetic
+// is self-contained (own model, own seeded RNG streams) and its error
+// lands at its own index, so neither scheduling nor the pool size can
+// change the result or which error is reported: the first in slice
+// order. Afterwards it opens one <name>_local_train span per worker under
+// span, in slice order so span IDs and timestamps stay deterministic,
+// each carrying the worker's simulated cost: samples x epochs x
+// per-sample cost over its speed. The fleet trains in parallel in
+// simulated time, so the clock advances once, by the slowest cost,
+// letting heartbeat windows and fault schedules progress through the
+// round. Train returns the costs by worker index (zero for workers it
+// did not train).
 func (f *Fleet) Train(span *obs.Span, round int, workers []*Worker, train func(*Worker) error) ([]time.Duration, error) {
 	errs := make([]error, len(workers))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, w := range workers {
+	for range min(len(workers), runtime.GOMAXPROCS(0)) {
 		wg.Add(1)
-		go func(i int, w *Worker) {
+		go func() {
 			defer wg.Done()
-			errs[i] = train(w)
-		}(i, w)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(workers) {
+					return
+				}
+				errs[i] = train(workers[i])
+			}
+		}()
 	}
 	wg.Wait()
 	costs := make([]time.Duration, len(f.Workers))
@@ -335,18 +350,34 @@ func (f *Fleet) SGD(w *Worker, round int) error {
 
 // Export encodes the worker's training delta, (local - base) x scale,
 // through the codec with the worker's error feedback. The encoded values
-// are what every receiver decodes.
+// are what every receiver decodes. One pass over the parameters writes
+// every tensor's (local[j] - base[j]) * scale into one backing slice, cut
+// into capacity-limited sub-slices that the codec then owns: the same two
+// roundings, in the same order, as a subtraction followed by a scaling. A
+// base that does not match the parameters in shape, including the nil
+// base of a worker that never started a round, is an error.
 func (f *Fleet) Export(w *Worker, scale float64) (Encoded, error) {
-	delta, err := nn.DeltaFrom(w.Local.Model(), w.Base.Model())
-	if err != nil {
-		return Encoded{}, err
+	if len(w.Base) != len(w.params) {
+		return Encoded{}, fmt.Errorf("%s: worker %d: base has %d tensors, model %d", f.name, w.Idx, len(w.Base), len(w.params))
 	}
-	delta.Scale(scale)
-	vals := make([][]float64, len(delta.Tensors))
-	for i, t := range delta.Tensors {
-		vals[i] = t.Data
+	n := 0
+	for i, p := range w.params {
+		if len(w.Base[i]) != len(p.W.Data) {
+			return Encoded{}, fmt.Errorf("%s: worker %d: base tensor %d has %d values, param %d", f.name, w.Idx, i, len(w.Base[i]), len(p.W.Data))
+		}
+		n += len(p.W.Data)
 	}
-	return f.Codec.EncodeDelta(vals, w.residualFor(f.Codec, vals)), nil
+	buf := make([]float64, n)
+	delta := make([][]float64, len(w.params))
+	for i, p := range w.params {
+		d, base := buf[:len(p.W.Data):len(p.W.Data)], w.Base[i]
+		buf = buf[len(d):]
+		for j, v := range p.W.Data {
+			d[j] = (v - base[j]) * scale
+		}
+		delta[i] = d
+	}
+	return f.Codec.EncodeDelta(delta, w.residualFor(f.Codec, delta)), nil
 }
 
 // residualFor returns the worker's error-feedback accumulator for codecs
@@ -444,17 +475,35 @@ func Snapshot(p *pilot.Pilot) [][]float64 {
 // their gradients. Each pilot's parameters must match vals in shape.
 func Install(vals [][]float64, pilots ...*pilot.Pilot) error {
 	for _, p := range pilots {
-		params := p.Model().Params()
-		if len(params) != len(vals) {
-			return fmt.Errorf("fed: install %d tensors into a model with %d", len(vals), len(params))
+		if err := install(vals, p.Model().Params()); err != nil {
+			return err
 		}
-		for i, prm := range params {
-			if len(prm.W.Data) != len(vals[i]) {
-				return fmt.Errorf("fed: install tensor %d: %d values into %d weights", i, len(vals[i]), len(prm.W.Data))
-			}
-			copy(prm.W.Data, vals[i])
-			prm.ZeroGrad()
+	}
+	return nil
+}
+
+// Start begins the worker's round from base: it copies base into the
+// trainable pilot, zeroing its gradients, and keeps base, which it never
+// writes, as what Export diffs against. Workers may share one base.
+func (w *Worker) Start(base [][]float64) error {
+	if err := install(base, w.params); err != nil {
+		return err
+	}
+	w.Base = base
+	return nil
+}
+
+// install copies vals into params' weights and zeroes their gradients.
+func install(vals [][]float64, params []*nn.Param) error {
+	if len(params) != len(vals) {
+		return fmt.Errorf("fed: install %d tensors into a model with %d", len(vals), len(params))
+	}
+	for i, prm := range params {
+		if len(prm.W.Data) != len(vals[i]) {
+			return fmt.Errorf("fed: install tensor %d: %d values into %d weights", i, len(vals[i]), len(prm.W.Data))
 		}
+		copy(prm.W.Data, vals[i])
+		prm.ZeroGrad()
 	}
 	return nil
 }

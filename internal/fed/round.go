@@ -132,7 +132,8 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// Broadcast: the server pushes the (possibly down-quantized) global
 	// weights to each live worker, one billed WAN transfer each, in
 	// worker-index order so netem's seeded draws replay identically. Every
-	// worker decodes the same copy, so the fleet stays in lockstep.
+	// worker decodes the same copy, so the fleet stays in lockstep, and
+	// every worker keeps that one copy as its base.
 	bcastBytes := r.Codec.BroadcastBytes(r.Global.ParamCount())
 	globalVals := Snapshot(r.Global)
 	for _, t := range globalVals {
@@ -163,7 +164,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		bsp.End()
 		rr.BroadcastBytes += bcastBytes
 		reg.Counter("fed_bytes_on_wire_total", obs.L("dir", "broadcast")).Add(float64(bcastBytes))
-		if err := Install(globalVals, st.w.Local, st.w.Base); err != nil {
+		if err := st.w.Start(globalVals); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
@@ -415,7 +416,7 @@ func workerShard(idx int) string { return fmt.Sprintf("s%02d", idx%numShards) }
 // element's perturbation depends only on (seed, round, worker, tensor,
 // element), so same-seed fleets of any size replay bit-for-bit.
 func syntheticTrain(w *Worker, seed int64, round int) {
-	for ti, p := range w.Local.Model().Params() {
+	for ti, p := range w.params {
 		for j := range p.W.Data {
 			p.W.Data[j] += 1e-3 * synthVal(seed, round, w.Idx, ti, j)
 		}

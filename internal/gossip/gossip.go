@@ -135,9 +135,9 @@ func (c Config) antiEntropyEvery() int {
 type Deps = fed.Deps
 
 // worker is one fleet member with its overlay state: peer table (which
-// holds its node ID), parcel replica, and shard weight. The embedded fed.Worker's base
-// pilot is rebuilt from the store before each training pass, and its
-// local pilot is the trainable copy diffed against it.
+// holds its node ID), parcel replica, and shard weight. The embedded
+// fed.Worker's base is rebuilt from the store before each training pass,
+// and its local pilot is the trainable copy diffed against it.
 type worker struct {
 	*fed.Worker
 	table  *Table

@@ -153,8 +153,8 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	}
 
 	// Local training: every reachable trainer rebuilds its base from its
-	// parcel store (genesis + parcels in canonical order), installs it in
-	// both its base and trainable models, and runs its epochs.
+	// parcel store (genesis + parcels in canonical order), starts its
+	// trainable model from it, and runs its epochs.
 	var trainees []*fed.Worker
 	for _, w := range r.workers {
 		if !w.offline && !w.freeRider {
@@ -162,7 +162,11 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 	}
 	if _, err := r.Train(span, idx, trainees, func(fw *fed.Worker) error {
-		if _, err := r.rebuild(r.workers[fw.Idx].store, fw.Base, fw.Local); err != nil {
+		base, err := r.rebuild(r.workers[fw.Idx].store)
+		if err != nil {
+			return err
+		}
+		if err := fw.Start(base); err != nil {
 			return err
 		}
 		return r.SGD(fw, idx)

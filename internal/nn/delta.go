@@ -1,89 +1,21 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// This file implements weight-delta export and apply, the primitive the
-// federated layer builds on: a worker exports delta = local - global after
-// its local epochs, the parameter server averages deltas and applies the
-// result. Deltas live in float64 space so they can be scaled and averaged.
-//
-// Floating-point subtraction is rounded, so base + (a - b) is not always
-// bit-identical to a (cancellation across binades loses low bits). Exact
-// reconstruction matters when a delta is used as a checkpoint diff — every
-// replica must end on the same bits or same-seed runs diverge — so
-// DeltaFrom records a sparse fixup list for the rare scalars whose
-// round-trip would drift, and ApplyDelta replays it after the add.
+// This file implements applying a weight delta, the primitive the
+// federated layer's aggregation builds on: the parameter server averages
+// its workers' deltas into one and adds it to the global model. Deltas
+// live in float64 space so they can be scaled and averaged.
 
-// DeltaFixup pins one scalar whose float64 round trip is inexact: after
-// adding the delta, parameter Param at flat index Index is set to Value.
-type DeltaFixup struct {
-	Param, Index int
-	Value        float64
-}
-
-// WeightDelta is the parameter-wise difference between two models of the
-// same architecture, in Params() order. Tensors holds the dense float64
-// differences; Fixups makes ApplyDelta's reconstruction bit-exact.
+// WeightDelta is a parameter-wise difference for one architecture, in
+// Params() order: Tensors holds the dense float64 differences.
 type WeightDelta struct {
 	Tensors []*Tensor
-	Fixups  []DeltaFixup
 }
 
-// checkParamsMatch verifies two parameter lists agree in count and shape.
-func checkParamsMatch(a, b []*Param) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("nn: delta: %d params vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].W.SameShape(b[i].W) {
-			return fmt.Errorf("nn: delta: param %d (%s) shape %v vs %v",
-				i, a[i].Name, a[i].W.Shape, b[i].W.Shape)
-		}
-	}
-	return nil
-}
-
-// DeltaFrom exports the weight delta m - base for two models of the same
-// architecture. ApplyDelta(base, DeltaFrom(m, base)) reconstructs m's
-// weights bit-identically (fixups cover the scalars where float64
-// subtraction rounds).
-func DeltaFrom(m, base Model) (*WeightDelta, error) {
-	mp, bp := m.Params(), base.Params()
-	if err := checkParamsMatch(mp, bp); err != nil {
-		return nil, err
-	}
-	d := &WeightDelta{Tensors: make([]*Tensor, len(mp))}
-	for i := range mp {
-		t := NewTensor(mp[i].W.Shape...)
-		for j, a := range mp[i].W.Data {
-			b := bp[i].W.Data[j]
-			t.Data[j] = a - b
-			if b+t.Data[j] != a {
-				d.Fixups = append(d.Fixups, DeltaFixup{Param: i, Index: j, Value: a})
-			}
-		}
-		d.Tensors[i] = t
-	}
-	return d, nil
-}
-
-// Scale multiplies every delta entry by alpha (fixups are dropped: a
-// scaled delta no longer reconstructs an exact endpoint).
-func (d *WeightDelta) Scale(alpha float64) {
-	for _, t := range d.Tensors {
-		for j := range t.Data {
-			t.Data[j] *= alpha
-		}
-	}
-	d.Fixups = nil
-}
-
-// ApplyDelta adds the delta to the model's weights in place (w += d),
-// then replays the fixup list so an unscaled delta reconstructs its source
-// model bit-for-bit. Gradients are untouched.
+// ApplyDelta adds the delta to the model's weights in place (w += d). It
+// checks every tensor's shape before touching a weight, so a mismatched
+// delta leaves the model as it was. Gradients are untouched.
 func ApplyDelta(m Model, d *WeightDelta) error {
 	if d == nil {
 		return fmt.Errorf("nn: nil weight delta")
@@ -104,22 +36,5 @@ func ApplyDelta(m Model, d *WeightDelta) error {
 			w[j] += v
 		}
 	}
-	for _, f := range d.Fixups {
-		params[f.Param].W.Data[f.Index] = f.Value
-	}
 	return nil
-}
-
-// MaxAbsDelta returns the largest absolute entry across the delta, a cheap
-// convergence signal (a fleet whose deltas shrink is settling).
-func (d *WeightDelta) MaxAbsDelta() float64 {
-	var m float64
-	for _, t := range d.Tensors {
-		for _, v := range t.Data {
-			if a := math.Abs(v); a > m {
-				m = a
-			}
-		}
-	}
-	return m
 }

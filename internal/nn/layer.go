@@ -248,16 +248,21 @@ func (t *Tanh) Params() []*Param { return nil }
 // survivors (inverted dropout). It is the identity at inference time.
 type Dropout struct {
 	Rate float64
-	rng  *rand.Rand
+	seed int64
+	rng  *rand.Rand // seeded from seed at the first training forward
 	mask []float64
 }
 
-// NewDropout builds a dropout layer with its own seeded RNG stream.
+// NewDropout builds a dropout layer with its own RNG stream. The stream's
+// seed is drawn from rng now, so rng and every layer built after this one
+// see the same draws whether or not the layer ever trains; the stream
+// itself is seeded at the first training forward with a nonzero rate, so
+// a layer that only infers never builds one.
 func NewDropout(rate float64, rng *rand.Rand) (*Dropout, error) {
 	if rate < 0 || rate >= 1 {
 		return nil, fmt.Errorf("nn: dropout rate must be in [0,1), got %g", rate)
 	}
-	return &Dropout{Rate: rate, rng: rand.New(rand.NewSource(rng.Int63()))}, nil
+	return &Dropout{Rate: rate, seed: rng.Int63()}, nil
 }
 
 // Forward implements Layer.
@@ -265,6 +270,9 @@ func (d *Dropout) Forward(x *Tensor, train bool) (*Tensor, error) {
 	if !train || d.Rate == 0 {
 		d.mask = nil
 		return x, nil
+	}
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.seed))
 	}
 	y := x.Clone()
 	if cap(d.mask) < len(y.Data) {

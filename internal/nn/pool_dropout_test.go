@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,5 +207,92 @@ func TestDropoutZeroRate(t *testing.T) {
 				t.Fatalf("train=%v: rate-0 dropout changed the input", train)
 			}
 		}
+	}
+}
+
+// newEagerDropout is NewDropout as it was before the layer's stream was
+// seeded lazily, kept verbatim as the reference.
+func newEagerDropout(rate float64, rng *rand.Rand) (*Dropout, error) {
+	if rate < 0 || rate >= 1 {
+		return nil, fmt.Errorf("nn: dropout rate must be in [0,1), got %g", rate)
+	}
+	return &Dropout{Rate: rate, rng: rand.New(rand.NewSource(rng.Int63()))}, nil
+}
+
+// TestDropoutLazySeedBitwise checks that seeding the stream at the first
+// training forward changes no bit: from one parent stream, the eager and
+// the lazy constructor leave the parent at the same draw and drop the
+// same units, scaled the same, over several training forwards with
+// inference forwards between them. A layer that only infers, or trains
+// at rate 0, never builds a generator.
+func TestDropoutLazySeedBitwise(t *testing.T) {
+	eagerParent, lazyParent := rand.New(rand.NewSource(77)), rand.New(rand.NewSource(77))
+	eager, err := newEagerDropout(0.3, eagerParent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := NewDropout(0.3, lazyParent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.rng != nil {
+		t.Fatal("NewDropout built its generator before the first training forward")
+	}
+	if a, b := eagerParent.Int63(), lazyParent.Int63(); a != b {
+		t.Fatalf("parent streams diverged after construction: %d vs %d", a, b)
+	}
+	x := NewTensor(4, 33)
+	for i := range x.Data {
+		x.Data[i] = float64(i%7) - 2.5
+	}
+	for pass := 0; pass < 4; pass++ {
+		for _, d := range []*Dropout{eager, lazy} {
+			if _, err := d.Forward(x, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ye, err := eager.Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yl, err := lazy.Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped := 0
+		for i := range ye.Data {
+			if math.Float64bits(eager.mask[i]) != math.Float64bits(lazy.mask[i]) ||
+				math.Float64bits(ye.Data[i]) != math.Float64bits(yl.Data[i]) {
+				t.Fatalf("pass %d unit %d: eager mask %g out %g, lazy mask %g out %g",
+					pass, i, eager.mask[i], ye.Data[i], lazy.mask[i], yl.Data[i])
+			}
+			if lazy.mask[i] == 0 {
+				dropped++
+			}
+		}
+		if dropped == 0 || dropped == len(ye.Data) {
+			t.Fatalf("pass %d dropped %d of %d units; the comparison has no teeth", pass, dropped, len(ye.Data))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	infer, err := NewDropout(0.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := NewDropout(0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := infer.Forward(x, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zero.Forward(x, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if infer.rng != nil || zero.rng != nil {
+		t.Fatal("a dropout that never trained at a nonzero rate built a generator")
 	}
 }

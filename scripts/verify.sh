@@ -43,13 +43,14 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # nn's kernels split their work across GOMAXPROCS workers by default,
-# and no output may depend on the split (README, "invariant to
-# SetMaxWorkers"): the bitwise kernel tests and the goldens run at
-# GOMAXPROCS 1, 2 and 3.
+# and so does the fleet's trainer pool, and no output may depend on the
+# split (README, "invariant to SetMaxWorkers"): the bitwise kernel tests
+# and the goldens run at GOMAXPROCS 1, 2 and 3.
 echo "==> bitwise and golden tests at -cpu 1,2,3"
 go test -count=1 -cpu 1,2,3 \
     -run 'Bitwise|Golden|Determinis|MatchReference|MatchesPortable|KBlocks|ChaosPipeline|FromCheckpoint' \
-    ./internal/nn/... ./internal/core ./internal/scenario ./internal/pilot
+    ./internal/nn/... ./internal/core ./internal/scenario ./internal/pilot \
+    ./internal/fed ./internal/gossip
 
 echo "==> pipeline smoke runs (lossy-wan and fault-free, byte-identical same-seed traces)"
 metrics=$(mktemp)
