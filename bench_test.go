@@ -21,7 +21,6 @@ package repro
 //
 //	BenchmarkAblationConvIm2col / BenchmarkAblationConvNaive
 //	BenchmarkAblationCatalogSize
-//	BenchmarkAblationLoopRate
 //	BenchmarkAblationHybridShrink
 
 import (
@@ -61,7 +60,6 @@ import (
 	"repro/internal/trovi"
 	"repro/internal/tub"
 	"repro/internal/twin"
-	"repro/internal/vehicle"
 )
 
 var benchEpoch = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
@@ -702,40 +700,6 @@ func BenchmarkAblationCatalogSize(b *testing.B) {
 					b.Fatal(err)
 				}
 				os.RemoveAll(dir)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationLoopRate compares the fixed-Hz vehicle loop with a
-// free-running loop on the same parts (DESIGN.md §5: drive-loop jitter).
-func BenchmarkAblationLoopRate(b *testing.B) {
-	for _, mode := range []string{"fixed-20hz", "free-run"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v, err := vehicle.New(20)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "free-run" {
-					v.Sleeper = func(time.Duration) {}
-				}
-				work := 0
-				if err := v.Add(vehicle.PartFunc{PartName: "w", Fn: func(*vehicle.Memory) error {
-					work++
-					return nil
-				}}); err != nil {
-					b.Fatal(err)
-				}
-				ticks := 10
-				if mode == "free-run" {
-					ticks = 1000
-				}
-				stats, err := v.Start(ticks)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(stats.Ticks)/stats.WallTime.Seconds(), "ticks/s")
 			}
 		})
 	}

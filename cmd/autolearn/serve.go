@@ -102,11 +102,7 @@ func buildServing(specs []modelSpec, cfg serve.Config, quant string) (*servingAp
 			return nil, err
 		}
 	}
-	// Polling is driven by refresh (which also re-reads the files), not by
-	// the service's own store-only poller.
-	svcCfg := cfg
-	svcCfg.PollInterval = 0
-	a.svc, err = serve.New(svcCfg, reg, a.metrics)
+	a.svc, err = serve.New(cfg, reg, a.metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +145,7 @@ func cmdServe(args []string) error {
 	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = default)")
 	replicas := fs.Int("replicas", 0, fmt.Sprintf("scheduler shards per model, each with its own pilot instance (0 = 1, max %d)", serve.MaxReplicas))
 	quant := fs.String("quant", "", "quantized inference mode: int8 (empty = float64)")
-	poll := fs.Duration("poll", 2*time.Second, "checkpoint reload poll interval (0 disables)")
+	poll := fs.Duration("poll", serve.DefaultConfig().PollInterval, "checkpoint reload poll interval (0 disables)")
 	scnFile := fs.String("scenario", "", "scenario file scripting the serving WAN with link phases (netctl pane at /netctl/); objstore, silence and preempt are rejected")
 	fs.Parse(args)
 
@@ -180,9 +176,10 @@ func cmdServe(args []string) error {
 	if *replicas > 0 {
 		cfg.Replicas = *replicas
 	}
+	cfg.PollInterval = *poll
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return runServe(ctx, *addr, specs, cfg, *quant, *poll, rt)
+	return runServe(ctx, *addr, specs, cfg, *quant, rt)
 }
 
 // servable rejects the scenario directives serve cannot apply: objstore
@@ -202,10 +199,12 @@ func servable(s *scenario.Scenario) error {
 }
 
 // runServe serves until ctx is canceled, then drains the HTTP server and
-// the batching schedulers. A non-nil scenario runtime scripts the serving
-// WAN: its clock advances in wall time, its shapes slow the batchers, and
-// the netctl control plane is mounted at /netctl/ for live mutations.
-func runServe(ctx context.Context, addr string, specs []modelSpec, cfg serve.Config, quant string, poll time.Duration, rt *scenario.Runtime) error {
+// the batching schedulers. Every cfg.PollInterval it re-reads the
+// checkpoint files and hot-swaps changed models. A non-nil scenario
+// runtime scripts the serving WAN: its clock advances in wall time, its
+// shapes slow the batchers, and the netctl control plane is mounted at
+// /netctl/ for live mutations.
+func runServe(ctx context.Context, addr string, specs []modelSpec, cfg serve.Config, quant string, rt *scenario.Runtime) error {
 	a, err := buildServing(specs, cfg, quant)
 	if err != nil {
 		return err
@@ -247,9 +246,9 @@ func runServe(ctx context.Context, addr string, specs []modelSpec, cfg serve.Con
 	if err != nil {
 		return err
 	}
-	if poll > 0 {
+	if cfg.PollInterval > 0 {
 		go func() {
-			t := time.NewTicker(poll)
+			t := time.NewTicker(cfg.PollInterval)
 			defer t.Stop()
 			for {
 				select {

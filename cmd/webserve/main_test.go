@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // startApp builds the webserve app with its drive loop running and
@@ -162,7 +164,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.Context().Inject(req.Header)
+	req.Header.Set(obs.TraceHeader, root.Context().String())
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package repro is AutoLearn-Go, a from-scratch Go reproduction of
 // "AutoLearn: Learning in the Edge to Cloud Continuum" (SC-W 2023): the
 // DonkeyCar-style driving stack (simulator, tub data format, six autopilot
-// models on a from-scratch neural-network library, vehicle parts loop),
+// models on a from-scratch neural-network library, 20 Hz drive loop),
 // the Chameleon/CHI@Edge testbed substrates (GPU inventory, advance
 // reservations, BYOD edge devices, object store, network emulation), the
 // Trovi artifact hub, and the orchestration that ties them into the

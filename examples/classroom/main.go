@@ -104,11 +104,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	nb, err := p.BuildNotebook("linear", testbed.RTX6000, 400, 300, start)
-	if err != nil {
-		return err
-	}
-	art, err := p.PublishToTrovi(nb, start)
+	art, err := p.PublishToTrovi(p.BuildNotebook(), start)
 	if err != nil {
 		return err
 	}

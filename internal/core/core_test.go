@@ -346,10 +346,13 @@ func (f frameDriverFunc) DriveFrame(fr *sim.Frame, st sim.CarState) (float64, fl
 }
 func (f frameDriverFunc) Drive(sim.CarState) (float64, float64) { return 0, 0 }
 
-func TestNotebookDrivesPipelineAndTrovi(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
+// defaultPipelineTrainConfig keeps test training runs short while still
+// converging on the small encoder.
+func defaultPipelineTrainConfig() nn.TrainConfig {
+	return nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 2, ClipGrad: 5, Patience: 3}
+}
+
+func TestNotebookPublishesToTrovi(t *testing.T) {
 	m := fastModule(t)
 	s, err := m.Enroll("student", "mu")
 	if err != nil {
@@ -359,32 +362,31 @@ func TestNotebookDrivesPipelineAndTrovi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := p.BuildNotebook(pilot.Inferred, testbed.RTX6000, 500, 300, t0)
-	if err != nil {
-		t.Fatal(err)
+	nb := p.BuildNotebook()
+	var code []string
+	for _, c := range nb.Cells {
+		if c.Kind == notebook.Code {
+			code = append(code, c.Source)
+		}
+	}
+	if got := strings.Join(code, ","); got != "collect-data,clean-data,reserve-train,evaluate-model" {
+		t.Errorf("code cells %s", got)
 	}
 	art, err := p.PublishToTrovi(nb, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(art.Tags) == 0 || art.Tags[0] != "education" {
+		t.Errorf("artifact tags %v", art.Tags)
+	}
 
-	// A student launches and executes the artifact; Trovi counts each cell
-	// execution through a listener (its "executed at least one cell" metric).
+	// A student launches the artifact and executes a cell; Trovi counts
+	// each user once.
 	if err := m.Trovi.RecordLaunch(art.ID, "student"); err != nil {
 		t.Fatal(err)
 	}
-	executions := 0
-	ran, err := nb.RunAll(t0, func(name string, i int, status notebook.CellStatus) {
-		executions++
-		if execErr := m.Trovi.RecordExecution(art.ID, "student"); execErr != nil {
-			t.Error(execErr)
-		}
-	})
-	if err != nil {
+	if err := m.Trovi.RecordExecution(art.ID, "student"); err != nil {
 		t.Fatal(err)
-	}
-	if ran != nb.CodeCellCount() || executions != ran {
-		t.Errorf("ran %d cells, %d executions, %d code cells", ran, executions, nb.CodeCellCount())
 	}
 	metrics, err := m.Trovi.MetricsFor(art.ID)
 	if err != nil {
@@ -392,54 +394,6 @@ func TestNotebookDrivesPipelineAndTrovi(t *testing.T) {
 	}
 	if metrics.ExecUsers != 1 || metrics.LaunchUsers != 1 {
 		t.Errorf("metrics %+v", metrics)
-	}
-	sum := nb.Summary()
-	if !strings.Contains(sum, "evaluate-model") {
-		t.Errorf("summary missing cells:\n%s", sum)
-	}
-}
-
-func TestPretrainedPathway(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
-	m := fastModule(t)
-	size, valLoss, err := m.PublishPretrained(pilot.Linear, 400,
-		nn.TrainConfig{Epochs: 3, BatchSize: 32, ValFrac: 0.15, Seed: 1, ClipGrad: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size <= 0 || valLoss <= 0 {
-		t.Fatalf("size %d valLoss %g", size, valLoss)
-	}
-	names, err := m.ListPretrained()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != PretrainedName(pilot.Linear) {
-		t.Fatalf("pretrained list %v", names)
-	}
-	s, err := m.Enroll("student", "mu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.NewPipeline(s, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := p.EvaluatePretrained(pilot.Linear, EdgePlacement, DefaultPlacementModel(m.Net), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Report.Records == 0 || ev.Download <= 0 {
-		t.Errorf("pretrained evaluation incomplete: %+v", ev)
-	}
-}
-
-func TestPublishPretrainedValidation(t *testing.T) {
-	m := fastModule(t)
-	if _, _, err := m.PublishPretrained(pilot.Linear, 0, defaultPipelineTrainConfig()); err == nil {
-		t.Error("zero ticks accepted")
 	}
 }
 

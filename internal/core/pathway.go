@@ -5,10 +5,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/nn"
 	"repro/internal/notebook"
-	"repro/internal/pilot"
-	"repro/internal/testbed"
 	"repro/internal/trovi"
 )
 
@@ -21,64 +18,17 @@ func tempTubDir() (string, error) {
 	return dir, nil
 }
 
-// BuildNotebook assembles the module's instructional notebook for a
-// student: the cell sequence of §3.5, each code cell bound to the live
-// pipeline action it documents. Executing cells drives the real pipeline,
-// which is exactly how AutoLearn packages its artifacts.
-func (p *Pipeline) BuildNotebook(kind pilot.Kind, gpu testbed.GPUType, collectTicks, evalTicks int, start time.Time) (*notebook.Notebook, error) {
-	if collectTicks <= 0 || evalTicks <= 0 {
-		return nil, fmt.Errorf("core: positive tick budgets required")
-	}
-	var (
-		collected CollectResult
-		trained   TrainResult
-	)
-	pm := DefaultPlacementModel(p.M.Net)
-
-	nb := notebook.New("autolearn-" + string(p.M.Cfg.Pathway))
-	nb.AddMarkdown("# AutoLearn: Learning in the Edge to Cloud Continuum\n" +
-		"Work through the cells in order: collect → clean → train → evaluate.")
-	nb.AddCode("collect-data", func() (string, error) {
-		var err error
-		collected, err = p.CollectData(Simulator, "session-1", collectTicks)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("collected %d records (%d flagged bad) over %d laps\n",
-			collected.Records, collected.Bad, collected.Laps), nil
-	})
-	nb.AddCode("clean-data", func() (string, error) {
-		marked, remaining, err := p.CleanData(collected.TubDir)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("tubclean marked %d records, %d remain\n", marked, remaining), nil
-	})
-	nb.AddCode("reserve-train", func() (string, error) {
-		var err error
-		trained, err = p.Train(collected.TubDir, kind, gpu,
-			defaultPipelineTrainConfig(), start)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("trained %s on %s: val loss %.4f, simulated GPU time %v\n",
-			kind, gpu, trained.History.BestValLoss, trained.SimGPUTime), nil
-	})
-	nb.AddCode("evaluate-model", func() (string, error) {
-		res, err := p.Evaluate(trained.ModelObject, EdgePlacement, pm, evalTicks)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("autonomous drive: %d laps, %d crashes, mean speed %.2f m/s\n",
-			res.Report.Laps, res.Report.Crashes, res.Report.MeanSpeed), nil
-	})
-	return nb, nil
-}
-
-// defaultPipelineTrainConfig keeps notebook training runs short enough for
-// interactive use while still converging on the small encoder.
-func defaultPipelineTrainConfig() nn.TrainConfig {
-	return nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 2, ClipGrad: 5, Patience: 3}
+// BuildNotebook assembles the module's instructional notebook: the cell
+// sequence of §3.5, one code cell per pipeline stage, which is how
+// AutoLearn packages its artifacts for Trovi.
+func (p *Pipeline) BuildNotebook() *notebook.Notebook {
+	return notebook.New("autolearn-" + string(p.M.Cfg.Pathway)).
+		AddMarkdown("# AutoLearn: Learning in the Edge to Cloud Continuum\n" +
+			"Work through the cells in order: collect → clean → train → evaluate.").
+		AddCode("collect-data").
+		AddCode("clean-data").
+		AddCode("reserve-train").
+		AddCode("evaluate-model")
 }
 
 // PublishToTrovi exports the notebook and publishes it as a Trovi artifact

@@ -1,116 +1,10 @@
-// Package cv implements the classical computer-vision extensions the
-// paper's "Training Additional Models" section proposes as student
-// exercises: a color classifier ("camera identifies color of object placed
-// in front of it; red means stop, green means go"), an edge-detection line
-// follower ("camera used to identify the edge of the track or a center
-// line and keep the car following that"), and GPS path following ("record
-// a path with GPS and have the car follow that path").
+// Package cv implements the classical computer-vision extension the
+// paper's "Training Additional Models" section proposes as a student
+// exercise: an edge-detection line follower ("camera used to identify the
+// edge of the track or a center line and keep the car following that").
 package cv
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/sim"
-)
-
-// Signal is the color classifier's verdict.
-type Signal string
-
-// Classifier outcomes.
-const (
-	SignalStop    Signal = "stop"    // dominant red
-	SignalGo      Signal = "go"      // dominant green
-	SignalUnknown Signal = "unknown" // neither dominates
-)
-
-// ColorClassifierConfig tunes the stop/go detector.
-type ColorClassifierConfig struct {
-	// MinFraction is the fraction of pixels that must be decisively red or
-	// green for a verdict.
-	MinFraction float64
-	// Margin is how much a channel must exceed the others to count as that
-	// color (0-255 scale).
-	Margin int
-}
-
-// DefaultColorClassifierConfig matches a toy traffic-light object held in
-// front of the wide-angle camera; the low fraction threshold gives the car
-// enough detection range to brake in time.
-func DefaultColorClassifierConfig() ColorClassifierConfig {
-	return ColorClassifierConfig{MinFraction: 0.02, Margin: 40}
-}
-
-// ClassifySignal inspects an RGB frame for a dominant red or green object.
-// Grayscale frames cannot carry color and return an error.
-func ClassifySignal(f *sim.Frame, cfg ColorClassifierConfig) (Signal, error) {
-	if f == nil {
-		return SignalUnknown, fmt.Errorf("cv: nil frame")
-	}
-	if f.C != 3 {
-		return SignalUnknown, fmt.Errorf("cv: color classification needs RGB, got %d channels", f.C)
-	}
-	if cfg.MinFraction <= 0 || cfg.MinFraction > 1 || cfg.Margin <= 0 {
-		return SignalUnknown, fmt.Errorf("cv: invalid classifier config %+v", cfg)
-	}
-	var red, green int
-	n := f.W * f.H
-	for i := 0; i < n; i++ {
-		r := int(f.Pix[i*3])
-		g := int(f.Pix[i*3+1])
-		b := int(f.Pix[i*3+2])
-		// Saturated-color tests: the 2x ratio excludes the orange tape
-		// (strong red but substantial green) so only true signal props count.
-		if r > 2*g && r > b+cfg.Margin {
-			red++
-		} else if g > 2*r && g > b+cfg.Margin {
-			green++
-		}
-	}
-	min := int(cfg.MinFraction * float64(n))
-	switch {
-	case red >= min && red >= 2*green:
-		return SignalStop, nil
-	case green >= min && green >= 2*red:
-		return SignalGo, nil
-	default:
-		return SignalUnknown, nil
-	}
-}
-
-// SignalGate wraps a driver and brakes while the camera shows a stop
-// signal — the red-means-stop/green-means-go exercise as a vehicle part.
-type SignalGate struct {
-	Inner sim.FrameDriver
-	Cfg   ColorClassifierConfig
-
-	LastSignal Signal
-}
-
-// NewSignalGate builds the gate.
-func NewSignalGate(inner sim.FrameDriver) (*SignalGate, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("cv: nil inner driver")
-	}
-	return &SignalGate{Inner: inner, Cfg: DefaultColorClassifierConfig(), LastSignal: SignalUnknown}, nil
-}
-
-// DriveFrame implements sim.FrameDriver.
-func (g *SignalGate) DriveFrame(f *sim.Frame, st sim.CarState) (float64, float64) {
-	s, t := g.Inner.DriveFrame(f, st)
-	if f.C == 3 {
-		if sig, err := ClassifySignal(f, g.Cfg); err == nil {
-			g.LastSignal = sig
-			if sig == SignalStop {
-				return 0, -1 // brake hard
-			}
-		}
-	}
-	return s, t
-}
-
-// Drive implements sim.Driver.
-func (g *SignalGate) Drive(st sim.CarState) (float64, float64) { return g.Inner.Drive(st) }
+import "repro/internal/sim"
 
 // LineFollower steers from raw pixels with no learning at all: it finds
 // the horizontal centroid of tape-colored pixels in a lower band of the
@@ -179,68 +73,3 @@ func (l *LineFollower) DriveFrame(f *sim.Frame, _ sim.CarState) (float64, float6
 
 // Drive implements sim.Driver (no frame: stop).
 func (l *LineFollower) Drive(sim.CarState) (float64, float64) { return 0, 0 }
-
-// GPSPoint is one recorded waypoint.
-type GPSPoint struct {
-	X, Y float64
-}
-
-// PathFollower replays a recorded GPS path with pure-pursuit steering —
-// the "record a path with GPS and have the car follow that path"
-// exercise. GPS noise is modeled by the recorder, not the follower.
-type PathFollower struct {
-	Path      []GPSPoint
-	Lookahead float64
-	Wheelbase float64
-	MaxSteer  float64
-	Throttle  float64
-
-	cursor int
-}
-
-// NewPathFollower validates and builds a follower over a recorded path.
-func NewPathFollower(path []GPSPoint, wheelbase, maxSteer float64) (*PathFollower, error) {
-	if len(path) < 2 {
-		return nil, fmt.Errorf("cv: path needs at least 2 waypoints")
-	}
-	if wheelbase <= 0 || maxSteer <= 0 {
-		return nil, fmt.Errorf("cv: wheelbase and maxSteer must be positive")
-	}
-	return &PathFollower{Path: path, Lookahead: 0.5, Wheelbase: wheelbase, MaxSteer: maxSteer, Throttle: 0.4}, nil
-}
-
-// Drive implements sim.Driver using only position (the "GPS fix").
-func (p *PathFollower) Drive(st sim.CarState) (float64, float64) {
-	// Advance the cursor past waypoints we have reached.
-	for p.cursor < len(p.Path)-1 {
-		wp := p.Path[p.cursor]
-		if math.Hypot(wp.X-st.X, wp.Y-st.Y) > p.Lookahead {
-			break
-		}
-		p.cursor++
-	}
-	target := p.Path[p.cursor]
-	dx, dy := target.X-st.X, target.Y-st.Y
-	ch, sh := math.Cos(st.Heading), math.Sin(st.Heading)
-	lx := dx*ch + dy*sh
-	ly := -dx*sh + dy*ch
-	dist := math.Hypot(lx, ly)
-	if dist < 1e-6 {
-		return 0, p.Throttle
-	}
-	k := 2 * ly / (dist * dist)
-	delta := math.Atan(k * p.Wheelbase)
-	steering := delta / p.MaxSteer
-	if steering > 1 {
-		steering = 1
-	} else if steering < -1 {
-		steering = -1
-	}
-	return steering, p.Throttle
-}
-
-// Done reports whether the car has consumed the whole path.
-func (p *PathFollower) Done(st sim.CarState) bool {
-	last := p.Path[len(p.Path)-1]
-	return p.cursor >= len(p.Path)-1 && math.Hypot(last.X-st.X, last.Y-st.Y) <= p.Lookahead
-}

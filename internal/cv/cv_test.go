@@ -1,107 +1,12 @@
 package cv
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/track"
 )
-
-func colorFrame(t *testing.T, r, g, b uint8, fraction float64) *sim.Frame {
-	t.Helper()
-	f, err := sim.NewFrame(20, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := int(fraction * 400)
-	for i := 0; i < 400; i++ {
-		if i < n {
-			f.Pix[i*3], f.Pix[i*3+1], f.Pix[i*3+2] = r, g, b
-		} else {
-			f.Pix[i*3], f.Pix[i*3+1], f.Pix[i*3+2] = 90, 90, 95 // floor
-		}
-	}
-	return f
-}
-
-func TestClassifyRedMeansStop(t *testing.T) {
-	f := colorFrame(t, 220, 30, 30, 0.3)
-	sig, err := ClassifySignal(f, DefaultColorClassifierConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig != SignalStop {
-		t.Errorf("got %s", sig)
-	}
-}
-
-func TestClassifyGreenMeansGo(t *testing.T) {
-	f := colorFrame(t, 30, 220, 30, 0.3)
-	sig, err := ClassifySignal(f, DefaultColorClassifierConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig != SignalGo {
-		t.Errorf("got %s", sig)
-	}
-}
-
-func TestClassifyNeutralIsUnknown(t *testing.T) {
-	f := colorFrame(t, 90, 90, 95, 1.0)
-	sig, err := ClassifySignal(f, DefaultColorClassifierConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig != SignalUnknown {
-		t.Errorf("got %s", sig)
-	}
-}
-
-func TestClassifyValidation(t *testing.T) {
-	if _, err := ClassifySignal(nil, DefaultColorClassifierConfig()); err == nil {
-		t.Error("nil frame accepted")
-	}
-	gray, _ := sim.NewFrame(4, 4, 1)
-	if _, err := ClassifySignal(gray, DefaultColorClassifierConfig()); err == nil {
-		t.Error("grayscale accepted")
-	}
-	f := colorFrame(t, 200, 0, 0, 0.5)
-	bad := DefaultColorClassifierConfig()
-	bad.Margin = 0
-	if _, err := ClassifySignal(f, bad); err == nil {
-		t.Error("zero margin accepted")
-	}
-}
-
-type constDriver struct{ s, t float64 }
-
-func (c constDriver) DriveFrame(*sim.Frame, sim.CarState) (float64, float64) { return c.s, c.t }
-func (c constDriver) Drive(sim.CarState) (float64, float64)                  { return c.s, c.t }
-
-func TestSignalGateBrakesOnRed(t *testing.T) {
-	gate, err := NewSignalGate(constDriver{0.2, 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := colorFrame(t, 220, 30, 30, 0.3)
-	s, th := gate.DriveFrame(red, sim.CarState{})
-	if s != 0 || th != -1 {
-		t.Errorf("red light: (%g,%g), want (0,-1)", s, th)
-	}
-	if gate.LastSignal != SignalStop {
-		t.Errorf("signal %s", gate.LastSignal)
-	}
-	green := colorFrame(t, 30, 220, 30, 0.3)
-	s, th = gate.DriveFrame(green, sim.CarState{})
-	if s != 0.2 || th != 0.6 {
-		t.Errorf("green light: (%g,%g)", s, th)
-	}
-	if _, err := NewSignalGate(nil); err == nil {
-		t.Error("nil inner accepted")
-	}
-}
 
 func TestLineFollowerSteersTowardLine(t *testing.T) {
 	lf := NewLineFollower()
@@ -162,122 +67,3 @@ func TestLineFollowerDrivesOval(t *testing.T) {
 		t.Errorf("line follower barely moved: %g m/s", res.MeanSpeed)
 	}
 }
-
-func TestPathFollowerTracksRecordedPath(t *testing.T) {
-	trk, err := track.DefaultOval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Record a "GPS" path along the centerline.
-	var path []GPSPoint
-	L := trk.Centerline.Length()
-	for s := 0.0; s < L; s += 0.2 {
-		pt := trk.Centerline.PointAt(s)
-		path = append(path, GPSPoint{pt.X, pt.Y})
-	}
-	carCfg := sim.DefaultCarConfig()
-	pf, err := NewPathFollower(path, carCfg.Wheelbase, carCfg.MaxSteer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	car, _ := sim.NewCar(carCfg)
-	x, y, h := trk.StartPose(0)
-	car.Reset(x, y, h)
-	maxDev := 0.0
-	for i := 0; i < 1500 && !pf.Done(car.State); i++ {
-		s, th := pf.Drive(car.State)
-		car.Step(s, th, 0.05)
-		proj := trk.Centerline.Project(track.Point{X: car.State.X, Y: car.State.Y})
-		if d := math.Abs(proj.Lateral); d > maxDev {
-			maxDev = d
-		}
-	}
-	if !pf.Done(car.State) {
-		t.Error("path never completed")
-	}
-	if maxDev > trk.Width/2 {
-		t.Errorf("path follower deviated %g m", maxDev)
-	}
-}
-
-func TestPathFollowerValidation(t *testing.T) {
-	if _, err := NewPathFollower([]GPSPoint{{0, 0}}, 0.25, 0.4); err == nil {
-		t.Error("single waypoint accepted")
-	}
-	if _, err := NewPathFollower([]GPSPoint{{0, 0}, {1, 0}}, 0, 0.4); err == nil {
-		t.Error("zero wheelbase accepted")
-	}
-}
-
-// TestSignalGateStopsCarAtRenderedRedLight is the integrated stop/go
-// exercise: a red prop on the track must bring a gated expert to a halt,
-// while a green prop must not.
-func TestSignalGateStopsCarAtRenderedRedLight(t *testing.T) {
-	run := func(col [3]uint8) float64 {
-		trk, err := track.DefaultOval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		camCfg := sim.SmallCameraConfig()
-		camCfg.Channels = 3
-		cam, err := sim.NewCamera(camCfg, trk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		car, err := sim.NewCar(sim.DefaultCarConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, y, h := trk.StartPose(0)
-		car.Reset(x, y, h)
-		// Prop 1.2 m ahead on the centerline.
-		pt := trk.Centerline.PointAt(1.2)
-		if err := cam.AddObstacle(sim.Obstacle{X: pt.X, Y: pt.Y, Radius: 0.12, Color: col}); err != nil {
-			t.Fatal(err)
-		}
-		expert := sim.NewPurePursuit(trk, car.Cfg)
-		// Wrap the expert (a plain Driver) as a FrameDriver for the gate.
-		wrapped := frameAdapter{expert}
-		gate, err := NewSignalGate(wrapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sawStop := false
-		minAfterStop := 99.0
-		for i := 0; i < 120; i++ {
-			frame := cam.Render(car.State)
-			s, th := gate.DriveFrame(frame, car.State)
-			car.Step(s, th, 0.05)
-			if gate.LastSignal == SignalStop {
-				sawStop = true
-			}
-			if sawStop && car.State.Speed < minAfterStop {
-				minAfterStop = car.State.Speed
-			}
-		}
-		if !sawStop {
-			return -1 // signal never seen
-		}
-		return minAfterStop
-	}
-	redMin := run(sim.ObstacleRed)
-	greenMin := run(sim.ObstacleGreen)
-	if redMin < 0 {
-		t.Fatal("red light never detected")
-	}
-	if redMin > 0.15 {
-		t.Errorf("car only slowed to %g m/s at the red light", redMin)
-	}
-	if greenMin >= 0 {
-		t.Errorf("green prop misclassified as stop (braked to %g)", greenMin)
-	}
-}
-
-// frameAdapter exposes a state-based driver through the FrameDriver
-// interface so it can be wrapped by the signal gate.
-type frameAdapter struct{ inner sim.Driver }
-
-func (f frameAdapter) DriveFrame(_ *sim.Frame, st sim.CarState) (float64, float64) {
-	return f.inner.Drive(st)
-}
-func (f frameAdapter) Drive(st sim.CarState) (float64, float64) { return f.inner.Drive(st) }

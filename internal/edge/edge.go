@@ -3,21 +3,19 @@
 // Raspberry Pis (CLI utility registers the device, an SD-card image is
 // configured and flashed, a daemon connects the booted device and enforces
 // whitelist access policies), container-based reconfiguration instead of
-// bare-metal, a built-in console, and the Basic Jupyter Server Appliance
-// reachable through an SSH tunnel.
+// bare-metal, and the Basic Jupyter Server Appliance reachable through an
+// SSH tunnel.
 //
 // The control plane is sharded for fleet scale: device and container
 // records live in FNV-picked shards with per-shard locks, so 10k+ devices
 // can register, heartbeat, and sweep without serializing on one mutex,
-// while every read that promises an ordering (Devices, SweepHeartbeats)
-// still returns a sorted cross-shard snapshot.
+// while SweepHeartbeats still returns its evictions as one sorted
+// cross-shard list.
 package edge
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +72,6 @@ var (
 	ErrNotWhitelisted = errors.New("edge: project not in device whitelist")
 	ErrBusy           = errors.New("edge: device already runs a container")
 	ErrNoContainer    = errors.New("edge: container not found")
-	ErrConsole        = errors.New("edge: console error")
 )
 
 // Timing model for the zero-to-ready pathway (coarse but realistic values;
@@ -291,28 +288,6 @@ func (h *Hub) Boot(deviceID string) (time.Duration, error) {
 	return BootTime, nil
 }
 
-// SetOffline marks a device as disconnected (battery died, Wi-Fi drop).
-func (h *Hub) SetOffline(deviceID string) error {
-	sh := h.devShard(deviceID)
-	sh.mu.Lock()
-	d, ok := sh.devices[deviceID]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoDevice, deviceID)
-	}
-	wasLive := d.Status == StatusConnected
-	d.Status = StatusOffline
-	delete(sh.byDevice, deviceID)
-	// Leaving the connected state invalidates the heartbeat history too.
-	delete(sh.lastSeen, deviceID)
-	sh.mu.Unlock()
-	if wasLive {
-		h.live.Add(-1)
-	}
-	h.publish()
-	return nil
-}
-
 // Whitelist grants a project access to the device (the daemon "configures
 // whitelist-based access policies").
 func (h *Hub) Whitelist(deviceID, projectID string) error {
@@ -325,28 +300,6 @@ func (h *Hub) Whitelist(deviceID, projectID string) error {
 	}
 	d.Whitelist[projectID] = true
 	return nil
-}
-
-// Devices lists registered devices sorted by ID — a cross-shard snapshot:
-// each stripe is copied under its own lock, then the merge is sorted so
-// callers never observe shard layout.
-func (h *Hub) Devices() []Device {
-	var out []Device
-	for i := range h.devShards {
-		sh := &h.devShards[i]
-		sh.mu.Lock()
-		for _, d := range sh.devices {
-			cp := *d
-			cp.Whitelist = map[string]bool{}
-			for k, v := range d.Whitelist {
-				cp.Whitelist[k] = v
-			}
-			out = append(out, cp)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Device returns a snapshot of one device.
@@ -410,29 +363,6 @@ func (h *Hub) LaunchContainer(deviceID, projectID, image string, imageBytes int6
 	return c, nil
 }
 
-// StopContainer removes a container, freeing its device.
-func (h *Hub) StopContainer(containerID string) error {
-	cs := h.ctrShard(containerID)
-	cs.mu.Lock()
-	c, ok := cs.containers[containerID]
-	if !ok {
-		cs.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoContainer, containerID)
-	}
-	delete(cs.containers, containerID)
-	cs.mu.Unlock()
-
-	sh := h.devShard(c.DeviceID)
-	sh.mu.Lock()
-	if sh.byDevice[c.DeviceID] == containerID {
-		delete(sh.byDevice, c.DeviceID)
-	}
-	sh.mu.Unlock()
-	h.running.Add(-1)
-	h.publish()
-	return nil
-}
-
 // StartJupyter launches the Basic Jupyter Server Appliance inside the
 // container and returns the SSH-tunnel endpoint a laptop would use.
 func (h *Hub) StartJupyter(containerID string) (*JupyterServer, error) {
@@ -453,38 +383,4 @@ func (h *Hub) StartJupyter(containerID string) (*JupyterServer, error) {
 		Token:       fmt.Sprintf("tok-%06d", n*7919%1000000),
 	}
 	return c.jupyter, nil
-}
-
-// Exec runs a command in the container's built-in console. The console
-// supports simple non-interactive commands; interactive text editors are
-// rejected, matching the paper's observation that "text editing is not
-// supported in the console at the present time".
-func (h *Hub) Exec(containerID, cmd string) (string, error) {
-	cs := h.ctrShard(containerID)
-	cs.mu.Lock()
-	c, ok := cs.containers[containerID]
-	cs.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrNoContainer, containerID)
-	}
-	fields := strings.Fields(cmd)
-	if len(fields) == 0 {
-		return "", fmt.Errorf("%w: empty command", ErrConsole)
-	}
-	switch fields[0] {
-	case "vi", "vim", "nano", "emacs":
-		return "", fmt.Errorf("%w: text editing is not supported in the console", ErrConsole)
-	case "echo":
-		return strings.Join(fields[1:], " ") + "\n", nil
-	case "hostname":
-		return c.DeviceID + "\n", nil
-	case "uname":
-		return "Linux " + c.DeviceID + " aarch64\n", nil
-	case "ls":
-		return "data/\nmodels/\nmycar/\n", nil
-	case "python", "python3":
-		return "", nil // programs run silently; stdout modeling is out of scope
-	default:
-		return "", fmt.Errorf("%w: command not found: %s", ErrConsole, fields[0])
-	}
 }

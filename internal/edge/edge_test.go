@@ -2,7 +2,6 @@ package edge
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +26,19 @@ func connectedDevice(t *testing.T, h *Hub) *Device {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// evict takes a connected device offline the way the control plane does:
+// its daemon checks in, falls silent, and a sweep one heartbeat window
+// later drops it.
+func evict(t *testing.T, h *Hub, id string) {
+	t.Helper()
+	if err := h.Heartbeat(id, t0); err != nil {
+		t.Fatal(err)
+	}
+	if dropped := h.SweepHeartbeats(t0.Add(HeartbeatWindow)); len(dropped) != 1 || dropped[0] != id {
+		t.Fatalf("sweep dropped %v, want [%s]", dropped, id)
+	}
 }
 
 func TestLifecycleOrderEnforced(t *testing.T) {
@@ -57,9 +69,7 @@ func TestLifecycleOrderEnforced(t *testing.T) {
 		t.Errorf("status %s", got.Status)
 	}
 	// Offline devices can be re-flashed (new SD card).
-	if err := h.SetOffline(d.ID); err != nil {
-		t.Fatal(err)
-	}
+	evict(t, h, d.ID)
 	if _, err := h.FlashImage(d.ID); err != nil {
 		t.Errorf("re-flash offline device: %v", err)
 	}
@@ -97,13 +107,6 @@ func TestLaunchContainerChecks(t *testing.T) {
 	// Device busy.
 	if _, err := h.LaunchContainer(d.ID, "edu", "img2", 1<<20, t0); !errors.Is(err, ErrBusy) {
 		t.Errorf("got %v", err)
-	}
-	// Stop frees it.
-	if err := h.StopContainer(c.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.LaunchContainer(d.ID, "edu", "img2", 1<<20, t0); err != nil {
-		t.Errorf("launch after stop: %v", err)
 	}
 	// Bad args.
 	if _, err := h.LaunchContainer(d.ID, "edu", "", 1, t0); err == nil {
@@ -169,38 +172,6 @@ func TestJupyterIdempotent(t *testing.T) {
 	}
 }
 
-func TestConsole(t *testing.T) {
-	h := NewHub()
-	d := connectedDevice(t, h)
-	c, _ := h.LaunchContainer(d.ID, "edu", "img", 1<<20, t0)
-
-	out, err := h.Exec(c.ID, "echo hello car")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != "hello car\n" {
-		t.Errorf("echo output %q", out)
-	}
-	if out, err := h.Exec(c.ID, "hostname"); err != nil || !strings.Contains(out, d.ID) {
-		t.Errorf("hostname = %q, %v", out, err)
-	}
-	// The paper: text editing unsupported in console.
-	for _, editor := range []string{"vi", "nano", "emacs"} {
-		if _, err := h.Exec(c.ID, editor+" train.py"); !errors.Is(err, ErrConsole) {
-			t.Errorf("%s accepted", editor)
-		}
-	}
-	if _, err := h.Exec(c.ID, "doesnotexist"); !errors.Is(err, ErrConsole) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.Exec(c.ID, "   "); !errors.Is(err, ErrConsole) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.Exec("ctr-xyz", "ls"); !errors.Is(err, ErrNoContainer) {
-		t.Errorf("got %v", err)
-	}
-}
-
 func TestZeroToReadyPathway(t *testing.T) {
 	h := NewHub()
 	res, err := h.ZeroToReady("donkeycar-7", "student7", "edu", "autolearn:latest", 800<<20, t0)
@@ -232,35 +203,29 @@ func TestZeroToReadyPathway(t *testing.T) {
 	}
 }
 
-func TestDevicesSnapshotIsolated(t *testing.T) {
-	h := NewHub()
-	connectedDevice(t, h)
-	list := h.Devices()
-	if len(list) != 1 {
-		t.Fatalf("got %d devices", len(list))
-	}
-	list[0].Whitelist["evil"] = true
-	fresh, _ := h.Device(list[0].ID)
-	if fresh.Whitelist["evil"] {
-		t.Error("Devices() leaks internal maps")
-	}
-}
-
 func TestConcurrentEnrollment(t *testing.T) {
 	h := NewHub()
 	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
+	ids := make([]string, 20)
+	for i := range ids {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := h.ZeroToReady("car", "owner", "edu", "img", 1<<20, t0); err != nil {
+			res, err := h.ZeroToReady("car", "owner", "edu", "img", 1<<20, t0)
+			if err != nil {
 				t.Error(err)
+				return
 			}
+			ids[i] = res.Device.ID
 		}(i)
 	}
 	wg.Wait()
-	if got := len(h.Devices()); got != 20 {
-		t.Errorf("enrolled %d devices", got)
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if d, err := h.Device(id); err != nil || d.Status != StatusConnected || seen[id] {
+			t.Errorf("device %q: %+v, %v (duplicate %v)", id, d, err, seen[id])
+		}
+		seen[id] = true
 	}
 }
 
@@ -290,7 +255,7 @@ func TestHeartbeatLifecycle(t *testing.T) {
 	if got.Status != StatusOffline {
 		t.Errorf("status %s", got.Status)
 	}
-	if _, err := h.Exec(c.ID, "ls"); !errors.Is(err, ErrNoContainer) {
+	if _, err := h.StartJupyter(c.ID); !errors.Is(err, ErrNoContainer) {
 		t.Errorf("container survived the reap: %v", err)
 	}
 	// Heartbeats from offline devices are rejected.

@@ -72,6 +72,7 @@ func TestFleetConcurrentShardHammer(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
+	ids := make([][]string, writers)
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -82,6 +83,7 @@ func TestFleetConcurrentShardHammer(t *testing.T) {
 					errs[g] = err
 					return
 				}
+				ids[g] = append(ids[g], d.ID)
 				if _, err := h.FlashImage(d.ID); err != nil {
 					errs[g] = err
 					return
@@ -112,7 +114,7 @@ func TestFleetConcurrentShardHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				h.SweepHeartbeats(t0.Add(time.Duration(g*20+i) * time.Second))
-				_ = h.Devices()
+				_, _ = h.Device(fmt.Sprintf("dev-%04d", g*20+i+1))
 			}
 		}(g)
 	}
@@ -122,8 +124,17 @@ func TestFleetConcurrentShardHammer(t *testing.T) {
 			t.Fatalf("writer %d: %v", g, err)
 		}
 	}
-	if got := len(h.Devices()); got != writers*perG {
-		t.Fatalf("registered %d devices, want %d", got, writers*perG)
+	seen := map[string]bool{}
+	for _, gids := range ids {
+		for _, id := range gids {
+			if _, err := h.Device(id); err != nil || seen[id] {
+				t.Fatalf("device %q: %v (duplicate %v)", id, err, seen[id])
+			}
+			seen[id] = true
+		}
+	}
+	if len(seen) != writers*perG {
+		t.Fatalf("registered %d devices, want %d", len(seen), writers*perG)
 	}
 }
 

@@ -54,7 +54,7 @@ func (h *Hub) Heartbeat(deviceID string, now time.Time) error {
 // has been silent. Rather than evicting on suspicion, the sweep stamps
 // lastSeen with its own time — the device then has one full
 // HeartbeatWindow from this first observation before a later sweep may
-// evict it. (Boot and SetOffline clear lastSeen, so every connected spell
+// evict it. (Boot and eviction clear lastSeen, so every connected spell
 // re-arms the grace.)
 func (h *Hub) SweepHeartbeats(now time.Time) []string {
 	var dropped []string

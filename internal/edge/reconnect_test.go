@@ -8,20 +8,15 @@ import (
 // Regression: a device that drops offline and reconnects must not be
 // evicted by the next sweep because of a heartbeat timestamp left over
 // from its previous connected spell. Before the fix, lastSeen survived
-// the SetOffline -> FlashImage -> Boot cycle, so a sweep landing more
-// than HeartbeatWindow after the *old* heartbeat killed the freshly
+// the offline -> FlashImage -> Boot cycle, so a sweep landing more than
+// HeartbeatWindow after the *old* heartbeat killed the freshly
 // reconnected device before its daemon could check in.
 func TestReconnectThenSweepKeepsDevice(t *testing.T) {
 	h := NewHub()
 	d := connectedDevice(t, h)
-	if err := h.Heartbeat(d.ID, t0); err != nil {
-		t.Fatal(err)
-	}
 
 	// Wi-Fi drops; the student later reflashes and boots the car back up.
-	if err := h.SetOffline(d.ID); err != nil {
-		t.Fatal(err)
-	}
+	evict(t, h, d.ID)
 	if _, err := h.FlashImage(d.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -32,67 +31,8 @@ type Report struct {
 	// over moving ticks (lower = steadier driving; the poster's metric).
 	SpeedConsistency float64
 	// ErrorsPerLap is crashes divided by completed laps (Inf with zero laps
-	// and nonzero crashes, 0 when both are zero). encoding/json rejects
-	// IEEE infinities, so Report's JSON encoding serializes the Inf case as
-	// the string "+Inf"; see MarshalJSON.
+	// and nonzero crashes, 0 when both are zero).
 	ErrorsPerLap float64
-}
-
-// infSentinel is how an infinite ErrorsPerLap appears in JSON, where IEEE
-// infinities are unrepresentable.
-const infSentinel = "+Inf"
-
-// reportAlias breaks the MarshalJSON recursion: same fields, no methods.
-type reportAlias Report
-
-// MarshalJSON encodes the report with an infinite ErrorsPerLap (a
-// crashed-out run with zero completed laps) rendered as the string "+Inf"
-// instead of failing with json.UnsupportedValueError.
-func (r Report) MarshalJSON() ([]byte, error) {
-	out := struct {
-		reportAlias
-		ErrorsPerLap any `json:",omitempty"`
-	}{reportAlias: reportAlias(r)}
-	if math.IsInf(r.ErrorsPerLap, 0) {
-		out.ErrorsPerLap = infSentinel
-	} else {
-		out.ErrorsPerLap = r.ErrorsPerLap
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON accepts both the numeric encoding and the "+Inf" sentinel.
-func (r *Report) UnmarshalJSON(data []byte) error {
-	var in struct {
-		reportAlias
-		ErrorsPerLap json.RawMessage
-	}
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*r = Report(in.reportAlias)
-	switch {
-	case len(in.ErrorsPerLap) == 0 || string(in.ErrorsPerLap) == "null":
-		r.ErrorsPerLap = 0
-	case in.ErrorsPerLap[0] == '"':
-		var s string
-		if err := json.Unmarshal(in.ErrorsPerLap, &s); err != nil {
-			return err
-		}
-		if s != infSentinel && s != "Inf" && s != "-Inf" {
-			return fmt.Errorf("eval: invalid ErrorsPerLap sentinel %q", s)
-		}
-		if s == "-Inf" {
-			r.ErrorsPerLap = math.Inf(-1)
-		} else {
-			r.ErrorsPerLap = math.Inf(1)
-		}
-	default:
-		if err := json.Unmarshal(in.ErrorsPerLap, &r.ErrorsPerLap); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Evaluate analyzes a completed session on its track.

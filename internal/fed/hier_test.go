@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 )
 
@@ -119,10 +120,20 @@ func TestFedDroppedWorkerClearsResidual(t *testing.T) {
 	deps := testDeps(t, "", 11)
 	var r *Run
 	deps.AfterRound = func(round int, _ obs.SpanContext) error {
-		if round == 0 {
-			// Knock worker 0's device offline between rounds; round 1 drops
-			// it at the broadcast stage.
-			return deps.Hub.SetOffline(r.Workers[0].deviceID)
+		if round != 0 {
+			return nil
+		}
+		// Knock worker 0's device offline between rounds: the other
+		// daemons check in, worker 0 stays silent, and sweeps a heartbeat
+		// window apart evict it. Round 1 drops it at the broadcast stage.
+		at := testStart.Add(24 * time.Hour)
+		for _, t := range []time.Time{at, at.Add(edge.HeartbeatWindow)} {
+			for _, w := range r.Workers[1:] {
+				if err := deps.Hub.Heartbeat(w.deviceID, t); err != nil {
+					return err
+				}
+			}
+			deps.Hub.SweepHeartbeats(t)
 		}
 		return nil
 	}

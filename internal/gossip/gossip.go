@@ -243,6 +243,3 @@ func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample
 	r.instrument()
 	return r, nil
 }
-
-// Mesh exposes the per-pair link fabric (tests target specific pairs).
-func (r *Run) Mesh() *netem.Mesh { return r.mesh }

@@ -11,6 +11,7 @@ package netctl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -164,7 +165,8 @@ type linkView struct {
 
 func (s *Server) viewLink(name string) linkView {
 	base := s.links[name]
-	eff, ok := s.net.EffectiveLink(base)
+	// The table only holds shapes that compose with these stock bases.
+	eff, ok, _ := s.net.EffectiveLink(base)
 	v := linkView{Name: name, Base: paramsOf(base), Effective: paramsOf(eff), Down: !ok}
 	if _, next := s.table.ShapeAt(name, s.now()); !next.IsZero() {
 		v.NextChange = next.UTC().Format(time.RFC3339Nano)
@@ -362,7 +364,11 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	res, err := s.net.Probe(base, cfg)
 	if err != nil {
 		s.count("netctl_probes_total", obs.L("outcome", "failed"))
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		code := http.StatusServiceUnavailable
+		if errors.Is(err, netem.ErrRange) {
+			code = http.StatusBadRequest // bytes too large to model
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	checkErr := res.Check(tol)

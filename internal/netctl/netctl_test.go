@@ -95,14 +95,18 @@ func TestBadRequests(t *testing.T) {
 		{"shape bad jitter", http.MethodPost, "/links/shape", `{"link":"campus-wan","jitter":"-1ms"}`, "bad jitter"},
 		{"shape bad bandwidth", http.MethodPost, "/links/shape", `{"link":"campus-wan","bandwidth":"warp9"}`, "bad bandwidth"},
 		{"shape loss out of range", http.MethodPost, "/links/shape", `{"link":"campus-wan","loss":1.5}`, "loss must be in [0,1)"},
+		{"shape factor overflows latency", http.MethodPost, "/links/shape", `{"link":"campus-wan","factor":1e300}`, "out of range"},
 		{"clear bad json", http.MethodPost, "/links/clear", "nope", "bad body"},
 		{"clear unknown link", http.MethodPost, "/links/clear", `{"link":"dsl"}`, "unknown link"},
 		{"scenario not parseable", http.MethodPost, "/scenario", "scenario v9\n", "line 1"},
 		{"scenario non-link phase", http.MethodPost, "/scenario", "scenario v1\nphase 0s..1m objstore every=2\n", "cannot script objstore"},
 		{"scenario unknown link", http.MethodPost, "/scenario", "scenario v1\nlink dsl\nphase 0s..1m partition link=dsl\n", "unknown link"},
+		{"scenario factor overflows latency", http.MethodPost, "/scenario", "scenario v1\nlink campus-wan\nphase 0s..1m degrade link=campus-wan factor=1e300\n", "phase 0s..1m0s degrade"},
 		{"probe missing link", http.MethodGet, "/probe", "", "missing link"},
 		{"probe unknown link", http.MethodGet, "/probe?link=dsl", "", "unknown link"},
 		{"probe bad bytes", http.MethodGet, "/probe?link=campus-wan&bytes=-1", "", "bad bytes"},
+		{"probe bytes overflow a transfer", http.MethodGet, "/probe?link=campus-wan&bytes=9223372036854775807", "", "out of range"},
+		{"probe bytes overflow the probe", http.MethodGet, "/probe?link=campus-wan&bytes=100000000000000000", "", "out of range"},
 		{"probe bad tol", http.MethodGet, "/probe?link=campus-wan&tol=zero", "", "bad tol"},
 	}
 	for _, c := range cases {
@@ -214,7 +218,10 @@ func TestScenarioEndpoints(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("POST /scenario = %d: %s", w.Code, w.Body)
 	}
-	eff, ok := net.EffectiveLink(netem.CampusWAN)
+	eff, ok, err := net.EffectiveLink(netem.CampusWAN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok || eff.Bandwidth != netem.CampusWAN.Bandwidth/5 {
 		t.Fatalf("live degrade not applied: %+v ok=%v", eff, ok)
 	}

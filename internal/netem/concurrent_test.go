@@ -6,15 +6,18 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // TestConcurrentTransfersOneLink hammers a single link from many
 // goroutines at once — the federated coordinator, the serving path, and
 // chaos playback all share one Net — and checks under -race that the
-// seeded RNG and stats stay consistent: every transfer succeeds, every
+// seeded RNG and the transfer metrics stay consistent: every transfer succeeds, every
 // byte is accounted, and no duration goes non-positive.
 func TestConcurrentTransfersOneLink(t *testing.T) {
 	n := NewNet(11)
+	reg := obs.NewRegistry()
+	n.Instrument(reg)
 	const (
 		goroutines = 8
 		perG       = 50
@@ -45,12 +48,12 @@ func TestConcurrentTransfersOneLink(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	bytes, transfers, _ := n.Stats()
-	if want := int64(goroutines * perG * int(size)); bytes != want {
-		t.Fatalf("stats counted %d bytes, want %d", bytes, want)
+	bytes, transfers := transferTotals(reg)
+	if want := float64(goroutines * perG * int(size)); bytes != want {
+		t.Fatalf("metrics counted %v bytes, want %v", bytes, want)
 	}
-	if want := goroutines * perG; transfers != want {
-		t.Fatalf("stats counted %d transfers, want %d", transfers, want)
+	if want := uint64(goroutines * perG); transfers != want {
+		t.Fatalf("metrics counted %d transfers, want %d", transfers, want)
 	}
 }
 
@@ -76,6 +79,8 @@ func TestConcurrentTransfersWithFaults(t *testing.T) {
 		sh.add(at.Add(100*time.Millisecond), LinkShape{})
 	}
 	n := NewNet(13)
+	reg := obs.NewRegistry()
+	n.Instrument(reg)
 	n.SetFaults(plan)
 	n.SetShaper(sh, plan.Clock.Now)
 
@@ -109,9 +114,9 @@ func TestConcurrentTransfersWithFaults(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	bytes, transfers, _ := n.Stats()
-	if bytes != okBytes || transfers != okCount {
-		t.Fatalf("stats (%d bytes, %d transfers) disagree with successes (%d, %d)",
+	bytes, transfers := transferTotals(reg)
+	if bytes != float64(okBytes) || transfers != uint64(okCount) {
+		t.Fatalf("metrics (%v bytes, %d transfers) disagree with successes (%d, %d)",
 			bytes, transfers, okBytes, okCount)
 	}
 	if got := plan.Summary().Injected["link_partition"]; got != refused {

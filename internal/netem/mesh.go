@@ -14,8 +14,8 @@ import (
 // constructor rejects the mistakes a hand-rolled map silently absorbs —
 // duplicate peers, self-pairs, an invalid base profile.
 //
-// A Mesh is immutable after construction apart from Override, so it is
-// safe for concurrent readers; the Net it is used with already serializes
+// A Mesh is immutable after construction, so it is safe for concurrent
+// readers; the Net it is used with already serializes
 // its own RNG draws.
 type Mesh struct {
 	peers []string
@@ -83,40 +83,3 @@ func (m *Mesh) Link(a, b string) (Link, error) {
 	}
 	return l, nil
 }
-
-// Override replaces one existing pair's link parameters (the name is kept
-// canonical regardless of what the caller set). Heterogeneous fabrics —
-// one slow cross-site pair in an otherwise uniform mesh — are built by
-// overriding after NewMesh.
-func (m *Mesh) Override(a, b string, l Link) error {
-	if a == b {
-		return fmt.Errorf("netem: mesh self-pair %q", a)
-	}
-	k := pairKey(a, b)
-	base, ok := m.links[k]
-	if !ok {
-		return fmt.Errorf("netem: no mesh link between %q and %q", a, b)
-	}
-	l.Name = base.Name
-	if err := l.Validate(); err != nil {
-		return fmt.Errorf("netem: mesh override %s: %w", base.Name, err)
-	}
-	m.links[k] = l
-	return nil
-}
-
-// Pairs lists every unordered pair in canonical (sorted) order — the
-// deterministic iteration order callers bill traffic in.
-func (m *Mesh) Pairs() [][2]string {
-	out := make([][2]string, 0, len(m.links))
-	n := len(m.peers)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out = append(out, [2]string{m.peers[i], m.peers[j]})
-		}
-	}
-	return out
-}
-
-// Size reports the peer count.
-func (m *Mesh) Size() int { return len(m.peers) }

@@ -7,6 +7,7 @@
 package netem
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,6 +26,25 @@ type Link struct {
 	Jitter    time.Duration // stddev of latency noise
 	LossRate  float64       // packet loss probability in [0, 1)
 	MTU       int           // bytes per packet; 0 selects 1500
+}
+
+// ErrRange reports a modelled time that does not fit time.Duration: a
+// transfer so large, or a link so degraded, that its nanoseconds
+// overflow int64.
+var ErrRange = errors.New("netem: out of range")
+
+// nanos converts nanoseconds computed in float64 to a Duration. It is
+// netem's one range check, made before converting: Go leaves an
+// out-of-range float-to-integer conversion to the platform (amd64 and
+// arm64 give different answers), so a value past time.Duration's range,
+// or NaN, is an ErrRange naming the link and what overflowed. Sums of
+// durations go through it as well; float64 holds them exactly below
+// 2^53 ns (104 days).
+func nanos(ns float64, link, what string) (time.Duration, error) {
+	if ns >= -(1<<63) && ns < 1<<63 {
+		return time.Duration(ns), nil
+	}
+	return 0, fmt.Errorf("%w: %s %s is %g ns", ErrRange, link, what, ns)
 }
 
 // Validate checks the link parameters.
@@ -100,11 +120,6 @@ type Net struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	// Totals for reporting.
-	bytesSent int64
-	transfers int
-	rpcs      int
-
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 	faults  *faults.Plan
@@ -131,7 +146,7 @@ func (n *Net) Instrument(reg *obs.Registry) {
 	reg.Help("netem_retransmits_total", "packets retransmitted on lossy links")
 }
 
-// SetTracer attaches a tracer: TransferCtx/RTTCtx then emit one span per
+// SetTracer attaches a tracer: TransferCtx then emits one span per
 // attempt under the caller's propagated context. Nil detaches.
 func (n *Net) SetTracer(tr *obs.Tracer) {
 	n.mu.Lock()
@@ -149,17 +164,18 @@ func (n *Net) SetFaults(p *faults.Plan) {
 }
 
 // sample returns latency with jitter noise, never negative.
-func (n *Net) sample(l Link) time.Duration {
+func (n *Net) sample(l Link) (time.Duration, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	d := l.Latency
+	ns := float64(l.Latency)
 	if l.Jitter > 0 {
-		d += time.Duration(n.rng.NormFloat64() * float64(l.Jitter))
+		ns += math.Trunc(n.rng.NormFloat64() * float64(l.Jitter))
 	}
+	d, err := nanos(ns, l.Name, "latency sample")
 	if d < 0 {
 		d = 0
 	}
-	return d
+	return d, err
 }
 
 // lost draws a loss event.
@@ -229,15 +245,18 @@ func (n *Net) transfer(l Link, size int64, traceID string) (TransferResult, erro
 		if shape.Down {
 			return TransferResult{}, n.partitionErr(l.Name, "transfer")
 		}
-		eff = shape.Apply(l)
-		if err := eff.Validate(); err != nil {
+		var err error
+		if eff, err = shape.Apply(l); err == nil {
+			err = eff.Validate()
+		}
+		if err != nil {
 			return TransferResult{}, fmt.Errorf("netem: shaped %s invalid: %w", l.Name, err)
 		}
 	}
 	mtu := int64(eff.mtu())
-	packets := (size + mtu - 1) / mtu
-	if packets == 0 {
-		packets = 1
+	packets := size / mtu
+	if size%mtu != 0 || packets == 0 {
+		packets++
 	}
 	retrans := 0
 	if eff.LossRate > 0 {
@@ -253,23 +272,31 @@ func (n *Net) transfer(l Link, size int64, traceID string) (TransferResult, erro
 	// Serialization bills the actual payload plus full-MTU retransmissions;
 	// rounding the last partial packet up to a whole MTU would overstate the
 	// duration (and understate throughput) for any non-MTU-multiple size.
-	wire := size + int64(retrans)*mtu
+	wire := float64(size) + float64(retrans)*float64(mtu)
 	var serialize time.Duration
+	var err error
 	if shaper != nil {
-		var err error
 		serialize, err = n.shapedSerialize(shaper, l, wire, t0)
-		if err != nil {
-			return TransferResult{}, err
-		}
 	} else {
-		serialize = time.Duration(float64(wire) / eff.Bandwidth * float64(time.Second))
+		serialize, err = nanos(wire/eff.Bandwidth*float64(time.Second), l.Name, "serialization")
+	}
+	if err != nil {
+		return TransferResult{}, err
 	}
 	// Each retransmission round adds one RTT of stall (coarse TCP model).
+	if _, err := nanos(float64(retrans)*2*float64(eff.Latency), l.Name, "retransmission stall"); err != nil {
+		return TransferResult{}, err
+	}
 	stall := time.Duration(retrans) * 2 * eff.Latency / time.Duration(max64(1, packets/64+1))
-	dur := n.sample(eff) + serialize + stall
+	latency, err := n.sample(eff)
+	if err != nil {
+		return TransferResult{}, err
+	}
+	dur, err := nanos(float64(latency)+float64(serialize)+float64(stall), l.Name, "transfer time")
+	if err != nil {
+		return TransferResult{}, err
+	}
 	n.mu.Lock()
-	n.bytesSent += size
-	n.transfers++
 	reg := n.metrics
 	n.mu.Unlock()
 	link := obs.L("link", l.Name)
@@ -287,30 +314,6 @@ func (n *Net) transfer(l Link, size int64, traceID string) (TransferResult, erro
 // RTT models a small request/response exchange (an inference RPC): one
 // round trip plus serialization of both payloads, retrying on loss.
 func (n *Net) RTT(l Link, reqBytes, respBytes int) (time.Duration, error) {
-	return n.rtt(l, reqBytes, respBytes, "")
-}
-
-// RTTCtx is RTT continuing a propagated trace with a "netem_rpc" span and
-// a duration exemplar.
-func (n *Net) RTTCtx(sc obs.SpanContext, l Link, reqBytes, respBytes int) (time.Duration, error) {
-	n.mu.Lock()
-	tr := n.tracer
-	n.mu.Unlock()
-	if tr == nil || !sc.Valid() {
-		return n.rtt(l, reqBytes, respBytes, sc.TraceID)
-	}
-	span := tr.StartWith("netem_rpc", sc)
-	span.SetAttr("link", l.Name)
-	span.SetAttr("bytes", reqBytes+respBytes)
-	d, err := n.rtt(l, reqBytes, respBytes, sc.TraceID)
-	if err == nil {
-		span.SetSimDuration("rpc", d)
-	}
-	span.EndErr(err)
-	return d, err
-}
-
-func (n *Net) rtt(l Link, reqBytes, respBytes int, traceID string) (time.Duration, error) {
 	if err := l.Validate(); err != nil {
 		return 0, err
 	}
@@ -324,34 +327,45 @@ func (n *Net) rtt(l Link, reqBytes, respBytes int, traceID string) (time.Duratio
 		if shape.Down {
 			return 0, n.partitionErr(l.Name, "rpc")
 		}
-		l = shape.Apply(l)
-		if err := l.Validate(); err != nil {
+		var err error
+		if l, err = shape.Apply(l); err == nil {
+			err = l.Validate()
+		}
+		if err != nil {
 			return 0, fmt.Errorf("netem: shaped %s invalid: %w", l.Name, err)
 		}
 	}
-	d := n.sample(l) + n.sample(l)
-	d += time.Duration(float64(reqBytes+respBytes) / l.Bandwidth * float64(time.Second))
+	payload, err := nanos(float64(reqBytes+respBytes)/l.Bandwidth*float64(time.Second), l.Name, "rpc serialization")
+	if err != nil {
+		return 0, err
+	}
+	out, err := n.sample(l)
+	if err != nil {
+		return 0, err
+	}
+	back, err := n.sample(l)
+	if err != nil {
+		return 0, err
+	}
+	d, err := nanos(float64(out)+float64(back)+float64(payload), l.Name, "rpc time")
 	// Loss forces a retry of the whole exchange.
-	for n.lost(l) {
-		d += n.sample(l)*2 + time.Duration(float64(reqBytes+respBytes)/l.Bandwidth*float64(time.Second))
+	for err == nil && n.lost(l) {
+		var s time.Duration
+		if s, err = n.sample(l); err == nil {
+			d, err = nanos(float64(d)+2*float64(s)+float64(payload), l.Name, "rpc time")
+		}
+	}
+	if err != nil {
+		return 0, err
 	}
 	n.mu.Lock()
-	n.rpcs++
-	n.bytesSent += int64(reqBytes + respBytes)
 	reg := n.metrics
 	n.mu.Unlock()
 	link := obs.L("link", l.Name)
 	reg.Counter("netem_transfer_bytes_total", link).Add(float64(reqBytes + respBytes))
 	reg.Histogram("netem_rpc_seconds", obs.DefSecondsBuckets, link).
-		ObserveDurationExemplar(d, traceID)
+		ObserveDuration(d)
 	return d, nil
-}
-
-// Stats reports cumulative traffic counters.
-func (n *Net) Stats() (bytesSent int64, transfers, rpcs int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.bytesSent, n.transfers, n.rpcs
 }
 
 func max64(a, b int64) int64 {

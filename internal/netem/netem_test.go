@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +75,19 @@ func TestTransferRejectsNegative(t *testing.T) {
 	}
 }
 
+// A size whose modelled time overflows time.Duration is an error, not a
+// wrapped duration: one transfer of math.MaxInt64 bytes, or a probe whose
+// four 1e17-byte transfers each fit but whose sum does not.
+func TestTransferRejectsOverflow(t *testing.T) {
+	n := NewNet(3)
+	if r, err := n.Transfer(CampusWAN, math.MaxInt64); err == nil {
+		t.Errorf("MaxInt64 bytes accepted: %v, %d retransmits", r.Duration, r.Retransmits)
+	}
+	if r, err := n.Probe(CampusWAN, ProbeConfig{Bytes: 1e17}); err == nil {
+		t.Errorf("1e17-byte probe accepted: %v, %.0f B/s", r.Elapsed, r.MeasuredBandwidth)
+	}
+}
+
 func TestTransferZeroBytesStillHasLatency(t *testing.T) {
 	n := NewNet(4)
 	r, err := n.Transfer(Loopback, 0)
@@ -118,20 +132,6 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	n := NewNet(7)
-	if _, err := n.Transfer(WiFiLocal, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.RTT(WiFiLocal, 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	bytes, transfers, rpcs := n.Stats()
-	if bytes != 1020 || transfers != 1 || rpcs != 1 {
-		t.Errorf("stats = %d/%d/%d", bytes, transfers, rpcs)
 	}
 }
 

@@ -1,10 +1,28 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
+
+// transferTotals sums the registry's transfer bytes and transfer counts
+// over every link.
+func transferTotals(reg *obs.Registry) (bytes float64, transfers uint64) {
+	snap := reg.Snapshot()
+	for k, v := range snap.Counters {
+		if strings.HasPrefix(k, "netem_transfer_bytes_total{") {
+			bytes += v
+		}
+	}
+	for k, v := range snap.HistCounts {
+		if strings.HasPrefix(k, "netem_transfer_seconds{") {
+			transfers += v
+		}
+	}
+	return bytes, transfers
+}
 
 func TestNetInstrumentation(t *testing.T) {
 	n := NewNet(1)
@@ -48,8 +66,7 @@ func TestNetUninstrumentedIsNoOp(t *testing.T) {
 	if _, err := n.Transfer(CampusWAN, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	bytes, transfers, _ := n.Stats()
-	if bytes != 1<<20 || transfers != 1 {
-		t.Errorf("stats = %d bytes, %d transfers", bytes, transfers)
+	if _, err := n.RTT(CampusWAN, 200, 400); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -94,39 +94,44 @@ func (n *Net) Probe(l Link, cfg ProbeConfig) (ProbeResult, error) {
 		return ProbeResult{}, err
 	}
 	cfg = cfg.withDefaults()
-	eff, ok := n.EffectiveLink(l)
+	eff, ok, err := n.EffectiveLink(l)
+	if err != nil {
+		return ProbeResult{}, fmt.Errorf("netem: probe %s: %w", l.Name, err)
+	}
 	if !ok {
 		return ProbeResult{}, fmt.Errorf("netem: probe %s: link is down", l.Name)
 	}
 	res := ProbeResult{Link: l.Name, Declared: eff, Transfers: cfg.Transfers}
-	var moved int64
-	var bulk time.Duration
-	for i := 0; i < cfg.Transfers; i++ {
-		tr, err := n.Transfer(l, cfg.Bytes)
-		if err != nil {
-			return ProbeResult{}, fmt.Errorf("netem: probe %s: %w", l.Name, err)
+	var moved float64
+	var bulk, rpc time.Duration
+	for i := 0; i < cfg.Transfers && err == nil; i++ {
+		var tr TransferResult
+		if tr, err = n.Transfer(l, cfg.Bytes); err == nil {
+			moved += float64(tr.Bytes)
+			res.Retransmits += tr.Retransmits
+			bulk, err = nanos(float64(bulk)+float64(tr.Duration), l.Name, "probe time")
 		}
-		moved += tr.Bytes
-		bulk += tr.Duration
-		res.Retransmits += tr.Retransmits
+	}
+	for i := 0; i < cfg.RPCs && err == nil; i++ {
+		var d time.Duration
+		if d, err = n.RTT(l, cfg.RPCBytes, cfg.RPCBytes); err == nil {
+			rpc, err = nanos(float64(rpc)+float64(d), l.Name, "probe time")
+		}
+	}
+	if err == nil {
+		res.Elapsed, err = nanos(float64(bulk)+float64(rpc), l.Name, "probe time")
+	}
+	if err != nil {
+		return ProbeResult{}, fmt.Errorf("netem: probe %s: %w", l.Name, err)
 	}
 	if bulk > 0 {
-		res.MeasuredBandwidth = float64(moved) / bulk.Seconds()
+		res.MeasuredBandwidth = moved / bulk.Seconds()
 	}
 	packets := cfg.Bytes / int64(eff.mtu())
 	if packets < 1 {
 		packets = 1
 	}
 	res.MeasuredLoss = float64(res.Retransmits) / float64(packets*int64(cfg.Transfers))
-	var rpc time.Duration
-	for i := 0; i < cfg.RPCs; i++ {
-		d, err := n.RTT(l, cfg.RPCBytes, cfg.RPCBytes)
-		if err != nil {
-			return ProbeResult{}, fmt.Errorf("netem: probe %s: %w", l.Name, err)
-		}
-		rpc += d
-	}
 	res.MeasuredRTT = rpc / time.Duration(cfg.RPCs)
-	res.Elapsed = bulk + rpc
 	return res, nil
 }

@@ -30,9 +30,3 @@ func (q *IngressQueue) Admit(arrival, dur time.Duration) time.Duration {
 	q.busyUntil = start + dur
 	return q.busyUntil
 }
-
-// BusyUntil reports when the receiver next goes idle.
-func (q *IngressQueue) BusyUntil() time.Duration { return q.busyUntil }
-
-// Reset returns the receiver to idle (a new epoch).
-func (q *IngressQueue) Reset() { q.busyUntil = 0 }

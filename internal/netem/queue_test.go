@@ -19,11 +19,4 @@ func TestIngressQueueSerializes(t *testing.T) {
 	if got := q.Admit(10*time.Second, 2*time.Second); got != 12*time.Second {
 		t.Fatalf("post-drain admit completed at %v, want 12s", got)
 	}
-	if got := q.BusyUntil(); got != 12*time.Second {
-		t.Fatalf("BusyUntil = %v, want 12s", got)
-	}
-	q.Reset()
-	if got := q.Admit(0, time.Second); got != time.Second {
-		t.Fatalf("post-reset admit completed at %v, want 1s", got)
-	}
 }

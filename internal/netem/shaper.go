@@ -40,8 +40,10 @@ func (sh LinkShape) Zero() bool {
 
 // Apply returns the link reshaped: patch fields replace the base values,
 // then the factor degrades the result. Down is not applied here —
-// callers refuse service instead of computing with a dead link.
-func (sh LinkShape) Apply(l Link) Link {
+// callers refuse service instead of computing with a dead link. A factor
+// that scales latency or jitter past time.Duration's range is an
+// ErrRange.
+func (sh LinkShape) Apply(l Link) (Link, error) {
 	if p := sh.Patch; p != nil {
 		if p.Latency != nil {
 			l.Latency = *p.Latency
@@ -57,11 +59,18 @@ func (sh LinkShape) Apply(l Link) Link {
 		}
 	}
 	if f := sh.Factor; f > 1 {
-		l.Latency = time.Duration(float64(l.Latency) * f)
-		l.Jitter = time.Duration(float64(l.Jitter) * f)
+		lat, err := nanos(float64(l.Latency)*f, l.Name, "latency")
+		if err != nil {
+			return l, err
+		}
+		jit, err := nanos(float64(l.Jitter)*f, l.Name, "jitter")
+		if err != nil {
+			return l, err
+		}
+		l.Latency, l.Jitter = lat, jit
 		l.Bandwidth /= f
 	}
-	return l
+	return l, nil
 }
 
 // Shaper answers what shape a named link has at an instant of virtual
@@ -98,13 +107,14 @@ func (n *Net) shaperState() (Shaper, func() time.Time) {
 // attached shaper applied (the probe and the netctl display both compare
 // against it). ok is false while the link is partitioned; the returned
 // parameters are still the shaped ones so callers can render them.
-func (n *Net) EffectiveLink(l Link) (Link, bool) {
+func (n *Net) EffectiveLink(l Link) (eff Link, ok bool, err error) {
 	s, now := n.shaperState()
 	if s == nil {
-		return l, true
+		return l, true, nil
 	}
 	shape, _ := s.ShapeAt(l.Name, now())
-	return shape.Apply(l), !shape.Down
+	eff, err = shape.Apply(l)
+	return eff, !shape.Down, err
 }
 
 // partitionErr is the typed refusal for a shaper-declared partition; it
@@ -127,8 +137,8 @@ func (n *Net) partitionErr(link, op string) error {
 // stalls and resumes). base is the link before shaping. Returns the
 // serialization duration, or an error when the link partitions with no
 // scheduled recovery.
-func (n *Net) shapedSerialize(s Shaper, base Link, wire int64, t0 time.Time) (time.Duration, error) {
-	remaining := float64(wire)
+func (n *Net) shapedSerialize(s Shaper, base Link, wire float64, t0 time.Time) (time.Duration, error) {
+	remaining := wire
 	t := t0
 	// A shaper with a pathological timeline (epochs every nanosecond)
 	// could make this loop crawl; bound it far above any real scenario.
@@ -141,11 +151,18 @@ func (n *Net) shapedSerialize(s Shaper, base Link, wire int64, t0 time.Time) (ti
 			t = next
 			continue
 		}
-		bw := shape.Apply(base).Bandwidth
+		eff, err := shape.Apply(base)
+		if err != nil {
+			return 0, err
+		}
+		bw := eff.Bandwidth
 		if bw <= 0 {
 			return 0, fmt.Errorf("netem: shaped bandwidth on %s must be positive", base.Name)
 		}
-		need := time.Duration(remaining / bw * float64(time.Second))
+		need, err := nanos(remaining/bw*float64(time.Second), base.Name, "serialization")
+		if err != nil {
+			return 0, err
+		}
 		if next.IsZero() || !next.After(t) || !t.Add(need).After(next) {
 			return t.Add(need).Sub(t0), nil
 		}

@@ -132,7 +132,10 @@ func TestLinkShapeApply(t *testing.T) {
 	lat := 40 * time.Millisecond
 	loss := 0.05
 	sh := LinkShape{Factor: 2, Patch: &LinkPatch{Latency: &lat, LossRate: &loss}}
-	got := sh.Apply(base)
+	got, err := sh.Apply(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Latency != 80*time.Millisecond { // patched to 40ms, then doubled
 		t.Fatalf("latency = %v", got.Latency)
 	}

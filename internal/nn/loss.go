@@ -124,13 +124,6 @@ func (s SplitCategorical) Loss(pred, target *Tensor) (float64, *Tensor, error) {
 	return aLoss + tLoss, grad, nil
 }
 
-// OneHot encodes a continuous value v in [lo, hi] into one of bins buckets.
-func OneHot(v, lo, hi float64, bins int) []float64 {
-	out := make([]float64, bins)
-	out[Bin(v, lo, hi, bins)] = 1
-	return out
-}
-
 // Bin maps a continuous value to its bucket index.
 func Bin(v, lo, hi float64, bins int) int {
 	if v <= lo {

@@ -460,46 +460,9 @@ func TestBinUnbinRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestOneHotSumsToOne(t *testing.T) {
-	oh := OneHot(0.3, -1, 1, 15)
-	var s float64
-	for _, v := range oh {
-		s += v
-	}
-	if s != 1 {
-		t.Errorf("one-hot sums to %g", s)
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	if ArgMax([]float64{1, 5, 2}) != 1 {
 		t.Error("argmax wrong")
-	}
-}
-
-func TestSGDReducesLossOnLinearProblem(t *testing.T) {
-	// y = 3x - 1; a single dense neuron must fit it.
-	r := rng(11)
-	n := 64
-	x := NewTensor(n, 1)
-	y := NewTensor(n, 1)
-	for i := 0; i < n; i++ {
-		v := r.Float64()*2 - 1
-		x.Data[i] = v
-		y.Data[i] = 3*v - 1
-	}
-	model := NewSequential(NewDense(1, 1, r))
-	opt, err := NewSGD(0.1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := TrainConfig{Epochs: 60, BatchSize: 16, ValFrac: 0, Seed: 2}
-	h, err := Train(model, Dataset{X: x, Y: y}, MSE{}, opt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.FinalTrainLoss() > 0.01 {
-		t.Errorf("final loss %g, want < 0.01", h.FinalTrainLoss())
 	}
 }
 
@@ -780,16 +743,16 @@ func TestLRDecayApplied(t *testing.T) {
 }
 
 func TestScaleLRIgnoresNonPositive(t *testing.T) {
-	sgd, err := NewSGD(0.1, 0)
+	adam, err := NewAdam(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgd.ScaleLR(-1)
-	if sgd.LR != 0.1 {
-		t.Errorf("negative factor applied: %g", sgd.LR)
+	adam.ScaleLR(-1)
+	if adam.LR != 0.1 {
+		t.Errorf("negative factor applied: %g", adam.LR)
 	}
-	sgd.ScaleLR(0.5)
-	if sgd.LR != 0.05 {
-		t.Errorf("LR %g", sgd.LR)
+	adam.ScaleLR(0.5)
+	if adam.LR != 0.05 {
+		t.Errorf("LR %g", adam.LR)
 	}
 }

@@ -82,7 +82,7 @@ func TestEpochObserverStopsWithEarlyStopping(t *testing.T) {
 	data := observerDataset(t, 48)
 	// A divergent learning rate guarantees validation loss stops
 	// improving, so patience-based early stopping must cut the run short.
-	opt, err := NewSGD(50, 0)
+	opt, err := NewAdam(50)
 	if err != nil {
 		t.Fatal(err)
 	}

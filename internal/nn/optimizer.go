@@ -14,16 +14,9 @@ type Optimizer interface {
 }
 
 // LRScaler is implemented by optimizers whose learning rate can be decayed
-// between epochs (both SGD and Adam qualify).
+// between epochs (Adam qualifies).
 type LRScaler interface {
 	ScaleLR(factor float64)
-}
-
-// ScaleLR implements LRScaler.
-func (s *SGD) ScaleLR(factor float64) {
-	if factor > 0 {
-		s.LR *= factor
-	}
 }
 
 // ScaleLR implements LRScaler.
@@ -31,62 +24,6 @@ func (a *Adam) ScaleLR(factor float64) {
 	if factor > 0 {
 		a.LR *= factor
 	}
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param]*Tensor
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum float64) (*SGD, error) {
-	if lr <= 0 {
-		return nil, fmt.Errorf("nn: learning rate must be positive")
-	}
-	if momentum < 0 || momentum >= 1 {
-		return nil, fmt.Errorf("nn: momentum must be in [0,1)")
-	}
-	return &SGD{LR: lr, Momentum: momentum, vel: map[*Param]*Tensor{}}, nil
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer. Each param's update, and the gradient
-// reset, is one elementwise pass across workers.
-func (s *SGD) Step(params []*Param) error {
-	for _, p := range params {
-		if p.Frozen {
-			p.ZeroGrad()
-			continue
-		}
-		w, g := p.W.Data, p.grad().Data
-		if s.Momentum > 0 {
-			v, ok := s.vel[p]
-			if !ok {
-				v = NewTensor(p.W.Shape...)
-				s.vel[p] = v
-			}
-			vd := v.Data
-			parallelFor(len(w), 4*len(w), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					vd[i] = s.Momentum*vd[i] - s.LR*g[i]
-					w[i] += vd[i]
-					g[i] = 0
-				}
-			})
-		} else {
-			parallelFor(len(w), 4*len(w), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					w[i] -= s.LR * g[i]
-					g[i] = 0
-				}
-			})
-		}
-	}
-	return nil
 }
 
 // Adam is the Adam optimizer (Kingma & Ba), the default DonkeyCar training

@@ -7,7 +7,7 @@ import (
 )
 
 // TestOptimizersMatchSerialBitwise checks the elementwise passes of
-// SGD, Adam and ClipGradients at 1–3 workers against their serial loops
+// Adam and ClipGradients at 1–3 workers against their serial loops
 // as they were, bit for bit, on a param big enough to split and one that
 // runs inline, with ±0, subnormals, ±Inf and NaN among the weights and
 // gradients (NaN only, among the clipped ones, so the max is finite).
@@ -54,30 +54,6 @@ func TestOptimizersMatchSerialBitwise(t *testing.T) {
 	}
 
 	// The serial loops.
-	wantSGD := map[float64][]*Param{}
-	for _, mom := range []float64{0, 0.9} {
-		ps := newParams()
-		vel := make([][]float64, len(ps))
-		for s := range g0 {
-			setGrads(ps, s)
-			for i, p := range ps {
-				if vel[i] == nil {
-					vel[i] = make([]float64, len(p.W.Data))
-				}
-				g := p.Grad.Data
-				for j := range p.W.Data {
-					if mom > 0 {
-						vel[i][j] = mom*vel[i][j] - 0.01*g[j]
-						p.W.Data[j] += vel[i][j]
-					} else {
-						p.W.Data[j] -= 0.01 * g[j]
-					}
-				}
-				p.Grad.Zero()
-			}
-		}
-		wantSGD[mom] = ps
-	}
 	wantAdam := newParams()
 	{
 		// Variables, not constants: Go folds constant expressions
@@ -135,20 +111,6 @@ func TestOptimizersMatchSerialBitwise(t *testing.T) {
 
 	for workers := 1; workers <= 3; workers++ {
 		SetMaxWorkers(workers)
-		for _, mom := range []float64{0, 0.9} {
-			opt, err := NewSGD(0.01, mom)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps := newParams()
-			for s := range g0 {
-				setGrads(ps, s)
-				if err := opt.Step(ps); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check("sgd", workers, ps, wantSGD[mom])
-		}
 		opt, err := NewAdam(0.01)
 		if err != nil {
 			t.Fatal(err)

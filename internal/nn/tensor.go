@@ -1,6 +1,6 @@
 // Package nn is a from-scratch neural-network library standing in for the
 // Keras/TensorFlow stack DonkeyCar uses: dense tensors, convolutional and
-// recurrent layers, losses, SGD/Adam optimizers, a mini-batch trainer and
+// recurrent layers, losses, the Adam optimizer, a mini-batch trainer and
 // parameter serialization. It is deliberately CPU-only and deterministic
 // given a seed; multi-core parallelism is used inside the heavy kernels.
 package nn

@@ -1,19 +1,12 @@
-// Package notebook is a Jupyter-style workflow engine: AutoLearn's
-// instructional artifacts are "a series of Jupyter notebooks" whose cells
-// mix explanatory text with executable steps ("students can launch a
+// Package notebook is AutoLearn's artifact format: the instructional
+// artifacts are "a series of Jupyter notebooks" whose cells mix
+// explanatory text with executable steps ("students can launch a
 // container on the car's Raspberry Pi simply by executing one cell").
-// Cells carry either markdown or a bound Go action; execution tracks
-// status, output, and counts, and notebooks serialize to JSON for sharing
+// A notebook is the ordered cell list that serializes to JSON for sharing
 // through the Trovi hub.
 package notebook
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"strings"
-	"time"
-)
+import "encoding/json"
 
 // CellKind distinguishes text from executable cells.
 type CellKind string
@@ -24,205 +17,35 @@ const (
 	Code     CellKind = "code"
 )
 
-// CellStatus tracks execution state.
-type CellStatus string
-
-// Cell states.
-const (
-	Idle    CellStatus = "idle"
-	OK      CellStatus = "ok"
-	Failed  CellStatus = "failed"
-	Skipped CellStatus = "skipped"
-)
-
-// Action is the Go function bound to a code cell. It returns the cell's
-// output text.
-type Action func() (string, error)
-
 // Cell is one notebook cell.
 type Cell struct {
-	Kind   CellKind
-	Source string // markdown text, or a display label for code cells
-	Action Action `json:"-"`
-
-	Status    CellStatus
-	Output    string
-	Error     string
-	ExecCount int
-	LastRun   time.Time
+	Kind   CellKind `json:"kind"`
+	Source string   `json:"source"` // markdown text, or a display label for code cells
 }
 
 // Notebook is an ordered list of cells.
 type Notebook struct {
-	Name  string
-	Cells []*Cell
+	Name  string `json:"name"`
+	Cells []Cell `json:"cells"`
 }
-
-// Errors returned by notebook operations.
-var (
-	ErrNoCell    = errors.New("notebook: cell index out of range")
-	ErrNotCode   = errors.New("notebook: cell is not executable")
-	ErrNoAction  = errors.New("notebook: code cell has no bound action")
-	ErrCellError = errors.New("notebook: cell execution failed")
-)
 
 // New creates an empty notebook.
 func New(name string) *Notebook { return &Notebook{Name: name} }
 
 // AddMarkdown appends a text cell.
 func (n *Notebook) AddMarkdown(text string) *Notebook {
-	n.Cells = append(n.Cells, &Cell{Kind: Markdown, Source: text, Status: Idle})
+	n.Cells = append(n.Cells, Cell{Kind: Markdown, Source: text})
 	return n
 }
 
-// AddCode appends an executable cell with a display label and bound action.
-func (n *Notebook) AddCode(label string, action Action) *Notebook {
-	n.Cells = append(n.Cells, &Cell{Kind: Code, Source: label, Action: action, Status: Idle})
+// AddCode appends an executable cell with a display label.
+func (n *Notebook) AddCode(label string) *Notebook {
+	n.Cells = append(n.Cells, Cell{Kind: Code, Source: label})
 	return n
 }
 
-// CodeCellCount returns the number of executable cells.
-func (n *Notebook) CodeCellCount() int {
-	c := 0
-	for _, cell := range n.Cells {
-		if cell.Kind == Code {
-			c++
-		}
-	}
-	return c
-}
-
-// ExecListener observes cell executions (Trovi counts "the execution of at
-// least one cell in the artifact packaging" through this hook).
-type ExecListener func(notebook string, cellIndex int, status CellStatus)
-
-// Execute runs the cell at index i. Markdown cells are no-ops with status
-// Skipped. now stamps LastRun so runs are reproducible.
-func (n *Notebook) Execute(i int, now time.Time, listeners ...ExecListener) error {
-	if i < 0 || i >= len(n.Cells) {
-		return fmt.Errorf("%w: %d of %d", ErrNoCell, i, len(n.Cells))
-	}
-	c := n.Cells[i]
-	if c.Kind != Code {
-		c.Status = Skipped
-		return nil
-	}
-	if c.Action == nil {
-		return fmt.Errorf("%w: cell %d (%s)", ErrNoAction, i, c.Source)
-	}
-	c.ExecCount++
-	c.LastRun = now
-	out, err := c.Action()
-	c.Output = out
-	if err != nil {
-		c.Status = Failed
-		c.Error = err.Error()
-	} else {
-		c.Status = OK
-		c.Error = ""
-	}
-	for _, l := range listeners {
-		l(n.Name, i, c.Status)
-	}
-	if err != nil {
-		return fmt.Errorf("%w: cell %d (%s): %v", ErrCellError, i, c.Source, err)
-	}
-	return nil
-}
-
-// RunAll executes cells in order, stopping at the first failure (like
-// "Run All" in Jupyter). It returns how many code cells ran successfully.
-func (n *Notebook) RunAll(now time.Time, listeners ...ExecListener) (int, error) {
-	ran := 0
-	for i, c := range n.Cells {
-		if err := n.Execute(i, now, listeners...); err != nil {
-			return ran, err
-		}
-		if c.Kind == Code {
-			ran++
-		}
-	}
-	return ran, nil
-}
-
-// Summary renders a one-line-per-cell status report.
-func (n *Notebook) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "notebook %q (%d cells)\n", n.Name, len(n.Cells))
-	for i, c := range n.Cells {
-		label := c.Source
-		if idx := strings.IndexByte(label, '\n'); idx >= 0 {
-			label = label[:idx]
-		}
-		if len(label) > 60 {
-			label = label[:57] + "..."
-		}
-		fmt.Fprintf(&b, "  [%2d] %-8s %-7s x%d %s\n", i, c.Kind, c.Status, c.ExecCount, label)
-	}
-	return b.String()
-}
-
-// exportCell is the serialized form (actions do not travel; an imported
-// notebook must be re-bound with BindActions).
-type exportCell struct {
-	Kind   CellKind `json:"kind"`
-	Source string   `json:"source"`
-}
-
-type exportNotebook struct {
-	Name  string       `json:"name"`
-	Cells []exportCell `json:"cells"`
-}
-
-// Export serializes the notebook structure to JSON (the Trovi/GitBook
+// Export serializes the notebook to JSON (the Trovi/GitBook
 // import-export pathway of §4).
 func (n *Notebook) Export() ([]byte, error) {
-	out := exportNotebook{Name: n.Name}
-	for _, c := range n.Cells {
-		out.Cells = append(out.Cells, exportCell{Kind: c.Kind, Source: c.Source})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// Import parses an exported notebook. Code cells come back unbound.
-func Import(data []byte) (*Notebook, error) {
-	var in exportNotebook
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("notebook: import: %w", err)
-	}
-	if in.Name == "" {
-		return nil, fmt.Errorf("notebook: import: missing name")
-	}
-	n := New(in.Name)
-	for _, c := range in.Cells {
-		switch c.Kind {
-		case Markdown:
-			n.AddMarkdown(c.Source)
-		case Code:
-			n.AddCode(c.Source, nil)
-		default:
-			return nil, fmt.Errorf("notebook: import: unknown cell kind %q", c.Kind)
-		}
-	}
-	return n, nil
-}
-
-// BindActions attaches actions to code cells by label. Unmatched labels
-// are reported as an error listing what is missing.
-func (n *Notebook) BindActions(actions map[string]Action) error {
-	var missing []string
-	for _, c := range n.Cells {
-		if c.Kind != Code {
-			continue
-		}
-		if a, ok := actions[c.Source]; ok {
-			c.Action = a
-		} else {
-			missing = append(missing, c.Source)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("notebook: no action bound for cells: %s", strings.Join(missing, ", "))
-	}
-	return nil
+	return json.MarshalIndent(n, "", "  ")
 }

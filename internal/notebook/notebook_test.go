@@ -1,190 +1,29 @@
 package notebook
 
 import (
-	"errors"
-	"fmt"
-	"strings"
+	"encoding/json"
 	"testing"
-	"time"
 )
 
-var t0 = time.Date(2023, 9, 15, 12, 0, 0, 0, time.UTC)
-
-func demo() *Notebook {
-	return New("autolearn-data-collection").
+func TestExportRoundTrip(t *testing.T) {
+	n := New("autolearn-data-collection").
 		AddMarkdown("# Collecting data\nDrive the car to collect records.").
-		AddCode("reserve-hardware", func() (string, error) { return "lease ok\n", nil }).
-		AddCode("launch-container", func() (string, error) { return "container up\n", nil })
-}
-
-func TestExecuteCodeCell(t *testing.T) {
-	n := demo()
-	if err := n.Execute(1, t0); err != nil {
-		t.Fatal(err)
-	}
-	c := n.Cells[1]
-	if c.Status != OK || c.Output != "lease ok\n" || c.ExecCount != 1 {
-		t.Errorf("cell = %+v", c)
-	}
-	if !c.LastRun.Equal(t0) {
-		t.Error("timestamp not recorded")
-	}
-}
-
-func TestExecuteMarkdownSkips(t *testing.T) {
-	n := demo()
-	if err := n.Execute(0, t0); err != nil {
-		t.Fatal(err)
-	}
-	if n.Cells[0].Status != Skipped {
-		t.Errorf("status %s", n.Cells[0].Status)
-	}
-}
-
-func TestExecuteOutOfRange(t *testing.T) {
-	n := demo()
-	if err := n.Execute(9, t0); !errors.Is(err, ErrNoCell) {
-		t.Errorf("got %v", err)
-	}
-	if err := n.Execute(-1, t0); !errors.Is(err, ErrNoCell) {
-		t.Errorf("got %v", err)
-	}
-}
-
-func TestExecuteFailureRecorded(t *testing.T) {
-	n := New("x").AddCode("boom", func() (string, error) {
-		return "partial", fmt.Errorf("no GPU available")
-	})
-	err := n.Execute(0, t0)
-	if !errors.Is(err, ErrCellError) {
-		t.Fatalf("got %v", err)
-	}
-	c := n.Cells[0]
-	if c.Status != Failed || c.Error == "" || c.Output != "partial" {
-		t.Errorf("cell = %+v", c)
-	}
-	// Re-running after fixing works and clears the error.
-	c.Action = func() (string, error) { return "fixed", nil }
-	if err := n.Execute(0, t0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Status != OK || c.Error != "" || c.ExecCount != 2 {
-		t.Errorf("cell = %+v", c)
-	}
-}
-
-func TestRunAllStopsAtFailure(t *testing.T) {
-	n := New("x").
-		AddCode("a", func() (string, error) { return "", nil }).
-		AddCode("b", func() (string, error) { return "", fmt.Errorf("fail") }).
-		AddCode("c", func() (string, error) { return "", nil })
-	ran, err := n.RunAll(t0)
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	if ran != 1 {
-		t.Errorf("ran %d before failure, want 1", ran)
-	}
-	if n.Cells[2].ExecCount != 0 {
-		t.Error("cell after failure was executed")
-	}
-}
-
-func TestRunAllSuccess(t *testing.T) {
-	n := demo()
-	ran, err := n.RunAll(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != 2 {
-		t.Errorf("ran %d, want 2", ran)
-	}
-}
-
-func TestUnboundAction(t *testing.T) {
-	n := New("x").AddCode("orphan", nil)
-	if err := n.Execute(0, t0); !errors.Is(err, ErrNoAction) {
-		t.Errorf("got %v", err)
-	}
-}
-
-func TestListenersObserveExecutions(t *testing.T) {
-	n := demo()
-	var events []string
-	l := func(name string, i int, st CellStatus) {
-		events = append(events, fmt.Sprintf("%s/%d/%s", name, i, st))
-	}
-	if _, err := n.RunAll(t0, l); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("events = %v", events)
-	}
-	if events[0] != "autolearn-data-collection/1/ok" {
-		t.Errorf("first event %s", events[0])
-	}
-}
-
-func TestExportImportRoundTrip(t *testing.T) {
-	n := demo()
+		AddCode("reserve-hardware").
+		AddCode("launch-container")
 	data, err := n.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Import(data)
-	if err != nil {
+	var back Notebook
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != n.Name || len(back.Cells) != len(n.Cells) {
+	if back.Name != n.Name || len(back.Cells) != 3 {
 		t.Fatalf("lost structure: %s %d", back.Name, len(back.Cells))
 	}
-	// Imported code cells are unbound until BindActions.
-	if err := back.Execute(1, t0); !errors.Is(err, ErrNoAction) {
-		t.Errorf("got %v", err)
-	}
-	err = back.BindActions(map[string]Action{
-		"reserve-hardware": func() (string, error) { return "ok", nil },
-		"launch-container": func() (string, error) { return "ok", nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := back.RunAll(t0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBindActionsReportsMissing(t *testing.T) {
-	n := demo()
-	err := n.BindActions(map[string]Action{"reserve-hardware": func() (string, error) { return "", nil }})
-	if err == nil || !strings.Contains(err.Error(), "launch-container") {
-		t.Errorf("got %v", err)
-	}
-}
-
-func TestImportRejectsGarbage(t *testing.T) {
-	if _, err := Import([]byte("{")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	if _, err := Import([]byte(`{"cells":[]}`)); err == nil {
-		t.Error("missing name accepted")
-	}
-	if _, err := Import([]byte(`{"name":"x","cells":[{"kind":"weird"}]}`)); err == nil {
-		t.Error("unknown cell kind accepted")
-	}
-}
-
-func TestSummaryContainsStatus(t *testing.T) {
-	n := demo()
-	n.Execute(1, t0)
-	s := n.Summary()
-	if !strings.Contains(s, "reserve-hardware") || !strings.Contains(s, "ok") {
-		t.Errorf("summary:\n%s", s)
-	}
-}
-
-func TestCodeCellCount(t *testing.T) {
-	if got := demo().CodeCellCount(); got != 2 {
-		t.Errorf("count %d", got)
+	for i, c := range n.Cells {
+		if back.Cells[i] != c {
+			t.Errorf("cell %d = %+v, want %+v", i, back.Cells[i], c)
+		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package objstore emulates Chameleon's Swift-compatible object store
 // (§3.5 "Chameleon's Object Store"), where AutoLearn keeps its sample
-// datasets and pre-trained models for the "mix and match" pathway:
-// containers of named objects with ETags, metadata, listing, and range
-// reads. The store is in-memory and safe for concurrent use.
+// datasets and trained models: containers of named objects with ETags
+// and metadata. The store is in-memory and safe for concurrent use.
 package objstore
 
 import (
@@ -10,7 +9,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -44,22 +42,13 @@ type object struct {
 type Store struct {
 	mu         sync.RWMutex
 	containers map[string]map[string]*object
-	clock      func() time.Time
 	faultHook  func(op, container, name string) error
 	obsTracer  *obs.Tracer
 }
 
-// New creates an empty store. The clock may be overridden for
-// deterministic tests via SetClock.
+// New creates an empty store.
 func New() *Store {
-	return &Store{containers: map[string]map[string]*object{}, clock: time.Now}
-}
-
-// SetClock replaces the timestamp source (tests use a fixed clock).
-func (s *Store) SetClock(fn func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = fn
+	return &Store{containers: map[string]map[string]*object{}}
 }
 
 // SetFaultHook installs a fault-injection hook consulted before every Put
@@ -101,29 +90,6 @@ func (s *Store) CreateContainer(name string) error {
 	return nil
 }
 
-// DeleteContainer removes a container and everything in it.
-func (s *Store) DeleteContainer(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.containers[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoContainer, name)
-	}
-	delete(s.containers, name)
-	return nil
-}
-
-// Containers lists container names in sorted order.
-func (s *Store) Containers() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.containers))
-	for n := range s.containers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Put stores an object (overwriting any previous version) and returns its
 // info. Data is copied.
 func (s *Store) Put(container, name string, data []byte, meta map[string]string) (ObjectInfo, error) {
@@ -150,7 +116,7 @@ func (s *Store) Put(container, name string, data []byte, meta map[string]string)
 		Name:         name,
 		Size:         int64(len(cp)),
 		ETag:         hex.EncodeToString(sum[:16]),
-		LastModified: s.clock(),
+		LastModified: time.Now(),
 		Metadata:     m,
 	}
 	c[name] = &object{data: cp, info: info}
@@ -173,29 +139,6 @@ func (s *Store) Get(container, name string) ([]byte, ObjectInfo, error) {
 	return cp, o.info, nil
 }
 
-// GetRange returns bytes [off, off+n) of the object, truncated at the end.
-func (s *Store) GetRange(container, name string, off, n int64) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, err := s.lookup(container, name)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("objstore: negative range")
-	}
-	if off >= int64(len(o.data)) {
-		return []byte{}, nil
-	}
-	end := off + n
-	if end > int64(len(o.data)) {
-		end = int64(len(o.data))
-	}
-	cp := make([]byte, end-off)
-	copy(cp, o.data[off:end])
-	return cp, nil
-}
-
 // Head returns object info without the body.
 func (s *Store) Head(container, name string) (ObjectInfo, error) {
 	s.mu.RLock()
@@ -205,51 +148,6 @@ func (s *Store) Head(container, name string) (ObjectInfo, error) {
 		return ObjectInfo{}, err
 	}
 	return o.info, nil
-}
-
-// Delete removes an object.
-func (s *Store) Delete(container, name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.containers[container]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoContainer, container)
-	}
-	if _, ok := c[name]; !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNoObject, container, name)
-	}
-	delete(c, name)
-	return nil
-}
-
-// List returns infos for objects in a container whose names start with
-// prefix, sorted by name.
-func (s *Store) List(container, prefix string) ([]ObjectInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, ok := s.containers[container]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoContainer, container)
-	}
-	var out []ObjectInfo
-	for n, o := range c {
-		if strings.HasPrefix(n, prefix) {
-			out = append(out, o.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// TotalBytes sums object sizes in a container (0 for missing containers).
-func (s *Store) TotalBytes(container string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	for _, o := range s.containers[container] {
-		total += o.info.Size
-	}
-	return total
 }
 
 func (s *Store) lookup(container, name string) (*object, error) {

@@ -7,15 +7,11 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func fixedClock() time.Time { return time.Unix(1_700_000_000, 0) }
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
 	s := New()
-	s.SetClock(fixedClock)
 	if err := s.CreateContainer("datasets"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +82,7 @@ func TestMissingLookups(t *testing.T) {
 	if _, _, err := s.Get("datasets", "nope"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("got %v", err)
 	}
-	if err := s.Delete("datasets", "nope"); !errors.Is(err, ErrNoObject) {
-		t.Errorf("got %v", err)
-	}
-	if err := s.DeleteContainer("nope"); !errors.Is(err, ErrNoContainer) {
+	if _, err := s.Head("datasets", "nope"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("got %v", err)
 	}
 }
@@ -114,79 +107,6 @@ func TestBadNames(t *testing.T) {
 	}
 }
 
-func TestListPrefix(t *testing.T) {
-	s := newStore(t)
-	for _, n := range []string{"models/linear.ckpt", "models/rnn.ckpt", "tubs/t1"} {
-		if _, err := s.Put("datasets", n, []byte(n), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	models, err := s.List("datasets", "models/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(models) != 2 {
-		t.Fatalf("got %d models", len(models))
-	}
-	if models[0].Name != "models/linear.ckpt" {
-		t.Error("list not sorted")
-	}
-	all, _ := s.List("datasets", "")
-	if len(all) != 3 {
-		t.Errorf("got %d total", len(all))
-	}
-}
-
-func TestGetRange(t *testing.T) {
-	s := newStore(t)
-	if _, err := s.Put("datasets", "x", []byte("0123456789"), nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetRange("datasets", "x", 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "234" {
-		t.Errorf("range = %q", got)
-	}
-	tail, _ := s.GetRange("datasets", "x", 8, 100)
-	if string(tail) != "89" {
-		t.Errorf("tail = %q", tail)
-	}
-	empty, _ := s.GetRange("datasets", "x", 50, 10)
-	if len(empty) != 0 {
-		t.Error("past-end range returned data")
-	}
-	if _, err := s.GetRange("datasets", "x", -1, 2); err == nil {
-		t.Error("negative offset accepted")
-	}
-}
-
-func TestDeleteAndTotals(t *testing.T) {
-	s := newStore(t)
-	s.Put("datasets", "a", make([]byte, 100), nil)
-	s.Put("datasets", "b", make([]byte, 50), nil)
-	if got := s.TotalBytes("datasets"); got != 150 {
-		t.Errorf("total %d", got)
-	}
-	if err := s.Delete("datasets", "a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TotalBytes("datasets"); got != 50 {
-		t.Errorf("total after delete %d", got)
-	}
-}
-
-func TestContainersSorted(t *testing.T) {
-	s := newStore(t)
-	s.CreateContainer("zz")
-	s.CreateContainer("aa")
-	got := s.Containers()
-	if len(got) != 3 || got[0] != "aa" || got[2] != "zz" {
-		t.Errorf("containers = %v", got)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := newStore(t)
 	var wg sync.WaitGroup
@@ -208,12 +128,10 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	infos, err := s.List("datasets", "obj-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 16 {
-		t.Errorf("got %d objects", len(infos))
+	for i := 0; i < 16; i++ {
+		if info, err := s.Head("datasets", fmt.Sprintf("obj-%d", i)); err != nil || info.Size != 1 {
+			t.Errorf("obj-%d: %+v, %v", i, info, err)
+		}
 	}
 }
 
@@ -232,72 +150,5 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCopyPreservesContentAndMetadata(t *testing.T) {
-	s := newStore(t)
-	if err := s.CreateContainer("models"); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := s.Put("datasets", "student-model", []byte("weights"),
-		map[string]string{"kind": "linear"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := s.Copy("datasets", "student-model", "models", "pretrained-linear")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.ETag != orig.ETag {
-		t.Error("copy changed the etag")
-	}
-	data, gi, err := s.Get("models", "pretrained-linear")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "weights" || gi.Metadata["kind"] != "linear" {
-		t.Errorf("copy lost content or metadata: %q %v", data, gi.Metadata)
-	}
-	// Mutating the copy's metadata must not touch the original.
-	if _, err := s.UpdateMetadata("models", "pretrained-linear",
-		map[string]string{"promoted": "true"}); err != nil {
-		t.Fatal(err)
-	}
-	srcInfo, _ := s.Head("datasets", "student-model")
-	if srcInfo.Metadata["promoted"] != "" {
-		t.Error("metadata aliased between copies")
-	}
-}
-
-func TestCopyValidation(t *testing.T) {
-	s := newStore(t)
-	if _, err := s.Copy("datasets", "missing", "datasets", "x"); !errors.Is(err, ErrNoObject) {
-		t.Errorf("got %v", err)
-	}
-	s.Put("datasets", "a", []byte("x"), nil)
-	if _, err := s.Copy("datasets", "a", "nope", "x"); !errors.Is(err, ErrNoContainer) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := s.Copy("datasets", "a", "datasets", ""); !errors.Is(err, ErrBadName) {
-		t.Errorf("got %v", err)
-	}
-}
-
-func TestUpdateMetadataDeletesEmptyValues(t *testing.T) {
-	s := newStore(t)
-	s.Put("datasets", "a", []byte("x"), map[string]string{"keep": "1", "drop": "2"})
-	info, err := s.UpdateMetadata("datasets", "a", map[string]string{"drop": "", "new": "3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Metadata["keep"] != "1" || info.Metadata["new"] != "3" {
-		t.Errorf("metadata %v", info.Metadata)
-	}
-	if _, ok := info.Metadata["drop"]; ok {
-		t.Error("empty value did not delete key")
-	}
-	if _, err := s.UpdateMetadata("datasets", "missing", nil); !errors.Is(err, ErrNoObject) {
-		t.Errorf("got %v", err)
 	}
 }

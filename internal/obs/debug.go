@@ -13,23 +13,16 @@ import (
 // tracer may hold thousands of finished spans in a long run.
 const debugTraceLimit = 8
 
-// DebugHandler serves the /debug/obs dashboard for a fixed observer.
+// DebugHandler serves the /debug/obs dashboard for an observer. GET
+// renders an HTML dashboard (metrics snapshot tables plus a span-timeline
+// waterfall of recent traces); GET ?format=json returns the same data as
+// deterministic JSON; other methods get 405.
 func DebugHandler(o Observer) http.Handler {
-	return DynamicDebugHandler(func() Observer { return o })
-}
-
-// DynamicDebugHandler serves the /debug/obs dashboard, resolving the
-// observer per request — for services whose tracer is attached after the
-// mux is built. GET renders an HTML dashboard (metrics snapshot tables
-// plus a span-timeline waterfall of recent traces); GET ?format=json
-// returns the same data as deterministic JSON; other methods get 405.
-func DynamicDebugHandler(get func() Observer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		o := get()
 		if req.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
 			writeDebugJSON(w, o)

@@ -50,14 +50,6 @@ func ParseSpanContext(s string) (SpanContext, bool) {
 	return SpanContext{TraceID: s[:i], SpanID: s[i+1:]}, true
 }
 
-// Inject writes the context into an HTTP header set (a no-op when
-// invalid), for clients calling a traced service.
-func (sc SpanContext) Inject(h http.Header) {
-	if sc.Valid() {
-		h.Set(TraceHeader, sc.String())
-	}
-}
-
 // ContextFromRequest extracts a propagated span context from an incoming
 // request ({} when absent or malformed).
 func ContextFromRequest(r *http.Request) SpanContext {

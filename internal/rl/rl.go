@@ -257,18 +257,3 @@ func (a *Agent) Train() (TrainStats, error) {
 func (a *Agent) Drive(st sim.CarState) (float64, float64) {
 	return a.Cfg.Actions[a.bestAction(a.stateOf(st))], a.Cfg.Throttle
 }
-
-// MeanReturn averages the last n episode returns (a learning-curve probe).
-func (s TrainStats) MeanReturn(lastN int) float64 {
-	if len(s.EpisodeReturns) == 0 {
-		return 0
-	}
-	if lastN > len(s.EpisodeReturns) {
-		lastN = len(s.EpisodeReturns)
-	}
-	var sum float64
-	for _, r := range s.EpisodeReturns[len(s.EpisodeReturns)-lastN:] {
-		sum += r
-	}
-	return sum / float64(lastN)
-}

@@ -89,7 +89,7 @@ func TestLearningImproves(t *testing.T) {
 		t.Fatalf("got %d episode returns", len(stats.EpisodeReturns))
 	}
 	early := meanOf(stats.EpisodeReturns[:40])
-	late := stats.MeanReturn(40)
+	late := meanOf(stats.EpisodeReturns[len(stats.EpisodeReturns)-40:])
 	if late <= early {
 		t.Errorf("no learning: early %.2f late %.2f", early, late)
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/netem"
 )
@@ -98,13 +97,4 @@ func formatBandwidth(bytesPerSec float64) string {
 		}
 	}
 	return formatFloat(bits) + "bps"
-}
-
-// mustDur is a tiny helper for hand-built scenarios in tests and docs.
-func mustDur(s string) time.Duration {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

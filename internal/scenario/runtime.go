@@ -51,6 +51,10 @@ func NewRuntime(s *Scenario, seed int64, epoch time.Time) (*Runtime, error) {
 	if s.Seed != 0 {
 		seed = s.Seed
 	}
+	table, err := NewTable(s, epoch)
+	if err != nil {
+		return nil, err
+	}
 	plan := faults.NewPlan(seed, epoch)
 	plan.PreemptAfterFrac = s.Preempt
 	for _, ph := range s.Phases {
@@ -66,7 +70,7 @@ func NewRuntime(s *Scenario, seed int64, epoch time.Time) (*Runtime, error) {
 		epoch: epoch,
 		seed:  seed,
 		plan:  plan,
-		table: NewTable(s, epoch),
+		table: table,
 	}, nil
 }
 
@@ -83,9 +87,6 @@ func (rt *Runtime) Table() *Table { return rt.table }
 
 // Clock is the run's virtual clock.
 func (rt *Runtime) Clock() *faults.Clock { return rt.plan.Clock }
-
-// Epoch is the run's virtual start instant.
-func (rt *Runtime) Epoch() time.Time { return rt.epoch }
 
 // Seed is the effective seed after the file's pin.
 func (rt *Runtime) Seed() int64 { return rt.seed }

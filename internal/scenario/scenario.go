@@ -135,17 +135,6 @@ func (s *Scenario) Horizon() time.Duration {
 	return h
 }
 
-// ActiveAt lists the indices of phases covering offset t, in file order.
-func (s *Scenario) ActiveAt(t time.Duration) []int {
-	var out []int
-	for i, p := range s.Phases {
-		if t >= p.Start && t < p.End {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // overlapKeys are the resources a phase occupies for conflict checking:
 // two phases may share a window only when their resources are disjoint.
 func (p Phase) overlapKeys(s *Scenario) []string {

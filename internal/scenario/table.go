@@ -28,17 +28,31 @@ type Table struct {
 }
 
 // NewTable compiles the scenario's link declarations and link phases
-// into a shape timeline anchored at the run epoch.
-func NewTable(s *Scenario, start time.Time) *Table {
+// into a shape timeline anchored at the run epoch. A phase whose shape
+// does not fit its link (see compileLink) is an error naming the phase.
+func NewTable(s *Scenario, start time.Time) (*Table, error) {
 	t := &Table{sched: map[string][]epoch{}, live: map[string][]epoch{}}
 	for _, decl := range s.Links {
-		t.sched[decl.Name] = compileLink(s, decl, start)
+		es, err := compileLink(s, decl, start)
+		if err != nil {
+			return nil, err
+		}
+		t.sched[decl.Name] = es
 	}
 	t.names = sortedCopy(s.LinkNames())
 	for name, es := range t.sched {
 		t.live[name] = append([]epoch(nil), es...)
 	}
-	return t
+	return t, nil
+}
+
+// checkShape composes a shape with the link's base profile (the stock
+// netem link of that name, as netctl and the CLI transfer on), so a
+// shape netem could not model is refused where it is declared.
+func checkShape(link string, sh netem.LinkShape) error {
+	base, _ := netem.ByName(link)
+	_, err := sh.Apply(base)
+	return err
 }
 
 // compileLink flattens every phase targeting the link into sorted epochs.
@@ -47,8 +61,9 @@ func NewTable(s *Scenario, start time.Time) *Table {
 // at most one phase covers a link at any instant, so one sweep over the
 // link's phases in start order emits every epoch: the phase's shape at
 // its start, and the base again at its end unless the next phase starts
-// right there.
-func compileLink(s *Scenario, decl LinkDecl, start time.Time) []epoch {
+// right there. Every phase's shape must compose with the link's base
+// profile (checkShape).
+func compileLink(s *Scenario, decl LinkDecl, start time.Time) ([]epoch, error) {
 	base := netem.LinkShape{}
 	if !decl.Patch.Zero() {
 		p := decl.Patch
@@ -66,12 +81,16 @@ func compileLink(s *Scenario, decl LinkDecl, start time.Time) []epoch {
 		if ph.Start > 0 { // a phase from 0 replaces the base epoch there
 			es = append(es, epoch{at: start.Add(ph.Start)})
 		}
-		es[len(es)-1].shape = composeShape(base, ph)
+		sh := composeShape(base, ph)
+		if err := checkShape(decl.Name, sh); err != nil {
+			return nil, fmt.Errorf("scenario: phase %v..%v %s %s: %w", ph.Start, ph.End, ph.Kind, ph.Target(), err)
+		}
+		es[len(es)-1].shape = sh
 		if i+1 == len(phs) || phs[i+1].Start > ph.End {
 			es = append(es, epoch{at: start.Add(ph.End), shape: base})
 		}
 	}
-	return es
+	return es, nil
 }
 
 func targetsLink(ph Phase, s *Scenario, link string) bool {
@@ -144,14 +163,6 @@ func (t *Table) Links() []string {
 	return append([]string(nil), t.names...)
 }
 
-// Has reports whether the table knows the link.
-func (t *Table) Has(link string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.live[link]
-	return ok
-}
-
 // Apply installs a live shape on the link from `at` onward. Epochs the
 // scenario scheduled after `at` still take effect at their time — a
 // mutation adjusts the present, not the script's future.
@@ -160,6 +171,9 @@ func (t *Table) Apply(link string, at time.Time, sh netem.LinkShape) error {
 	defer t.mu.Unlock()
 	if _, ok := t.live[link]; !ok {
 		return fmt.Errorf("scenario: unknown link %q", link)
+	}
+	if err := checkShape(link, sh); err != nil {
+		return fmt.Errorf("scenario: shape on %s: %w", link, err)
 	}
 	t.live[link] = insertEpoch(t.live[link], epoch{at: at, shape: sh})
 	return nil
@@ -216,15 +230,21 @@ func (t *Table) Merge(s *Scenario, at time.Time) error {
 			return fmt.Errorf("scenario: unknown link %q", name)
 		}
 	}
-	for _, decl := range s.Links {
-		fresh := compileLink(s, decl, at)
+	fresh := make([][]epoch, len(s.Links))
+	for i, decl := range s.Links {
+		var err error
+		if fresh[i], err = compileLink(s, decl, at); err != nil {
+			return err
+		}
+	}
+	for i, decl := range s.Links {
 		var es []epoch
 		for _, e := range t.live[decl.Name] {
 			if e.at.Before(at) {
 				es = append(es, e)
 			}
 		}
-		t.live[decl.Name] = append(es, fresh...)
+		t.live[decl.Name] = append(es, fresh[i]...)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +9,24 @@ import (
 )
 
 var tableEpoch = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
+
+func mustTable(t *testing.T, s *Scenario) *Table {
+	t.Helper()
+	tbl, err := NewTable(s, tableEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// A degrade factor that scales the link's latency past time.Duration's
+// range is refused when the run's table is built, naming the phase.
+func TestTableRejectsUnmodelledShape(t *testing.T) {
+	s := mustParse(t, "scenario v1\nlink campus-wan\nphase 45s..2m15s degrade link=campus-wan factor=1e300\n")
+	if _, err := NewRuntime(s, 1, tableEpoch); err == nil || !strings.Contains(err.Error(), "phase 45s..2m15s degrade") {
+		t.Fatalf("NewRuntime error = %v, want one naming the phase", err)
+	}
+}
 
 func mustParse(t *testing.T, text string) *Scenario {
 	t.Helper()
@@ -27,7 +46,7 @@ phase 1m..2m shape link=wan bandwidth=2Mbps
 phase 3m..4m partition region=edge
 phase 5m..6m degrade link=lan factor=2
 `)
-	tbl := NewTable(s, tableEpoch)
+	tbl := mustTable(t, s)
 
 	// Before the first phase only the declaration's base patch holds.
 	sh, next := tbl.ShapeAt("wan", tableEpoch)
@@ -69,8 +88,8 @@ phase 5m..6m degrade link=lan factor=2
 	if !next.IsZero() {
 		t.Fatalf("next after horizon = %v", next)
 	}
-	if tbl.ShapeAt("unknown", tableEpoch); !tbl.Has("wan") || tbl.Has("unknown") {
-		t.Fatal("Has misreports")
+	if links := tbl.Links(); len(links) != 2 || links[0] != "lan" || links[1] != "wan" {
+		t.Fatalf("links = %v, want [lan wan]", links)
 	}
 }
 
@@ -79,7 +98,7 @@ func TestTableApplyAndClear(t *testing.T) {
 link wan
 phase 2m..3m partition link=wan
 `)
-	tbl := NewTable(s, tableEpoch)
+	tbl := mustTable(t, s)
 	at := tableEpoch.Add(30 * time.Second)
 	bw := 1e6
 	if err := tbl.Apply("wan", at, netem.LinkShape{Patch: &netem.LinkPatch{Bandwidth: &bw}}); err != nil {
@@ -119,7 +138,7 @@ phase 2m..3m partition link=wan
 
 func TestTableMergeLiveScenario(t *testing.T) {
 	s := mustParse(t, "scenario v1\nlink wan\nphase 5m..6m partition link=wan\n")
-	tbl := NewTable(s, tableEpoch)
+	tbl := mustTable(t, s)
 
 	live := mustParse(t, "scenario v1\nlink wan\nphase 0s..1m degrade link=wan factor=4\n")
 	at := tableEpoch.Add(2 * time.Minute)

@@ -46,12 +46,11 @@ type response struct {
 // also serializes forward passes on that shard's pilot replica, which
 // the nn layers require (Forward mutates layer state).
 type batcher struct {
-	model  string
-	shard  int
-	reg    *Registry
-	cfg    Config
-	slow   func() time.Duration
-	tracer func() *obs.Tracer
+	model string
+	shard int
+	reg   *Registry
+	cfg   Config
+	slow  func() time.Duration
 
 	queue chan *request
 	done  chan struct{}
@@ -87,25 +86,21 @@ type batcher struct {
 // batchSizeBuckets bound the serve_batch_size histogram.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
-func newBatcher(model string, shard int, reg *Registry, cfg Config, metrics *obs.Registry, slow func() time.Duration, tracer func() *obs.Tracer) *batcher {
+func newBatcher(model string, shard int, reg *Registry, cfg Config, metrics *obs.Registry, slow func() time.Duration) *batcher {
 	lbl := obs.L("model", model)
 	slbl := obs.L("shard", strconv.Itoa(shard))
-	if tracer == nil {
-		tracer = func() *obs.Tracer { return nil }
-	}
 	depth := cfg.QueueDepth / cfg.replicas()
 	if depth < 1 {
 		depth = 1
 	}
 	b := &batcher{
-		model:  model,
-		shard:  shard,
-		reg:    reg,
-		cfg:    cfg,
-		slow:   slow,
-		tracer: tracer,
-		queue:  make(chan *request, depth),
-		done:   make(chan struct{}),
+		model: model,
+		shard: shard,
+		reg:   reg,
+		cfg:   cfg,
+		slow:  slow,
+		queue: make(chan *request, depth),
+		done:  make(chan struct{}),
 
 		depth:     metrics.Gauge("serve_queue_depth", lbl),
 		batchSize: metrics.Histogram("serve_batch_size", batchSizeBuckets, lbl),
@@ -242,20 +237,6 @@ func (b *batcher) exec(batch []*request) {
 	if len(live) == 0 {
 		return
 	}
-	// A mini-batch serves many traces but is one operation; attribute the
-	// serve_batch span to the first traced request it answers.
-	var bsp *obs.Span
-	if tr := b.tracer(); tr != nil {
-		for _, r := range live {
-			if r.sc.Valid() {
-				bsp = tr.StartWith("serve_batch", r.sc)
-				bsp.SetAttr("model", b.model)
-				bsp.SetAttr("shard", b.shard)
-				bsp.SetAttr("batch_size", len(live))
-				break
-			}
-		}
-	}
 	if b.slow != nil {
 		if d := b.slow(); d > 0 {
 			time.Sleep(d)
@@ -267,7 +248,6 @@ func (b *batcher) exec(batch []*request) {
 		for _, r := range live {
 			r.resp <- response{err: err}
 		}
-		bsp.EndErr(err)
 		return
 	}
 	samples := make([]pilot.Sample, len(live))
@@ -276,9 +256,6 @@ func (b *batcher) exec(batch []*request) {
 	}
 	out, err := p.InferBatch(samples)
 	now = time.Now()
-	// End before replying: once a caller unblocks, its trace must already
-	// contain the finished batch span.
-	bsp.EndErr(err)
 	b.batches.Inc()
 	b.shardBatches.Inc()
 	b.batchSize.Observe(float64(len(live)))
@@ -315,11 +292,11 @@ type shardSet struct {
 	rr     atomic.Uint32
 }
 
-func newShardSet(model string, reg *Registry, cfg Config, metrics *obs.Registry, slow func() time.Duration, tracer func() *obs.Tracer) *shardSet {
+func newShardSet(model string, reg *Registry, cfg Config, metrics *obs.Registry, slow func() time.Duration) *shardSet {
 	n := cfg.replicas()
 	ss := &shardSet{shards: make([]*batcher, n)}
 	for i := 0; i < n; i++ {
-		ss.shards[i] = newBatcher(model, i, reg, cfg, metrics, slow, tracer)
+		ss.shards[i] = newBatcher(model, i, reg, cfg, metrics, slow)
 	}
 	return ss
 }
@@ -358,16 +335,17 @@ func (ss *shardSet) stop() {
 // mutates) into a per-batch slowdown hook for Service.SetSlowHook: a
 // partitioned link stalls like an outage, and a shaped or degraded one
 // stalls in proportion to the bandwidth it lost plus twice the added
-// one-way delay. Because the shaper is consulted on every batch, a
-// netctl mutation slows the very next forward pass.
+// one-way delay; a shape whose delay cannot be modelled stalls like an
+// outage too. Because the shaper is consulted on every batch, a netctl
+// mutation slows the very next forward pass.
 func ShaperSlowdown(sh netem.Shaper, base netem.Link, now func() time.Time, unit time.Duration) func() time.Duration {
 	const outageFactor = 10
 	return func() time.Duration {
 		shape, _ := sh.ShapeAt(base.Name, now())
-		if shape.Down {
+		eff, err := shape.Apply(base)
+		if shape.Down || err != nil {
 			return outageFactor * unit
 		}
-		eff := shape.Apply(base)
 		var d time.Duration
 		if eff.Bandwidth > 0 && eff.Bandwidth < base.Bandwidth {
 			d += time.Duration(float64(unit) * (base.Bandwidth/eff.Bandwidth - 1))

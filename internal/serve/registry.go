@@ -97,13 +97,6 @@ func (r *Registry) SetQuant(mode string) error {
 	return r.reloadAll()
 }
 
-// Quant reports the active quantization mode.
-func (r *Registry) Quant() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.quant
-}
-
 // reloadAll re-registers every current model so a changed replica count
 // or quantization mode applies to models loaded before the change.
 func (r *Registry) reloadAll() error {

@@ -51,7 +51,7 @@ func TestSubmitStopRace(t *testing.T) {
 		// An unregistered name makes exec answer instantly (registry miss)
 		// instead of running inference; the race under test lives entirely
 		// in submit/stop, and a fast scheduler loop cycles the queue more.
-		b := newBatcher("ghost", 0, env.reg, cfg, env.metrics, nil, nil)
+		b := newBatcher("ghost", 0, env.reg, cfg, env.metrics, nil)
 		var wg sync.WaitGroup
 		accepted := make(chan *request, 1<<16)
 		start := make(chan struct{})

@@ -17,6 +17,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -45,7 +46,8 @@ type Config struct {
 	// DefaultDeadline bounds a request that carries no X-Deadline-Ms
 	// header. Expired requests are dropped unexecuted.
 	DefaultDeadline time.Duration
-	// PollInterval paces registry ETag polling in Start (0 disables).
+	// PollInterval is how often `autolearn serve` re-reads its checkpoints
+	// and polls the registry for changed ETags (0 disables).
 	PollInterval time.Duration
 	// Replicas shards each model across this many pilot instances, each
 	// with its own batching scheduler, so forward passes run on every
@@ -53,6 +55,10 @@ type Config struct {
 	// QueueDepth is split across the shards. Capped at MaxReplicas.
 	Replicas int
 }
+
+// maxDeadlineMs is the largest X-Deadline-Ms whose duration fits
+// time.Duration.
+const maxDeadlineMs = int64(math.MaxInt64 / time.Millisecond)
 
 // MaxReplicas bounds Config.Replicas: it keeps the per-shard metric
 // label space small and one model's replicas from exhausting memory.
@@ -109,7 +115,6 @@ type Service struct {
 	mu       sync.Mutex
 	batchers map[string]*shardSet
 	slow     func() time.Duration
-	tracer   *obs.Tracer
 	closed   bool
 }
 
@@ -147,27 +152,8 @@ func New(cfg Config, reg *Registry, metrics *obs.Registry) (*Service, error) {
 	s.mux.HandleFunc("/models", s.handleModels)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.Handle("/metrics", obs.Handler(metrics))
-	s.mux.Handle("/debug/obs", obs.DynamicDebugHandler(func() obs.Observer {
-		return obs.Observer{Tracer: s.getTracer(), Metrics: s.metrics}
-	}))
+	s.mux.Handle("/debug/obs", obs.DebugHandler(obs.Observer{Metrics: s.metrics}))
 	return s, nil
-}
-
-// SetTracer attaches a tracer: /predict then opens a serve_request span
-// continuing any X-Trace-Context the client sent, batches emit
-// serve_batch spans, and the registry's hot reloads trace through it.
-// Nil detaches.
-func (s *Service) SetTracer(tr *obs.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
-	s.reg.SetTracer(tr)
-}
-
-func (s *Service) getTracer() *obs.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracer
 }
 
 // SetSlowHook installs a per-batch slowdown consulted before every forward
@@ -179,26 +165,6 @@ func (s *Service) SetSlowHook(fn func() time.Duration) {
 	for _, ss := range s.batchers {
 		ss.setSlow(fn)
 	}
-}
-
-// Start runs the registry's ETag poll loop until ctx is canceled. It
-// returns immediately when polling is disabled.
-func (s *Service) Start(ctx context.Context) {
-	if s.cfg.PollInterval <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(s.cfg.PollInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				s.reg.PollOnce()
-			}
-		}
-	}()
 }
 
 // Close stops every model's scheduler, draining queued requests.
@@ -238,7 +204,7 @@ func (s *Service) batcherFor(name string) (*shardSet, error) {
 	if _, ok := s.reg.Pilot(name); !ok {
 		return nil, fmt.Errorf("serve: unknown model %q", name)
 	}
-	ss := newShardSet(name, s.reg, s.cfg, s.metrics, s.slow, s.getTracer)
+	ss := newShardSet(name, s.reg, s.cfg, s.metrics, s.slow)
 	s.batchers[name] = ss
 	return ss, nil
 }
@@ -304,9 +270,11 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		ms, err := strconv.Atoi(h)
-		if err != nil || ms <= 0 {
-			http.Error(w, "X-Deadline-Ms must be a positive integer", http.StatusBadRequest)
+		// A count past maxDeadlineMs would wrap the duration, to an
+		// already expired deadline or a short one.
+		ms, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || ms <= 0 || ms > maxDeadlineMs {
+			http.Error(w, "X-Deadline-Ms must be a positive integer that fits a duration", http.StatusBadRequest)
 			return
 		}
 		deadline = time.Duration(ms) * time.Millisecond
@@ -314,40 +282,21 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
-	// Continue the caller's trace when it sent one; requests without an
-	// X-Trace-Context stay untraced so a long-lived server only retains
-	// spans for traffic someone is actually following.
-	sc := obs.ContextFromRequest(r)
-	var span *obs.Span
-	if tr := s.getTracer(); tr != nil && sc.Valid() {
-		span = tr.StartWith("serve_request", sc)
-		span.SetAttr("model", name)
-		sc = span.Context()
-	}
-	finish := func(status int, err error) {
-		span.SetAttr("status", status)
-		span.EndErr(err)
-	}
-
-	pred, err := s.predictOn(ctx, b, sample, sc)
+	// A caller's X-Trace-Context tags the latency histogram's exemplar.
+	pred, err := s.predictOn(ctx, b, sample, obs.ContextFromRequest(r))
 	switch {
 	case err == nil:
-		finish(http.StatusOK, nil)
 	case err == ErrQueueFull:
-		finish(http.StatusTooManyRequests, err)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	case err == ErrShuttingDown:
-		finish(http.StatusServiceUnavailable, err)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	case err == context.DeadlineExceeded || err == context.Canceled:
-		finish(http.StatusGatewayTimeout, err)
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 		return
 	default:
-		finish(http.StatusInternalServerError, err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -378,8 +327,7 @@ func (s *Service) Predict(ctx context.Context, model string, sample pilot.Sample
 	return s.PredictCtx(ctx, obs.SpanContext{}, model, sample)
 }
 
-// PredictCtx is Predict continuing a propagated trace: the mini-batch the
-// sample lands in emits a serve_batch span under sc and the latency
+// PredictCtx is Predict continuing a propagated trace: the latency
 // histogram is tagged with the trace as an exemplar.
 func (s *Service) PredictCtx(ctx context.Context, sc obs.SpanContext, model string, sample pilot.Sample) (Prediction, error) {
 	b, err := s.batcherFor(model)

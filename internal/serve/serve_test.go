@@ -448,12 +448,25 @@ func TestValidationErrors(t *testing.T) {
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /predict: status %d, want 405", resp.StatusCode)
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/predict", bytes.NewReader(predictBody(t, f)))
-	req.Header.Set("X-Deadline-Ms", "-3")
-	if resp, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative deadline: status %d, want 400", resp.StatusCode)
+	// A negative deadline, and any whose duration overflows time.Duration
+	// (9223372036855 ms is the first), are rejected; the largest that fits
+	// runs.
+	for _, tc := range []struct {
+		ms   string
+		want int
+	}{
+		{"-3", http.StatusBadRequest},
+		{"9223372036855", http.StatusBadRequest},
+		{"99999999999999", http.StatusBadRequest},
+		{"9223372036854", http.StatusOK},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/predict", bytes.NewReader(predictBody(t, f)))
+		req.Header.Set("X-Deadline-Ms", tc.ms)
+		if resp, err := http.DefaultClient.Do(req); err != nil {
+			t.Fatal(err)
+		} else if resp.Body.Close(); resp.StatusCode != tc.want {
+			t.Errorf("deadline %s ms: status %d, want %d", tc.ms, resp.StatusCode, tc.want)
+		}
 	}
 }
 

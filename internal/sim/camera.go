@@ -139,9 +139,6 @@ type Camera struct {
 	trk  *track.Track
 	tape *tapeMap
 
-	// obstacles are colored props drawn over the floor (see obstacle.go).
-	obstacles []Obstacle
-
 	// Precomputed per-pixel ray directions in the camera frame
 	// (x forward, y left, z up).
 	rays [][3]float64
@@ -200,9 +197,7 @@ func (c *Camera) RenderInto(st CarState, f *Frame) {
 			gy := ray[1] * t
 			wx := st.X + gx*ch - gy*sh
 			wy := st.Y + gx*sh + gy*ch
-			if oc, hit := c.obstacleColorAt(wx, wy); hit {
-				col = oc
-			} else if c.tape.onTape(wx, wy) {
+			if c.tape.onTape(wx, wy) {
 				col = colorTape
 			} else {
 				col = colorFloor

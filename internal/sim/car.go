@@ -140,21 +140,3 @@ func (c *Car) Step(steering, throttle, dt float64) {
 	s.X += s.Speed * math.Cos(s.Heading) * dt
 	s.Y += s.Speed * math.Sin(s.Heading) * dt
 }
-
-// TopSpeed returns the steady-state speed at full throttle, accounting for
-// drag: the point where MaxAccel == Drag*v, capped at MaxSpeed.
-func (c *Car) TopSpeed() float64 {
-	if c.Cfg.Drag == 0 {
-		return c.Cfg.MaxSpeed
-	}
-	v := c.Cfg.MaxAccel / c.Cfg.Drag
-	if v > c.Cfg.MaxSpeed {
-		return c.Cfg.MaxSpeed
-	}
-	return v
-}
-
-// MinTurnRadius returns the tightest turn radius at full steering lock.
-func (c *Car) MinTurnRadius() float64 {
-	return c.Cfg.Wheelbase / math.Tan(c.Cfg.MaxSteer)
-}

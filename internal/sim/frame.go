@@ -4,10 +4,7 @@
 // with injectable mistakes, and drive sessions that emit labeled records.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Frame is an interleaved 8-bit image, C channels per pixel (C=1 grayscale
 // or C=3 RGB). DonkeyCar's native camera is 160x120 RGB; tests typically use
@@ -36,38 +33,6 @@ func (f *Frame) At(x, y int) []uint8 {
 func (f *Frame) Set(x, y int, v ...uint8) {
 	i := (y*f.W + x) * f.C
 	copy(f.Pix[i:i+f.C], v)
-}
-
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	out := &Frame{W: f.W, H: f.H, C: f.C, Pix: make([]uint8, len(f.Pix))}
-	copy(out.Pix, f.Pix)
-	return out
-}
-
-// Floats converts the frame to float64 values scaled to [0, 1], in the same
-// interleaved layout, suitable for feeding a neural network.
-func (f *Frame) Floats() []float64 {
-	out := make([]float64, len(f.Pix))
-	for i, p := range f.Pix {
-		out[i] = float64(p) / 255.0
-	}
-	return out
-}
-
-// Gray returns a single-channel copy (luma) of the frame.
-func (f *Frame) Gray() *Frame {
-	if f.C == 1 {
-		return f.Clone()
-	}
-	out := &Frame{W: f.W, H: f.H, C: 1, Pix: make([]uint8, f.W*f.H)}
-	for i := 0; i < f.W*f.H; i++ {
-		r := float64(f.Pix[i*3])
-		g := float64(f.Pix[i*3+1])
-		b := float64(f.Pix[i*3+2])
-		out.Pix[i] = uint8(math.Round(0.299*r + 0.587*g + 0.114*b))
-	}
-	return out
 }
 
 // MeanAbsDiff returns the mean absolute per-pixel difference between two

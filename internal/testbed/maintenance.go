@@ -2,41 +2,14 @@ package testbed
 
 import (
 	"fmt"
-	"sort"
-	"time"
 )
 
-// This file adds operational realities that classes run into on shared
-// testbeds: nodes going into maintenance (failure injection for the
-// reservation system) and lease extension when a training run overruns.
+// This file adds an operational reality that classes run into on shared
+// testbeds: a node yanked into maintenance under a running lease.
 
 // ErrMaintenance is returned when an operation touches a node that is
 // down for maintenance.
 var ErrMaintenance = fmt.Errorf("testbed: node is in maintenance")
-
-// SetMaintenance takes a node out of (or back into) service. Existing
-// leases remain on the calendar — the operator emails affected users —
-// but new reservations and deployments are refused.
-func (tb *Testbed) SetMaintenance(nodeID string, down bool) error {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	n, ok := tb.nodes[nodeID]
-	if !ok {
-		return fmt.Errorf("testbed: unknown node %q", nodeID)
-	}
-	if tb.maintenance == nil {
-		tb.maintenance = map[string]bool{}
-	}
-	tb.maintenance[n.ID] = down
-	return nil
-}
-
-// InMaintenance reports the node's maintenance state.
-func (tb *Testbed) InMaintenance(nodeID string) bool {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.maintenance[nodeID]
-}
 
 // PreemptLease is failure injection for the reservation system: the
 // operator yanks a node out from under a running lease (hardware fault,
@@ -63,48 +36,5 @@ func (tb *Testbed) PreemptLease(leaseID string) error {
 	}
 	tb.maintenance[l.NodeID] = true
 	tb.metrics.Counter("testbed_preemptions_total").Inc()
-	return nil
-}
-
-// AffectedLeases lists leases on a node that overlap [from, to) — what the
-// operator must notify when scheduling maintenance.
-func (tb *Testbed) AffectedLeases(nodeID string, from, to time.Time) []Lease {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	var out []Lease
-	for _, l := range tb.byNode[nodeID] {
-		if overlaps(from, to, l.Start, l.End) {
-			out = append(out, *l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
-}
-
-// ExtendLease pushes a lease's end time later if the node stays free, the
-// common "my training is still running" request.
-func (s *Session) ExtendLease(leaseID string, newEnd time.Time) error {
-	s.tb.mu.Lock()
-	defer s.tb.mu.Unlock()
-	l, ok := s.tb.leases[leaseID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoLease, leaseID)
-	}
-	if l.User != s.user.Name {
-		return fmt.Errorf("testbed: lease %s belongs to %s", leaseID, l.User)
-	}
-	if !newEnd.After(l.End) {
-		return fmt.Errorf("%w: extension must move the end later", ErrBadInterval)
-	}
-	// The extension window [old end, new end) must be free of other leases.
-	for _, other := range s.tb.byNode[l.NodeID] {
-		if other.ID == l.ID {
-			continue
-		}
-		if overlaps(l.End, newEnd, other.Start, other.End) {
-			return fmt.Errorf("%w: node booked by %s", ErrConflict, other.ID)
-		}
-	}
-	l.End = newEnd
 	return nil
 }

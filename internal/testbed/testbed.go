@@ -279,21 +279,6 @@ func (f NodeFilter) matches(n *Node) bool {
 	return true
 }
 
-// Discover lists nodes matching the filter, sorted by ID (resource
-// discovery in the paper's workflow).
-func (s *Session) Discover(f NodeFilter) []Node {
-	s.tb.mu.Lock()
-	defer s.tb.mu.Unlock()
-	var out []Node
-	for _, n := range s.tb.nodes {
-		if f.matches(n) {
-			out = append(out, *n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // overlaps reports whether [a1,a2) and [b1,b2) intersect.
 func overlaps(a1, a2, b1, b2 time.Time) bool {
 	return a1.Before(b2) && b1.Before(a2)
@@ -350,25 +335,6 @@ func (tb *Testbed) nodeFreeLocked(nodeID string, start, end time.Time) bool {
 		}
 	}
 	return true
-}
-
-// CancelLease releases a reservation.
-func (s *Session) CancelLease(leaseID string) error {
-	s.tb.mu.Lock()
-	defer s.tb.mu.Unlock()
-	l, ok := s.tb.leases[leaseID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoLease, leaseID)
-	}
-	delete(s.tb.leases, leaseID)
-	ls := s.tb.byNode[l.NodeID]
-	for i, x := range ls {
-		if x.ID == leaseID {
-			s.tb.byNode[l.NodeID] = append(ls[:i], ls[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // Deploy provisions an appliance image on a leased node at time now, which

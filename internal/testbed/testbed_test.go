@@ -79,26 +79,6 @@ func TestLoginRequiresMembership(t *testing.T) {
 	}
 }
 
-func TestDiscoverFilters(t *testing.T) {
-	_, s := educationSession(t)
-	a100s := s.Discover(NodeFilter{GPU: A100})
-	if len(a100s) != 4 {
-		t.Fatalf("found %d A100 nodes", len(a100s))
-	}
-	uc := s.Discover(NodeFilter{Site: SiteUC})
-	for _, n := range uc {
-		if n.Site != SiteUC {
-			t.Errorf("filter leaked node %s from %s", n.ID, n.Site)
-		}
-	}
-	multi := s.Discover(NodeFilter{MinGPUs: 4})
-	for _, n := range multi {
-		if n.GPUCount < 4 {
-			t.Errorf("filter leaked %d-GPU node", n.GPUCount)
-		}
-	}
-}
-
 func TestReserveAndConflict(t *testing.T) {
 	_, s := educationSession(t)
 	// Reserve all four A100 nodes for the same slot.
@@ -134,32 +114,6 @@ func TestReserveValidation(t *testing.T) {
 		t.Errorf("got %v", err)
 	}
 	if _, err := s.Reserve(NodeFilter{GPU: "H100"}, t0, t0.Add(time.Hour)); !errors.Is(err, ErrNoNodes) {
-		t.Errorf("got %v", err)
-	}
-}
-
-func TestCancelFreesNode(t *testing.T) {
-	_, s := educationSession(t)
-	f := NodeFilter{GPU: MI100}
-	l1, err := s.Reserve(f, t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := s.Reserve(f, t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = l2
-	if _, err := s.Reserve(f, t0, t0.Add(time.Hour)); !errors.Is(err, ErrConflict) {
-		t.Fatalf("expected conflict on 3rd MI100, got %v", err)
-	}
-	if err := s.CancelLease(l1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reserve(f, t0, t0.Add(time.Hour)); err != nil {
-		t.Errorf("reservation after cancel failed: %v", err)
-	}
-	if err := s.CancelLease("lease-999"); !errors.Is(err, ErrNoLease) {
 		t.Errorf("got %v", err)
 	}
 }
@@ -305,97 +259,31 @@ func TestClassroomContention(t *testing.T) {
 
 func TestMaintenanceBlocksReserveAndDeploy(t *testing.T) {
 	tb, s := educationSession(t)
-	// Take both K80 nodes down.
-	for _, n := range s.Discover(NodeFilter{GPU: K80}) {
-		if err := tb.SetMaintenance(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
-		if !tb.InMaintenance(n.ID) {
-			t.Error("maintenance flag not set")
-		}
-	}
-	if _, err := s.Reserve(NodeFilter{GPU: K80}, t0, t0.Add(time.Hour)); !errors.Is(err, ErrConflict) {
-		t.Errorf("reservation on down nodes: %v", err)
-	}
-	// Lease created before maintenance cannot deploy during it.
-	l, err := s.Reserve(NodeFilter{GPU: M40}, t0, t0.Add(time.Hour))
+	// Book the first K80 node now and again later, then take it down.
+	f := NodeFilter{GPU: K80}
+	now, err := s.Reserve(f, t0, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.SetMaintenance(l.NodeID, true); err != nil {
+	later, err := s.Reserve(f, t0.Add(2*time.Hour), t0.Add(3*time.Hour))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Deploy(l.ID, "img", t0.Add(time.Minute)); !errors.Is(err, ErrMaintenance) {
+	if later.NodeID != now.NodeID {
+		t.Fatalf("later lease on %s, want %s", later.NodeID, now.NodeID)
+	}
+	if err := tb.PreemptLease(now.ID); err != nil {
+		t.Fatal(err)
+	}
+	// A lease created before maintenance cannot deploy during it.
+	if _, err := s.Deploy(later.ID, "img", t0.Add(2*time.Hour)); !errors.Is(err, ErrMaintenance) {
 		t.Errorf("deploy on down node: %v", err)
 	}
-	// Back in service: deploy works.
-	if err := tb.SetMaintenance(l.NodeID, false); err != nil {
+	// New reservations skip the down node: one K80 remains.
+	if _, err := s.Reserve(f, t0.Add(4*time.Hour), t0.Add(5*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Deploy(l.ID, "img", t0.Add(time.Minute)); err != nil {
-		t.Errorf("deploy after maintenance: %v", err)
-	}
-	if err := tb.SetMaintenance("ghost", true); err == nil {
-		t.Error("unknown node accepted")
-	}
-}
-
-func TestAffectedLeases(t *testing.T) {
-	tb, s := educationSession(t)
-	l, err := s.Reserve(NodeFilter{GPU: MI100}, t0, t0.Add(2*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := tb.AffectedLeases(l.NodeID, t0.Add(time.Hour), t0.Add(3*time.Hour))
-	if len(hits) != 1 || hits[0].ID != l.ID {
-		t.Errorf("affected = %v", hits)
-	}
-	if got := tb.AffectedLeases(l.NodeID, t0.Add(3*time.Hour), t0.Add(4*time.Hour)); len(got) != 0 {
-		t.Errorf("phantom affected leases %v", got)
-	}
-}
-
-func TestExtendLease(t *testing.T) {
-	tb, s := educationSession(t)
-	_ = tb
-	l, err := s.Reserve(NodeFilter{GPU: MI100}, t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ExtendLease(l.ID, t0.Add(2*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	// Shrinking is rejected.
-	if err := s.ExtendLease(l.ID, t0.Add(30*time.Minute)); !errors.Is(err, ErrBadInterval) {
-		t.Errorf("shrink accepted: %v", err)
-	}
-	// A conflicting follow-on lease blocks extension. Book the same node.
-	l2, err := s.Reserve(NodeFilter{GPU: MI100}, t0.Add(2*time.Hour), t0.Add(3*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.NodeID == l.NodeID {
-		if err := s.ExtendLease(l.ID, t0.Add(150*time.Minute)); !errors.Is(err, ErrConflict) {
-			t.Errorf("overlapping extension accepted: %v", err)
-		}
-	}
-	// Another user cannot extend someone else's lease.
-	tb2, s2 := educationSession(t)
-	_ = tb2
-	otherUser := User{Name: "other"}
-	tb2.AddMember("CHI-edu-1", otherUser)
-	o, err := tb2.Login(otherUser, "CHI-edu-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ol, err := s2.Reserve(NodeFilter{GPU: M40}, t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.ExtendLease(ol.ID, t0.Add(2*time.Hour)); err == nil {
-		t.Error("foreign lease extension accepted")
-	}
-	if err := s.ExtendLease("nope", t0.Add(time.Hour)); !errors.Is(err, ErrNoLease) {
-		t.Errorf("got %v", err)
+	if _, err := s.Reserve(f, t0.Add(4*time.Hour), t0.Add(5*time.Hour)); !errors.Is(err, ErrConflict) {
+		t.Errorf("reservation on down node: %v", err)
 	}
 }

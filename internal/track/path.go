@@ -15,9 +15,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
-
 // Sub returns the vector p - q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
@@ -209,23 +206,6 @@ func (p *Path) Offset(d float64) (*Path, error) {
 		// Left normal of the tangent.
 		nx, ny := -t.Y/tn, t.X/tn
 		out[i] = Point{p.pts[i].X + nx*d, p.pts[i].Y + ny*d}
-	}
-	return NewClosedPath(out)
-}
-
-// Resample returns a copy of the path re-sampled at approximately the given
-// spacing, preserving total shape. Spacing must be positive.
-func (p *Path) Resample(spacing float64) (*Path, error) {
-	if spacing <= 0 {
-		return nil, fmt.Errorf("track: resample spacing must be positive, got %g", spacing)
-	}
-	n := int(math.Ceil(p.length / spacing))
-	if n < 3 {
-		n = 3
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.PointAt(float64(i) * p.length / float64(n))
 	}
 	return NewClosedPath(out)
 }

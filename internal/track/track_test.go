@@ -211,20 +211,6 @@ func TestCurvatureSignOnCircle(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	p := square(t)
-	r, err := p.Resample(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Length()-p.Length()) > 0.05 {
-		t.Errorf("resampled length %g vs %g", r.Length(), p.Length())
-	}
-	if _, err := p.Resample(-1); err == nil {
-		t.Error("expected error for negative spacing")
-	}
-}
-
 // Property: projecting a point that lies exactly on the centerline gives
 // near-zero lateral offset, for arbitrary arclengths.
 func TestProjectCenterlinePointsProperty(t *testing.T) {

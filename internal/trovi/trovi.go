@@ -8,7 +8,6 @@ package trovi
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -45,15 +44,11 @@ type Artifact struct {
 	launchClicks int
 	launchUsers  map[string]bool
 	execUsers    map[string]bool
-
-	feedback []Feedback
-	merges   []MergeRequest
 }
 
 // Errors returned by hub operations.
 var (
 	ErrNoArtifact = errors.New("trovi: artifact not found")
-	ErrNoVersion  = errors.New("trovi: version not found")
 	ErrBadInput   = errors.New("trovi: invalid input")
 )
 
@@ -93,8 +88,8 @@ func clone(b []byte) []byte {
 	return out
 }
 
-// PublishVersion appends a new version (§4: merge requests flow back and
-// "the learning community can have access to different versions").
+// PublishVersion appends a new version (§4: "the learning community can
+// have access to different versions").
 func (h *Hub) PublishVersion(id string, payload []byte, note string, at time.Time) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -105,25 +100,6 @@ func (h *Hub) PublishVersion(id string, payload []byte, note string, at time.Tim
 	n := len(a.versions) + 1
 	a.versions = append(a.versions, Version{Number: n, CreatedAt: at, Payload: clone(payload), Note: note})
 	return n, nil
-}
-
-// GetVersion returns a copy of one version's payload (latest if number 0).
-func (h *Hub) GetVersion(id string, number int) (Version, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	a, ok := h.artifacts[id]
-	if !ok {
-		return Version{}, fmt.Errorf("%w: %q", ErrNoArtifact, id)
-	}
-	if number == 0 {
-		number = len(a.versions)
-	}
-	if number < 1 || number > len(a.versions) {
-		return Version{}, fmt.Errorf("%w: %d of %d", ErrNoVersion, number, len(a.versions))
-	}
-	v := a.versions[number-1]
-	v.Payload = clone(v.Payload)
-	return v, nil
 }
 
 // SetMetadata updates description and tags (artifact life-cycle management).
@@ -198,33 +174,4 @@ func (h *Hub) MetricsFor(id string) (Metrics, error) {
 		ExecUsers:    len(a.execUsers),
 		Versions:     len(a.versions),
 	}, nil
-}
-
-// List returns artifact IDs sorted lexicographically.
-func (h *Hub) List() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.artifacts))
-	for id := range h.artifacts {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FindByTag returns IDs of artifacts carrying the tag.
-func (h *Hub) FindByTag(tag string) []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []string
-	for id, a := range h.artifacts {
-		for _, t := range a.Tags {
-			if t == tag {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -38,35 +38,11 @@ func TestVersioning(t *testing.T) {
 	if n != 2 {
 		t.Errorf("version %d", n)
 	}
-	latest, err := h.GetVersion(a.ID, 0)
-	if err != nil {
-		t.Fatal(err)
+	if m, _ := h.MetricsFor(a.ID); m.Versions != 2 {
+		t.Errorf("metrics count %d versions", m.Versions)
 	}
-	if string(latest.Payload) != "v2" || latest.Number != 2 {
-		t.Errorf("latest = %+v", latest)
-	}
-	v1, err := h.GetVersion(a.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v1.Payload) != "v1" {
-		t.Errorf("v1 payload %q", v1.Payload)
-	}
-	if _, err := h.GetVersion(a.ID, 5); !errors.Is(err, ErrNoVersion) {
+	if _, err := h.PublishVersion("nope", nil, "", t0); !errors.Is(err, ErrNoArtifact) {
 		t.Errorf("got %v", err)
-	}
-	if _, err := h.GetVersion("nope", 1); !errors.Is(err, ErrNoArtifact) {
-		t.Errorf("got %v", err)
-	}
-}
-
-func TestVersionPayloadIsolated(t *testing.T) {
-	h, a := published(t)
-	v, _ := h.GetVersion(a.ID, 1)
-	v.Payload[0] = 'X'
-	again, _ := h.GetVersion(a.ID, 1)
-	if again.Payload[0] == 'X' {
-		t.Error("payload aliased")
 	}
 }
 
@@ -107,23 +83,18 @@ func TestMetricsValidation(t *testing.T) {
 	}
 }
 
-func TestTagsAndSearch(t *testing.T) {
+func TestSetMetadata(t *testing.T) {
 	h, a := published(t)
-	if err := h.SetMetadata(a.ID, "edge-to-cloud educational module",
-		[]string{"education", "edge", "chameleon"}); err != nil {
+	tags := []string{"education", "edge", "chameleon"}
+	if err := h.SetMetadata(a.ID, "edge-to-cloud educational module", tags); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := h.Publish("Other", []string{"x"}, nil, t0)
-	h.SetMetadata(b.ID, "", []string{"networking"})
-	got := h.FindByTag("education")
-	if len(got) != 1 || got[0] != a.ID {
-		t.Errorf("FindByTag = %v", got)
+	tags[0] = "changed"
+	if a.Description != "edge-to-cloud educational module" || len(a.Tags) != 3 || a.Tags[0] != "education" {
+		t.Errorf("metadata = %q %v", a.Description, a.Tags)
 	}
-	if got := h.FindByTag("nothing"); len(got) != 0 {
-		t.Errorf("phantom tag results %v", got)
-	}
-	if len(h.List()) != 2 {
-		t.Errorf("List = %v", h.List())
+	if err := h.SetMetadata("nope", "", nil); !errors.Is(err, ErrNoArtifact) {
+		t.Errorf("got %v", err)
 	}
 }
 
@@ -203,116 +174,5 @@ func TestConcurrentMetrics(t *testing.T) {
 	m, _ := h.MetricsFor(a.ID)
 	if m.LaunchClicks != 800 || m.LaunchUsers != 8 || m.Views != 800 {
 		t.Errorf("metrics = %+v", m)
-	}
-}
-
-func TestFeedbackFlow(t *testing.T) {
-	h, a := published(t)
-	id, err := h.AddFeedback(a.ID, "alice", FeedbackCaseStudy,
-		"used AutoLearn for a 2-week REU project", 5, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 1 {
-		t.Errorf("id %d", id)
-	}
-	if _, err := h.AddFeedback(a.ID, "bob", FeedbackIssue, "console has no text editing", 3, t0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.AddFeedback(a.ID, "carol", FeedbackComment, "thanks!", 0, t0); err != nil {
-		t.Fatal(err)
-	}
-	all, err := h.FeedbackFor(a.ID, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("got %d entries", len(all))
-	}
-	issues, _ := h.FeedbackFor(a.ID, FeedbackIssue)
-	if len(issues) != 1 || issues[0].User != "bob" {
-		t.Errorf("issues = %v", issues)
-	}
-	mean, err := h.MeanRating(a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 4 { // (5+3)/2; unrated excluded
-		t.Errorf("mean rating %g", mean)
-	}
-}
-
-func TestFeedbackValidation(t *testing.T) {
-	h, a := published(t)
-	if _, err := h.AddFeedback(a.ID, "", FeedbackComment, "x", 0, t0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.AddFeedback(a.ID, "u", "weird", "x", 0, t0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.AddFeedback(a.ID, "u", FeedbackComment, "x", 9, t0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.AddFeedback("nope", "u", FeedbackComment, "x", 0, t0); !errors.Is(err, ErrNoArtifact) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.MeanRating(a.ID); err != nil {
-		t.Fatal(err)
-	}
-	if mean, _ := h.MeanRating(a.ID); mean != 0 {
-		t.Errorf("unrated artifact mean %g", mean)
-	}
-}
-
-func TestMergeRequestLifecycle(t *testing.T) {
-	h, a := published(t)
-	mr1, err := h.OpenMergeRequest(a.ID, "student", "add RNN tutorial", t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr2, err := h.OpenMergeRequest(a.ID, "student2", "fix typo", t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Merging publishes a new version.
-	before, _ := h.MetricsFor(a.ID)
-	if err := h.ResolveMergeRequest(a.ID, mr1, true, []byte("v2 with RNN tutorial"), t0.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := h.MetricsFor(a.ID)
-	if after.Versions != before.Versions+1 {
-		t.Errorf("merge did not publish a version: %d -> %d", before.Versions, after.Versions)
-	}
-	// Closing does not.
-	if err := h.ResolveMergeRequest(a.ID, mr2, false, nil, t0); err != nil {
-		t.Fatal(err)
-	}
-	final, _ := h.MetricsFor(a.ID)
-	if final.Versions != after.Versions {
-		t.Error("close published a version")
-	}
-	// Double-resolve rejected.
-	if err := h.ResolveMergeRequest(a.ID, mr1, true, nil, t0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("got %v", err)
-	}
-	mrs, err := h.MergeRequests(a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mrs) != 2 || mrs[0].Status == "open" == (mrs[1].Status == "open") && mrs[0].ID > mrs[1].ID {
-		t.Errorf("merge requests %v", mrs)
-	}
-}
-
-func TestMergeRequestValidation(t *testing.T) {
-	h, a := published(t)
-	if _, err := h.OpenMergeRequest(a.ID, "", "t", t0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := h.OpenMergeRequest("nope", "u", "t", t0); !errors.Is(err, ErrNoArtifact) {
-		t.Errorf("got %v", err)
-	}
-	if err := h.ResolveMergeRequest(a.ID, 99, true, nil, t0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("got %v", err)
 	}
 }

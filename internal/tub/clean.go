@@ -46,29 +46,6 @@ func (t *Tub) CleanSegments(segs ...Segment) (marked int, err error) {
 	return len(idx), nil
 }
 
-// ReviewFunc inspects one record during a review pass and reports whether
-// it should be deleted.
-type ReviewFunc func(rec StoredRecord) bool
-
-// Review plays back all records in order (the "video") and marks the ones
-// the callback rejects. It returns how many records were marked.
-func (t *Tub) Review(fn ReviewFunc) (int, error) {
-	recs, err := t.ReadAllIncludingDeleted()
-	if err != nil {
-		return 0, err
-	}
-	var idx []int
-	for _, r := range recs {
-		if fn(r) {
-			idx = append(idx, r.Index)
-		}
-	}
-	if err := t.MarkDeleted(idx...); err != nil {
-		return 0, err
-	}
-	return len(idx), nil
-}
-
 // CleanerConfig tunes the automatic bad-segment detector.
 type CleanerConfig struct {
 	// JerkThreshold flags steering changes per record larger than this.

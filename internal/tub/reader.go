@@ -56,34 +56,6 @@ func (t *Tub) read(includeDeleted bool) ([]StoredRecord, error) {
 	return out, nil
 }
 
-// CatalogInfo describes one catalog chunk, read from its sidecar manifest.
-type CatalogInfo struct {
-	Path       string
-	StartIndex int
-	Count      int
-}
-
-// Catalogs lists the tub's catalog chunks with their sidecar metadata.
-func (t *Tub) Catalogs() ([]CatalogInfo, error) {
-	m, err := t.readManifest()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CatalogInfo, 0, len(m.CatalogPaths))
-	for _, cat := range m.CatalogPaths {
-		data, err := os.ReadFile(filepath.Join(t.Dir, cat+"_manifest"))
-		if err != nil {
-			return nil, fmt.Errorf("tub: read catalog manifest: %w", err)
-		}
-		var cm catalogManifest
-		if err := json.Unmarshal(data, &cm); err != nil {
-			return nil, fmt.Errorf("tub: parse catalog manifest: %w", err)
-		}
-		out = append(out, CatalogInfo(cm))
-	}
-	return out, nil
-}
-
 // SizeBytes returns the total on-disk footprint of the tub (catalogs,
 // manifests and images), used by the transfer benchmarks.
 func (t *Tub) SizeBytes() (int64, error) {

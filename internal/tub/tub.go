@@ -211,17 +211,6 @@ func (t *Tub) TotalCount() (int, error) {
 	return m.CurrentIndex, nil
 }
 
-// DeletedIndexes returns a sorted copy of the deletion set.
-func (t *Tub) DeletedIndexes() ([]int, error) {
-	m, err := t.readManifest()
-	if err != nil {
-		return nil, err
-	}
-	out := append([]int(nil), m.DeletedIndexes...)
-	sort.Ints(out)
-	return out, nil
-}
-
 // MarkDeleted adds record indexes to the deletion set (idempotent). This is
 // what the tubclean UI does when the student selects bad video segments.
 func (t *Tub) MarkDeleted(indexes ...int) error {

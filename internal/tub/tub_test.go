@@ -1,6 +1,7 @@
 package tub
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -109,12 +110,25 @@ func TestCatalogChunking(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cats, err := tb.Catalogs()
+	m, err := tb.readManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cats) != 3 {
-		t.Fatalf("got %d catalogs, want 3", len(cats))
+	if len(m.CatalogPaths) != 3 {
+		t.Fatalf("got %d catalogs, want 3", len(m.CatalogPaths))
+	}
+	// Each chunk's sidecar manifest records where it starts and its size.
+	var cats []catalogManifest
+	for _, p := range m.CatalogPaths {
+		data, err := os.ReadFile(filepath.Join(tb.Dir, p+"_manifest"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cm catalogManifest
+		if err := json.Unmarshal(data, &cm); err != nil {
+			t.Fatal(err)
+		}
+		cats = append(cats, cm)
 	}
 	if cats[0].Count != 10 || cats[1].Count != 10 || cats[2].Count != 5 {
 		t.Errorf("catalog counts = %d,%d,%d", cats[0].Count, cats[1].Count, cats[2].Count)
@@ -151,13 +165,6 @@ func TestMarkDeletedAndRestore(t *testing.T) {
 	writeN(t, tb, 10, func(int) float64 { return 0 })
 	if err := tb.MarkDeleted(2, 3, 3, 7); err != nil {
 		t.Fatal(err)
-	}
-	del, err := tb.DeletedIndexes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(del) != 3 {
-		t.Fatalf("deleted = %v, want 3 unique", del)
 	}
 	n, err := tb.Count()
 	if err != nil {
@@ -313,26 +320,6 @@ func TestCleanSegments(t *testing.T) {
 	}
 }
 
-func TestReview(t *testing.T) {
-	tb, err := Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeN(t, tb, 10, func(i int) float64 {
-		if i%2 == 0 {
-			return 0.9
-		}
-		return 0
-	})
-	n, err := tb.Review(func(r StoredRecord) bool { return r.Angle > 0.5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Errorf("review marked %d, want 5", n)
-	}
-}
-
 func TestDetectBadSegmentsFindsSpike(t *testing.T) {
 	tb, err := Create(t.TempDir())
 	if err != nil {
@@ -450,80 +437,6 @@ func TestWriteSessionReportsBad(t *testing.T) {
 	}
 	if len(bad) != 2 || bad[0] != 2 || bad[1] != 4 {
 		t.Errorf("bad indexes = %v", bad)
-	}
-}
-
-func TestAtRandomAccess(t *testing.T) {
-	tb, err := Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.CatalogSize = 7 // force multiple chunks
-	for i := 0; i < 20; i++ {
-		if _, err := w.Write(mkRecord(t, i, float64(i)/100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []int{0, 6, 7, 13, 19} {
-		rec, err := tb.At(idx)
-		if err != nil {
-			t.Fatalf("At(%d): %v", idx, err)
-		}
-		if rec.Index != idx || math.Abs(rec.Angle-float64(idx)/100) > 1e-12 {
-			t.Errorf("At(%d) = %+v", idx, rec)
-		}
-	}
-	if _, err := tb.At(-1); err == nil {
-		t.Error("negative index accepted")
-	}
-	if _, err := tb.At(20); err == nil {
-		t.Error("past-end index accepted")
-	}
-}
-
-func TestIterStreamsLiveRecords(t *testing.T) {
-	tb, err := Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeN(t, tb, 15, func(i int) float64 { return 0 })
-	if err := tb.MarkDeleted(4, 5); err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	err = tb.Iter(func(r StoredRecord) bool {
-		got = append(got, r.Index)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 13 {
-		t.Fatalf("iterated %d records, want 13", len(got))
-	}
-	for _, i := range got {
-		if i == 4 || i == 5 {
-			t.Error("deleted record iterated")
-		}
-	}
-	// Early stop.
-	count := 0
-	err = tb.Iter(func(StoredRecord) bool {
-		count++
-		return count < 3
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("early stop iterated %d", count)
 	}
 }
 

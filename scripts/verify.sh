@@ -2,13 +2,13 @@
 # Full pre-merge verification: vet, build, an arm64 cross-build, a
 # no-FMA lint of nn's assembly, race-enabled tests, the bitwise and
 # golden tests at GOMAXPROCS 1, 2 and 3, the perfbench module's vet and
-# self-test, fault-profile and fault-free pipeline smoke runs
-# (byte-identical same-seed traces), a metrics-cardinality lint, a
-# cross-subsystem trace smoke (byte-identical same-seed exports), a
-# scenario smoke (library checks, replay determinism, probe tolerance),
-# a gossip smoke (byte-identical same-seed overlay runs, partition
-# survival vs the star control), the registry contention guard, and
-# gofmt.
+# self-test, a run of every example, fault-profile and fault-free
+# pipeline smoke runs (byte-identical same-seed traces), a
+# metrics-cardinality lint, a cross-subsystem trace smoke
+# (byte-identical same-seed exports), a scenario smoke (library checks,
+# replay determinism, probe tolerance), a gossip smoke (byte-identical
+# same-seed overlay runs, partition survival vs the star control), the
+# registry contention guard, and gofmt.
 # Run from the repo root: ./scripts/verify.sh
 set -eu
 
@@ -51,6 +51,17 @@ go test -count=1 -cpu 1,2,3 \
     -run 'Bitwise|Golden|Determinis|MatchReference|MatchesPortable|KBlocks|ChaosPipeline|FromCheckpoint' \
     ./internal/nn/... ./internal/core ./internal/scenario ./internal/pilot \
     ./internal/fed ./internal/gossip
+
+# The examples are programs too, and nothing else runs them: each must
+# exit 0.
+echo "==> examples: go run ./examples/NAME"
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    eout=$(mktemp)
+    go run "./examples/$name" >"$eout" 2>&1 || {
+        echo "example $name failed:" >&2; cat "$eout" >&2; exit 1; }
+    rm -f "$eout"
+done
 
 echo "==> pipeline smoke runs (lossy-wan and fault-free, byte-identical same-seed traces)"
 metrics=$(mktemp)
@@ -528,4 +539,4 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "OK: vet, build, arm64 cross-build, FMA lint, race tests, bitwise and golden tests at -cpu 1,2,3, perfbench vet and self-test, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
+echo "OK: vet, build, arm64 cross-build, FMA lint, race tests, bitwise and golden tests at -cpu 1,2,3, perfbench vet and self-test, examples, fault smoke, cardinality lint, trace smoke, scenario smoke, gossip smoke, and gofmt all clean."
