@@ -1121,16 +1121,77 @@ func BenchmarkPilotInferenceQuant(b *testing.B) {
 	}
 }
 
+// metric is one number a benchmark row reports with b.ReportMetric.
+type metric struct {
+	unit string
+	v    float64
+}
+
+// modelledRow is one benchmark row whose reported metrics are modelled:
+// the seed and the virtual clock fix them, so they are exact on any host.
+// The benchmark times run; TestModelledGolden pins what it returns.
+type modelledRow struct {
+	name string
+	run  func(testing.TB) []metric
+}
+
+// modelledBenchmark is one benchmark's modelled rows.
+type modelledBenchmark struct {
+	name string
+	rows []modelledRow
+}
+
+// modelledBenchmarks lists every row that reports a modelled number, in
+// the order the benchmarks run them.
+func modelledBenchmarks() []modelledBenchmark {
+	return []modelledBenchmark{
+		{"BenchmarkE11Federated", e11Rows()},
+		{"BenchmarkE12FleetScale", e12Rows()},
+		{"BenchmarkE13Scenario", e13Rows()},
+		{"BenchmarkE14Quantized", e14QuantRows()},
+		{"BenchmarkE15Gossip", e15Rows()},
+	}
+}
+
+// benchModelled runs each row as a sub-benchmark and reports the metrics
+// of its last run.
+func benchModelled(b *testing.B, rows []modelledRow) {
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			var ms []metric
+			for i := 0; i < b.N; i++ {
+				ms = r.run(b)
+			}
+			b.StopTimer()
+			for _, m := range ms {
+				b.ReportMetric(m.v, m.unit)
+			}
+		})
+	}
+}
+
+// fedMetrics is a federated run's headline trio: mean simulated round
+// wall-clock (the staleness policy's cost), total bytes on the WAN (the
+// compression profile's cost), and final validation loss (what either
+// knob may degrade).
+func fedMetrics(res fed.Result) []metric {
+	return []metric{
+		{"round_ms", float64(res.MeanRoundWall) / float64(time.Millisecond)},
+		{"bytes_on_wire", float64(res.TotalBytes)},
+		{"final_valloss", res.FinalValLoss},
+	}
+}
+
 // e11Samples builds the federated fleet's synthetic driving set: frames
 // whose bright column encodes steering, at the small geometry the serving
 // benchmarks use, so local training stays CPU-cheap.
-func e11Samples(b *testing.B, cfg pilot.Config, n int) []pilot.Sample {
-	b.Helper()
+func e11Samples(tb testing.TB, cfg pilot.Config, n int) []pilot.Sample {
+	tb.Helper()
 	recs := make([]sim.Record, n)
 	for i := 0; i < n; i++ {
 		f, err := sim.NewFrame(cfg.Width, cfg.Height, 1)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		angle := math.Sin(float64(i) / 5)
 		col := int((angle + 1) / 2 * float64(cfg.Width-1))
@@ -1142,81 +1203,83 @@ func e11Samples(b *testing.B, cfg pilot.Config, n int) []pilot.Sample {
 	}
 	samples, err := pilot.SamplesFromRecords(cfg, recs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return samples
 }
 
-// e11Run executes one federated training run and reports the three
-// headline metrics: mean simulated round wall-clock (the staleness
-// policy's cost), total bytes on the WAN (the compression profile's
-// cost), and final validation loss (what either knob may degrade).
-func e11Run(b *testing.B, quorum int, compress, profile string) {
-	b.Helper()
+// e11Run executes one federated training run with the given staleness
+// policy (quorum 0 is the synchronous barrier), compression profile and
+// fault profile ("" is fault-free).
+func e11Run(tb testing.TB, quorum int, compress, profile string) fed.Result {
+	tb.Helper()
 	pcfg := pilot.DefaultConfig(pilot.Linear, 24, 16, 1)
 	pcfg.ConvFilters1, pcfg.ConvFilters2, pcfg.DenseUnits = 4, 8, 16
-	samples := e11Samples(b, pcfg, 220)
-	val := samples[180:]
-
-	run := func() fed.Result {
-		cfg := fed.DefaultConfig()
-		cfg.Workers = 4
-		cfg.Rounds = 12
-		cfg.LocalEpochs = 3
-		cfg.BatchSize = 16
-		cfg.Quorum = quorum
-		cfg.Compress = compress
-		cfg.TopKFrac = 0.2
-		cfg.Seed = 11
-		cfg.RoundGap = 8 * time.Second
-		shards, err := fed.ShardSamples(samples[:180], cfg.Workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		global, err := pilot.New(pcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(),
-			Store: objstore.New(), Start: benchEpoch}
-		if profile != "" {
-			deps.Plan = benchProfile(b, profile, cfg.Seed, deps.Net)
-		}
-		r, err := fed.NewRun(cfg, deps, global, shards, val)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := r.Execute()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
+	samples := e11Samples(tb, pcfg, 220)
+	cfg := fed.DefaultConfig()
+	cfg.Workers = 4
+	cfg.Rounds = 12
+	cfg.LocalEpochs = 3
+	cfg.BatchSize = 16
+	cfg.Quorum = quorum
+	cfg.Compress = compress
+	cfg.TopKFrac = 0.2
+	cfg.Seed = 11
+	cfg.RoundGap = 8 * time.Second
+	shards, err := fed.ShardSamples(samples[:180], cfg.Workers)
+	if err != nil {
+		tb.Fatal(err)
 	}
-
-	var res fed.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res = run()
+	global, err := pilot.New(pcfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportMetric(float64(res.MeanRoundWall)/float64(time.Millisecond), "round_ms")
-	b.ReportMetric(float64(res.TotalBytes), "bytes_on_wire")
-	b.ReportMetric(res.FinalValLoss, "final_valloss")
+	deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(),
+		Store: objstore.New(), Start: benchEpoch}
+	if profile != "" {
+		deps.Plan = benchProfile(tb, profile, cfg.Seed, deps.Net)
+	}
+	r, err := fed.NewRun(cfg, deps, global, shards, samples[180:])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := r.Execute()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 // benchProfile generates the named fault profile as a scenario, attaches
 // its runtime to net, and returns the runtime's fault plan.
-func benchProfile(b *testing.B, profile string, seed int64, net *netem.Net) *faults.Plan {
-	b.Helper()
+func benchProfile(tb testing.TB, profile string, seed int64, net *netem.Net) *faults.Plan {
+	tb.Helper()
 	s, err := scenario.Profile(profile, seed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rt, err := scenario.NewRuntime(s, seed, benchEpoch)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rt.Attach(net)
 	return rt.Plan()
+}
+
+// e11Rows are E11's rows: the staleness pair under lossy-wan, the
+// compression pair fault-free.
+func e11Rows() []modelledRow {
+	row := func(name string, quorum int, compress, profile string) modelledRow {
+		return modelledRow{name, func(tb testing.TB) []metric {
+			return fedMetrics(e11Run(tb, quorum, compress, profile))
+		}}
+	}
+	return []modelledRow{
+		row("sync/raw/lossy-wan", 0, "none", "lossy-wan"),
+		row("quorum/raw/lossy-wan", 2, "none", "lossy-wan"),
+		row("sync/raw/clean", 0, "none", ""),
+		row("sync/topk/clean", 0, "topk", ""),
+	}
 }
 
 // BenchmarkE11Federated is the federated-fleet experiment: the staleness
@@ -1226,25 +1289,20 @@ func benchProfile(b *testing.B, profile string, seed int64, net *netem.Net) *fau
 // compression pair (raw float64 vs top-k sparsified float16) runs
 // fault-free, where top-k must cut bytes-on-wire >=3x without moving the
 // final validation loss.
-func BenchmarkE11Federated(b *testing.B) {
-	b.Run("sync/raw/lossy-wan", func(b *testing.B) { e11Run(b, 0, "none", "lossy-wan") })
-	b.Run("quorum/raw/lossy-wan", func(b *testing.B) { e11Run(b, 2, "none", "lossy-wan") })
-	b.Run("sync/raw/clean", func(b *testing.B) { e11Run(b, 0, "none", "") })
-	b.Run("sync/topk/clean", func(b *testing.B) { e11Run(b, 0, "topk", "") })
-}
+func BenchmarkE11Federated(b *testing.B) { benchModelled(b, e11Rows()) }
 
 // e12Run executes one fleet-scale federated run — synthetic local updates
 // (the coordination path is the measurement, not SGD), serialized upload
 // ingress, a scripted fault plan driving heartbeat playback on the event
-// scheduler — and reports simulated round wall plus coordinator allocations.
-func e12Run(b *testing.B, workers int, hier bool) {
-	b.Helper()
-	// A deliberately tiny pilot: at 10k workers the fleet holds two model
-	// copies per worker, and E12 measures coordination, not arithmetic.
+// scheduler.
+func e12Run(tb testing.TB, workers int, hier bool) fed.Result {
+	tb.Helper()
+	// A deliberately tiny pilot: at 10k workers the fleet holds one pilot
+	// per worker, and E12 measures coordination, not arithmetic.
 	// 9 rows is the least the encoder's second 3x3 conv accepts.
 	pcfg := pilot.DefaultConfig(pilot.Linear, 12, 9, 1)
 	pcfg.ConvFilters1, pcfg.ConvFilters2, pcfg.DenseUnits = 2, 4, 8
-	samples := e11Samples(b, pcfg, 40)
+	samples := e11Samples(tb, pcfg, 40)
 	// Single-sample shards that alias a small pool: fleet size is decoupled
 	// from dataset size, and synthetic training never mutates samples.
 	shards := make([][]pilot.Sample, workers)
@@ -1252,119 +1310,129 @@ func e12Run(b *testing.B, workers int, hier bool) {
 		at := i % len(samples)
 		shards[i] = samples[at : at+1]
 	}
-	var res fed.Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := fed.DefaultConfig()
-		cfg.Workers = workers
-		cfg.Rounds = 2
-		cfg.BatchSize = 8
-		cfg.Seed = 12
-		cfg.Container = "" // checkpoint churn is not what E12 measures
-		cfg.Hierarchical = hier
-		cfg.IngressSerial = true
-		cfg.SyntheticLocal = true
-		global, err := pilot.New(pcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		net := netem.NewNet(cfg.Seed)
-		plan := benchProfile(b, "heartbeat-gap", cfg.Seed, net)
-		deps := fed.Deps{Net: net, Hub: edge.NewHub(), Plan: plan, Start: benchEpoch}
-		r, err := fed.NewRun(cfg, deps, global, shards, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err = r.Execute()
-		if err != nil {
-			b.Fatal(err)
-		}
+	cfg := fed.DefaultConfig()
+	cfg.Workers = workers
+	cfg.Rounds = 2
+	cfg.BatchSize = 8
+	cfg.Seed = 12
+	cfg.Container = "" // checkpoint churn is not what E12 measures
+	cfg.Hierarchical = hier
+	cfg.IngressSerial = true
+	cfg.SyntheticLocal = true
+	global, err := pilot.New(pcfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(res.MeanRoundWall)/float64(time.Millisecond), "round_ms")
-	b.ReportMetric(float64(res.TotalBytes), "bytes_on_wire")
+	net := netem.NewNet(cfg.Seed)
+	plan := benchProfile(tb, "heartbeat-gap", cfg.Seed, net)
+	deps := fed.Deps{Net: net, Hub: edge.NewHub(), Plan: plan, Start: benchEpoch}
+	r, err := fed.NewRun(cfg, deps, global, shards, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := r.Execute()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// e12Rows are E12's rows: 100 and 1k workers flat, 100, 1k and 10k
+// hierarchical. Without a validation set the rows report round wall and
+// bytes only.
+func e12Rows() []modelledRow {
+	var rows []modelledRow
+	add := func(workers int, hier bool) {
+		name := fmt.Sprintf("flat/w%d", workers)
+		if hier {
+			name = fmt.Sprintf("hier/w%d", workers)
+		}
+		rows = append(rows, modelledRow{name, func(tb testing.TB) []metric {
+			return fedMetrics(e12Run(tb, workers, hier))[:2]
+		}})
+	}
+	for _, workers := range []int{100, 1000} {
+		add(workers, false)
+	}
+	for _, workers := range []int{100, 1000, 10000} {
+		add(workers, true)
+	}
+	return rows
 }
 
 // BenchmarkE12FleetScale is the fleet-scale sweep: the same coordination
 // round at 100, 1k, and 10k workers, flat versus hierarchical. Under
 // serialized ingress the flat topology's round wall grows linearly with the
 // fleet while the hierarchical one grows ~sqrt(N) (R regional queues drain
-// in parallel, then R partials cross the WAN) — the sub-linear inequality
-// verify.sh guards is hier/w10000 round wall < 10x hier/w1000's.
+// in parallel, then R partials cross the WAN) — TestModelledGolden asserts
+// hier/w10000 round wall < 10x hier/w1000's.
 func BenchmarkE12FleetScale(b *testing.B) {
-	for _, workers := range []int{100, 1000} {
-		workers := workers
-		b.Run(fmt.Sprintf("flat/w%d", workers), func(b *testing.B) { e12Run(b, workers, false) })
-	}
-	for _, workers := range []int{100, 1000, 10000} {
-		workers := workers
-		b.Run(fmt.Sprintf("hier/w%d", workers), func(b *testing.B) { e12Run(b, workers, true) })
-	}
+	b.ReportAllocs()
+	benchModelled(b, e12Rows())
 }
 
 // e13Run executes one federated run scripted by a checked-in scenario
 // file: the scenario runtime owns the fault plan and the link-shape
 // table, the fed deps ride its clock, and after the last round the clock
-// plays past the horizon so every scripted transition fires. Reported
-// metrics are the E11 trio plus transitions (the phase count actually
-// replayed — a scenario that silently failed to apply reports short).
-func e13Run(b *testing.B, file string) {
-	b.Helper()
+// plays past the horizon so every scripted transition fires. It returns
+// the run's result and the phase transitions actually replayed (a
+// scenario that silently failed to apply reports short).
+func e13Run(tb testing.TB, file string) (fed.Result, int) {
+	tb.Helper()
 	pcfg := pilot.DefaultConfig(pilot.Linear, 24, 16, 1)
 	pcfg.ConvFilters1, pcfg.ConvFilters2, pcfg.DenseUnits = 4, 8, 16
-	samples := e11Samples(b, pcfg, 220)
-	val := samples[180:]
-
-	var res fed.Result
-	var transitions int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := scenario.Load(file)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := scenario.NewRuntime(s, 11, benchEpoch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt.Start(obs.Observer{})
-		cfg := fed.DefaultConfig()
-		cfg.Workers = 4
-		cfg.Rounds = 8
-		cfg.LocalEpochs = 2
-		cfg.BatchSize = 16
-		cfg.Seed = 11
-		// 25s of idle virtual time per round walks the run across the
-		// library files' 2-3 minute phase timelines.
-		cfg.RoundGap = 25 * time.Second
-		shards, err := fed.ShardSamples(samples[:180], cfg.Workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		global, err := pilot.New(pcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(),
-			Store: objstore.New(), Plan: rt.Plan(), Start: benchEpoch}
-		rt.Attach(deps.Net)
-		r, err := fed.NewRun(cfg, deps, global, shards, val)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err = r.Execute()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt.Clock().Advance(s.Horizon())
-		transitions = rt.Finish()
+	samples := e11Samples(tb, pcfg, 220)
+	s, err := scenario.Load(file)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(res.MeanRoundWall)/float64(time.Millisecond), "round_ms")
-	b.ReportMetric(float64(res.TotalBytes), "bytes_on_wire")
-	b.ReportMetric(res.FinalValLoss, "final_valloss")
-	b.ReportMetric(float64(transitions), "transitions")
+	rt, err := scenario.NewRuntime(s, 11, benchEpoch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt.Start(obs.Observer{})
+	cfg := fed.DefaultConfig()
+	cfg.Workers = 4
+	cfg.Rounds = 8
+	cfg.LocalEpochs = 2
+	cfg.BatchSize = 16
+	cfg.Seed = 11
+	// 25s of idle virtual time per round walks the run across the
+	// library files' 2-3 minute phase timelines.
+	cfg.RoundGap = 25 * time.Second
+	shards, err := fed.ShardSamples(samples[:180], cfg.Workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	global, err := pilot.New(pcfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(),
+		Store: objstore.New(), Plan: rt.Plan(), Start: benchEpoch}
+	rt.Attach(deps.Net)
+	r, err := fed.NewRun(cfg, deps, global, shards, samples[180:])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := r.Execute()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt.Clock().Advance(s.Horizon())
+	return res, rt.Finish()
+}
+
+// e13Rows are E13's rows, one per library file.
+func e13Rows() []modelledRow {
+	var rows []modelledRow
+	for _, name := range []string{"clean", "lossy-wan", "cascading-outage"} {
+		rows = append(rows, modelledRow{name, func(tb testing.TB) []metric {
+			res, transitions := e13Run(tb, "scenarios/"+name+".scn")
+			return append(fedMetrics(res), metric{"transitions", float64(transitions)})
+		}})
+	}
+	return rows
 }
 
 // BenchmarkE13Scenario is the scenario-replay experiment: the same
@@ -1374,12 +1442,7 @@ func e13Run(b *testing.B, file string) {
 // cascading outage adds partitions and a heartbeat silence on top. The
 // transitions metric doubles as a replay check — it must equal each
 // file's phase count, every run, or the scheduler dropped a phase.
-func BenchmarkE13Scenario(b *testing.B) {
-	for _, name := range []string{"clean", "lossy-wan", "cascading-outage"} {
-		name := name
-		b.Run(name, func(b *testing.B) { e13Run(b, "scenarios/"+name+".scn") })
-	}
-}
+func BenchmarkE13Scenario(b *testing.B) { benchModelled(b, e13Rows()) }
 
 // --------------------------------------------------------------- E14 ----
 
@@ -1400,21 +1463,21 @@ const e14DispatchCost = 2 * time.Millisecond
 // the GEMM the int8 path accelerates carries ~94% of the MACs — the
 // regime quantized edge inference targets (big dense trunk, small conv
 // stem) — plus a 32-sample batch of dithered frames.
-func e14QuantPilot(b *testing.B) (*pilot.Pilot, []pilot.Sample) {
-	b.Helper()
+func e14QuantPilot(tb testing.TB) (*pilot.Pilot, []pilot.Sample) {
+	tb.Helper()
 	cfg := pilot.DefaultConfig(pilot.Linear, 128, 96, 1)
 	cfg.ConvFilters1, cfg.ConvFilters2, cfg.DenseUnits = 8, 16, 2048
 	cfg.Seed = 14
 	p, err := pilot.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(14))
 	samples := make([]pilot.Sample, 32)
 	for i := range samples {
 		f, err := sim.NewFrame(cfg.Width, cfg.Height, cfg.Channels)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for j := range f.Pix {
 			f.Pix[j] = uint8(rng.Intn(256))
@@ -1424,12 +1487,43 @@ func e14QuantPilot(b *testing.B) (*pilot.Pilot, []pilot.Sample) {
 	return p, samples
 }
 
+// e14Quantize switches p to the int8 path and returns its max control
+// drift on samples against the float64 kernels.
+func e14Quantize(tb testing.TB, p *pilot.Pilot, samples []pilot.Sample) float64 {
+	tb.Helper()
+	ref, err := p.InferBatch(samples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.EnableQuant("int8"); err != nil {
+		tb.Fatal(err)
+	}
+	out, err := p.InferBatch(samples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	drift, err := eval.QuantDrift(ref, out)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return drift
+}
+
+// e14QuantRows is E14's one modelled number, the int8 probe batch's
+// drift, which BenchmarkE14Quantized/int8 reports as quant_maxdelta.
+func e14QuantRows() []modelledRow {
+	return []modelledRow{{"int8", func(tb testing.TB) []metric {
+		p, samples := e14QuantPilot(tb)
+		return []metric{{"quant_maxdelta", e14Quantize(tb, p, samples)}}
+	}}}
+}
+
 // BenchmarkE14Quantized times the same InferBatch on the float64 kernels
 // versus the int8 quantized path, and reports the quantized run's max
 // control drift against the float64 reference as quant_maxdelta. The
 // drift is enforced here — a run over eval.QuantBudget fails the
 // benchmark, so a kernel change cannot buy speed with silent accuracy
-// loss and verify.sh can read both numbers from one table.
+// loss.
 func BenchmarkE14Quantized(b *testing.B) {
 	b.Run("float64", func(b *testing.B) {
 		p, samples := e14QuantPilot(b)
@@ -1442,21 +1536,7 @@ func BenchmarkE14Quantized(b *testing.B) {
 	})
 	b.Run("int8", func(b *testing.B) {
 		p, samples := e14QuantPilot(b)
-		ref, err := p.InferBatch(samples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := p.EnableQuant("int8"); err != nil {
-			b.Fatal(err)
-		}
-		out, err := p.InferBatch(samples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		drift, err := eval.QuantDrift(ref, out)
-		if err != nil {
-			b.Fatal(err)
-		}
+		drift := e14Quantize(b, p, samples)
 		if !eval.WithinQuantBudget(drift) {
 			b.Fatalf("int8 drift %.4f exceeds budget %.2f", drift, eval.QuantBudget)
 		}
@@ -1634,19 +1714,19 @@ func e15Survived(s e15Series) float64 {
 // and returns the loss series. Both topologies share the fleet shape,
 // dataset, seed, and 15s round gap, so with cloud-partition.scn the WAN
 // dies at 40s — after round 3, before round 4 — for both.
-func e15Run(b *testing.B, topology, scn string) e15Series {
-	b.Helper()
+func e15Run(tb testing.TB, topology, scn string) e15Series {
+	tb.Helper()
 	pcfg := pilot.DefaultConfig(pilot.Linear, 24, 16, 1)
 	pcfg.ConvFilters1, pcfg.ConvFilters2, pcfg.DenseUnits = 4, 8, 16
-	samples := e11Samples(b, pcfg, 220)
+	samples := e11Samples(tb, pcfg, 220)
 	val := samples[180:]
 	shards, err := fed.ShardSamples(samples[:180], 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	global, err := pilot.New(pcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	const seed = 15
@@ -1657,11 +1737,11 @@ func e15Run(b *testing.B, topology, scn string) e15Series {
 	if scn != "" {
 		s, err := scenario.Load(scn)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rt, err = scenario.NewRuntime(s, seed, benchEpoch)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rt.Start(obs.Observer{})
 		rt.Attach(net)
@@ -1680,11 +1760,11 @@ func e15Run(b *testing.B, topology, scn string) e15Series {
 		deps := fed.Deps{Net: net, Hub: edge.NewHub(), Store: objstore.New(), Plan: plan, Start: benchEpoch}
 		r, err := fed.NewRun(cfg, deps, global, shards, val)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		res, err := r.Execute()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, rr := range res.Rounds {
 			out.losses = append(out.losses, rr.ValLoss)
@@ -1699,18 +1779,18 @@ func e15Run(b *testing.B, topology, scn string) e15Series {
 		deps := gossip.Deps{Net: net, Hub: edge.NewHub(), Store: objstore.New(), Plan: plan, Start: benchEpoch}
 		r, err := gossip.NewRun(cfg, deps, global, shards, val)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		res, err := r.Execute()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, rr := range res.Rounds {
 			out.losses = append(out.losses, rr.FleetValLoss)
 		}
 		out.bytes = res.TotalBytes
 	default:
-		b.Fatalf("e15: unknown topology %q", topology)
+		tb.Fatalf("e15: unknown topology %q", topology)
 	}
 	if rt != nil {
 		rt.Clock().Advance(2 * time.Hour)
@@ -1727,30 +1807,28 @@ func e15Run(b *testing.B, topology, scn string) e15Series {
 // to the same neighborhood, and under the partition the star's loss
 // series freezes (partition_survived 0) while gossip keeps descending
 // among reachable peers (partition_survived 1).
-func BenchmarkE15Gossip(b *testing.B) {
-	rows := []struct{ topology, scn string }{
-		{"star", ""},
-		{"gossip", ""},
-		{"star", "scenarios/cloud-partition.scn"},
-		{"gossip", "scenarios/cloud-partition.scn"},
-	}
-	for _, row := range rows {
-		row := row
-		name := row.topology + "/clean"
-		if row.scn != "" {
-			name = row.topology + "/cloud-partition"
-		}
-		b.Run(name, func(b *testing.B) {
-			var s e15Series
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s = e15Run(b, row.topology, row.scn)
+func BenchmarkE15Gossip(b *testing.B) { benchModelled(b, e15Rows()) }
+
+// e15Rows are E15's rows: each topology fault-free and under
+// scenarios/cloud-partition.scn.
+func e15Rows() []modelledRow {
+	var rows []modelledRow
+	for _, scn := range []string{"", "scenarios/cloud-partition.scn"} {
+		for _, topology := range []string{"star", "gossip"} {
+			name := topology + "/clean"
+			if scn != "" {
+				name = topology + "/cloud-partition"
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(s.bytes), "bytes_on_wire")
-			b.ReportMetric(float64(e15Converge(s.losses)), "rounds_to_converge")
-			b.ReportMetric(e15Survived(s), "partition_survived")
-			b.ReportMetric(s.losses[len(s.losses)-1], "final_valloss")
-		})
+			rows = append(rows, modelledRow{name, func(tb testing.TB) []metric {
+				s := e15Run(tb, topology, scn)
+				return []metric{
+					{"bytes_on_wire", float64(s.bytes)},
+					{"rounds_to_converge", float64(e15Converge(s.losses))},
+					{"partition_survived", e15Survived(s)},
+					{"final_valloss", s.losses[len(s.losses)-1]},
+				}
+			}})
+		}
 	}
+	return rows
 }

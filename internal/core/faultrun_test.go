@@ -19,14 +19,14 @@ import (
 
 // chaosRun drives the whole Fig. 1 loop — collect, clean, train,
 // evaluate, hybrid evaluate — under the generated "chaos" profile and
-// returns the counter snapshot of the fault plan and the instrumented
+// returns the metrics snapshot of the fault plan and the instrumented
 // module (edge heartbeats and sweeps, netem, testbed, pipeline stages,
-// scenario transitions) and the exported trace. Counters (not
+// scenario transitions) and the exported trace. Its counters (not
 // histograms) are the determinism contract for metrics: they depend only
 // on the seeded schedules and operation counts, never on wall-clock
 // timing. The trace runs on the scenario's virtual clock, so it is
 // byte-identical across same-seed runs.
-func chaosRun(t *testing.T, seed int64) (map[string]float64, []byte) {
+func chaosRun(t *testing.T, seed int64) (obs.Snapshot, []byte) {
 	t.Helper()
 	m := fastModule(t)
 	o := obs.NewObserver()
@@ -87,20 +87,30 @@ func chaosRun(t *testing.T, seed int64) (map[string]float64, []byte) {
 	if err := o.Tracer.WriteJSONL(&trace); err != nil {
 		t.Fatal(err)
 	}
-	return o.Metrics.Snapshot().Counters, trace.Bytes()
+	return o.Metrics.Snapshot(), trace.Bytes()
 }
 
 // The acceptance test for the fault layer: the full pipeline completes
-// under every fault class at once, every new series is nonzero, two
-// same-seed runs land on byte-identical counter snapshots and traces,
-// and the snapshot matches the checked-in golden (regenerate with
+// under every fault class at once, every new series is nonzero, no label
+// key on any series reaches obs.MaxLabelCardinality values, two same-seed
+// runs land on byte-identical counter snapshots and traces, and the
+// snapshot matches the checked-in golden (regenerate with
 // UPDATE_GOLDEN=1), so a refactor of the fault path that changes any
 // count fails here even when it changes every run the same way.
 func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models twice under chaos")
 	}
-	a, traceA := chaosRun(t, 42)
+	snapA, traceA := chaosRun(t, 42)
+	// A label whose value set keeps growing (request IDs, timestamps, raw
+	// durations) would blow up any real TSDB; unbounded data belongs in
+	// span attrs.
+	for series, n := range snapA.LabelCardinality() {
+		if n >= obs.MaxLabelCardinality {
+			t.Errorf("label %s has %d distinct values (limit %d)", series, n, obs.MaxLabelCardinality)
+		}
+	}
+	a := snapA.Counters
 	for _, key := range []string{
 		"faults_injected_total",
 		"retry_attempts_total",
@@ -114,7 +124,8 @@ func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 			t.Errorf("%s = %g, want > 0", key, a[key])
 		}
 	}
-	b, traceB := chaosRun(t, 42)
+	snapB, traceB := chaosRun(t, 42)
+	b := snapB.Counters
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed chaos runs diverged:\n run 1: %v\n run 2: %v", a, b)
 	}

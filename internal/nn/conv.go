@@ -315,76 +315,6 @@ func (c *Conv2D) col2im(dcols, dx []float64, h, w, oh, ow int) {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
-// MaxPool2D is a max pooling layer with square window and equal stride,
-// over [N, C, H, W].
-type MaxPool2D struct {
-	K      int
-	argmax []int
-	lastIn []int
-}
-
-// NewMaxPool2D builds a pool layer with window and stride k.
-func NewMaxPool2D(k int) (*MaxPool2D, error) {
-	if k <= 1 {
-		return nil, fmt.Errorf("nn: maxpool window must be > 1, got %d", k)
-	}
-	return &MaxPool2D{K: k}, nil
-}
-
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *Tensor, train bool) (*Tensor, error) {
-	if len(x.Shape) != 4 {
-		return nil, fmt.Errorf("nn: maxpool expects [N,C,H,W], got %v", x.Shape)
-	}
-	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := h/m.K, w/m.K
-	if oh == 0 || ow == 0 {
-		return nil, fmt.Errorf("nn: maxpool input %dx%d smaller than window %d", h, w, m.K)
-	}
-	m.lastIn = append(m.lastIn[:0], x.Shape...)
-	y := NewTensor(n, ch, oh, ow)
-	if cap(m.argmax) < len(y.Data) {
-		m.argmax = make([]int, len(y.Data))
-	}
-	m.argmax = m.argmax[:len(y.Data)]
-	for i := 0; i < n*ch; i++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				bestIdx := 0
-				for ky := 0; ky < m.K; ky++ {
-					for kx := 0; kx < m.K; kx++ {
-						idx := (i*h+(oy*m.K+ky))*w + ox*m.K + kx
-						if v := x.Data[idx]; v > best {
-							best = v
-							bestIdx = idx
-						}
-					}
-				}
-				o := (i*oh+oy)*ow + ox
-				y.Data[o] = best
-				m.argmax[o] = bestIdx
-			}
-		}
-	}
-	return y, nil
-}
-
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(grad *Tensor) (*Tensor, error) {
-	if len(m.lastIn) == 0 {
-		return nil, fmt.Errorf("nn: maxpool backward before forward")
-	}
-	dx := NewTensor(m.lastIn...)
-	for o, src := range m.argmax {
-		dx.Data[src] += grad.Data[o]
-	}
-	return dx, nil
-}
-
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
 // Conv3D is a valid 3-D convolution over [N, C, T, H, W], used by the "3D"
 // DonkeyCar pilot that convolves over short frame sequences. The kernel is
 // [F, C, KT, K, K]. This layer is small in practice (T ≤ 4), so it uses the

@@ -298,8 +298,8 @@ var gemmBenchShapes = map[string][][3]int{
 	"MatMulTransB": {{560, 25, 8}, {64, 576, 50}, {21120, 25, 8}, {4480, 72, 16}, {32, 64, 2240}},
 }
 
-// BenchmarkGEMM measures the optimized kernels on gemmBenchShapes, for
-// scripts/bench.sh to track alongside the end-to-end experiments.
+// BenchmarkGEMM measures the optimized kernels on gemmBenchShapes, the
+// layer shapes of the end-to-end experiments.
 func BenchmarkGEMM(b *testing.B) {
 	for _, v := range Variants() {
 		for _, s := range gemmBenchShapes[v.Name] {

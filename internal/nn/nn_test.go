@@ -282,17 +282,6 @@ func TestConv3DGradCheck(t *testing.T) {
 	gradCheck(t, c, x, 1e-4)
 }
 
-func TestMaxPoolGradCheck(t *testing.T) {
-	r := rng(8)
-	p, err := NewMaxPool2D(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := NewTensor(2, 1, 6, 6)
-	x.RandNormal(r, 1)
-	gradCheck(t, p, x, 1e-5)
-}
-
 func TestLSTMGradCheck(t *testing.T) {
 	r := rng(9)
 	l, err := NewLSTM(4, 3, r)

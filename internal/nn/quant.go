@@ -214,8 +214,8 @@ func (c *QConv2D) Params() []*Param { return nil }
 // QuantizeSequential builds an inference-only int8 copy of a Sequential:
 // Dense layers always quantize; Conv2D layers quantize when their
 // lowered GEMM is large enough to win; Dropout disappears (identity at
-// inference); activations, Flatten and MaxPool2D are rebuilt fresh so
-// the copy never clobbers the float model's backward caches; stateful
+// inference); activations and Flatten are rebuilt fresh so the copy
+// never clobbers the float model's backward caches; stateful
 // float layers (BatchNorm, LSTM, Conv3D) are shared read-only.
 // TimeDistributed wrappers quantize their inner encoder recursively.
 func QuantizeSequential(s *Sequential, mode string) (*Sequential, error) {
@@ -270,8 +270,6 @@ func quantizeLayers(src []Layer) ([]Layer, int, error) {
 			out = append(out, &Tanh{})
 		case *Flatten:
 			out = append(out, &Flatten{})
-		case *MaxPool2D:
-			out = append(out, &MaxPool2D{K: v.K})
 		default:
 			out = append(out, l)
 		}

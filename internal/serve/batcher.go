@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -335,9 +336,10 @@ func (ss *shardSet) stop() {
 // mutates) into a per-batch slowdown hook for Service.SetSlowHook: a
 // partitioned link stalls like an outage, and a shaped or degraded one
 // stalls in proportion to the bandwidth it lost plus twice the added
-// one-way delay; a shape whose delay cannot be modelled stalls like an
-// outage too. Because the shaper is consulted on every batch, a netctl
-// mutation slows the very next forward pass.
+// one-way delay; a shape whose slowdown cannot be modelled (a delay or a
+// stall past time.Duration's range) stalls like an outage too. Because
+// the shaper is consulted on every batch, a netctl mutation slows the
+// very next forward pass.
 func ShaperSlowdown(sh netem.Shaper, base netem.Link, now func() time.Time, unit time.Duration) func() time.Duration {
 	const outageFactor = 10
 	return func() time.Duration {
@@ -348,9 +350,16 @@ func ShaperSlowdown(sh netem.Shaper, base netem.Link, now func() time.Time, unit
 		}
 		var d time.Duration
 		if eff.Bandwidth > 0 && eff.Bandwidth < base.Bandwidth {
-			d += time.Duration(float64(unit) * (base.Bandwidth/eff.Bandwidth - 1))
+			ns := float64(unit) * (base.Bandwidth/eff.Bandwidth - 1)
+			if !(ns < 1<<63) {
+				return outageFactor * unit
+			}
+			d = time.Duration(ns)
 		}
 		if extra := eff.Latency - base.Latency; extra > 0 {
+			if extra > (math.MaxInt64-d)/2 {
+				return outageFactor * unit
+			}
 			d += 2 * extra
 		}
 		return d

@@ -563,7 +563,8 @@ func (s stubShaper) ShapeAt(string, time.Time) (netem.LinkShape, time.Time) {
 
 // TestShaperSlowdown checks the live-shaper hook: partitions stall like
 // outages, bandwidth cuts stall proportionally, added latency stalls by
-// twice the extra one-way delay.
+// twice the extra one-way delay, and a cut past time.Duration's range
+// stalls like an outage.
 func TestShaperSlowdown(t *testing.T) {
 	base := netem.Link{Name: "wan", Latency: 10 * time.Millisecond, Bandwidth: 1e6}
 	const unit = time.Millisecond
@@ -587,5 +588,13 @@ func TestShaperSlowdown(t *testing.T) {
 	}
 	if d := stall(netem.LinkShape{Factor: 2}); d != unit+20*time.Millisecond {
 		t.Fatalf("degrade stall = %v, want %v", d, unit+20*time.Millisecond)
+	}
+	// A rate cut too deep for time.Duration stalls like an outage, not
+	// by a wrapped-around negative duration that the batcher skips.
+	tiny := 1e-300
+	wan := ShaperSlowdown(stubShaper{netem.LinkShape{Patch: &netem.LinkPatch{Bandwidth: &tiny}}},
+		netem.CampusWAN, now, 2*time.Millisecond)
+	if d := wan(); d != 20*time.Millisecond {
+		t.Fatalf("unmodellable bandwidth-cut stall = %v, want %v", d, 20*time.Millisecond)
 	}
 }
