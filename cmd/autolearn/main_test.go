@@ -195,6 +195,24 @@ func TestCmdFedTrainFaultFree(t *testing.T) {
 	}
 }
 
+// TestCmdFedTrainHeartbeatGap runs both topologies under the
+// heartbeat-gap profile: the fleet plays its workers' heartbeats whatever
+// the topology, so each run's metrics count the check-ins the scripted
+// silences swallowed.
+func TestCmdFedTrainHeartbeatGap(t *testing.T) {
+	dir := t.TempDir()
+	for _, topology := range []string{"star", "gossip"} {
+		metrics := filepath.Join(dir, topology+".prom")
+		if err := cmdFedTrain([]string{"-topology", topology, "-faults", "heartbeat-gap", "-seed", "3",
+			"-workers", "4", "-rounds", "5", "-metrics", metrics}); err != nil {
+			t.Fatalf("%s: %v", topology, err)
+		}
+		if got := promValue(t, metrics, `faults_injected_total{kind="heartbeat_gap"}`); got <= 0 {
+			t.Errorf("%s: heartbeat_gap = %v, want > 0", topology, got)
+		}
+	}
+}
+
 // TestCmdFedTrainTallyExcludesDrain is the tally regression: the run
 // ends about 31s into the cascading outage, before its 1m30s silence
 // opens, so the exported metrics must count no heartbeat gap even though

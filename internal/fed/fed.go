@@ -9,22 +9,22 @@
 //
 // The subsystem composes with the existing layers instead of bypassing
 // them: workers register as BYOD devices through edge.Hub and heartbeat on
-// the fault plan's clock (a silence window long enough for the sweep to
-// evict them drops them from the round instead of stalling the barrier);
-// every broadcast and upload is billed through netem under the plan's
-// retry policy (partitions turn into real backoff-and-retry, and an
-// exhausted budget drops the worker); the global checkpoint lands in
-// objstore after every round where the serve Registry's ETag poller can
-// hot-reload it; and everything emits fed_* spans, counters, and
-// histograms through obs.
+// the fault plan's clock (a worker is out of a round once a sweep evicts
+// its device, after a silence of one heartbeat window or more, and the
+// round goes on without it); every broadcast and upload is billed through
+// netem under the plan's retry policy (partitions turn into real
+// backoff-and-retry, and an exhausted budget drops the worker); the global
+// checkpoint lands in objstore after every round where the serve
+// Registry's ETag poller can hot-reload it; and everything emits fed_*
+// spans, counters, and histograms through obs.
 //
 // The edge half of a round does not depend on the topology, so it lives
-// in Fleet (fleet.go): the workers and their devices, parallel local
-// training, delta export with error feedback, transfers under retry, and
-// checkpoints. Run, the star, adds broadcast, upload, the staleness
-// policy, aggregation and the hierarchical partials, and hands its
-// workers to the hub's heartbeat playback (edge.Hub.Play, the same
-// playback the Fig. 1 pipeline's scripted devices run on); package
+// in Fleet (fleet.go): the workers, their devices and the hub's playback
+// of their heartbeats (edge.Hub.Play, as for the Fig. 1 pipeline's
+// devices) with the one liveness rule every topology reads, parallel
+// local training, delta export with error feedback, transfers under
+// retry, and checkpoints. Run, the star, adds broadcast, upload, the
+// staleness policy, aggregation and the hierarchical partials; package
 // gossip runs its peer overlay on the same Fleet.
 //
 // Determinism is a hard requirement (the chaos tests diff whole runs):
@@ -38,7 +38,6 @@ package fed
 import (
 	"fmt"
 
-	"repro/internal/edge"
 	"repro/internal/netem"
 	"repro/internal/pilot"
 )
@@ -135,16 +134,10 @@ type Run struct {
 	Global *pilot.Pilot
 
 	val []pilot.Sample
-	// evicted marks, by device ID, a heartbeat eviction during the
-	// current round. A worker whose daemon went silent misses the round
-	// even if it re-onboards before the uploads are collected — its
-	// connection was lost mid-round.
-	evicted map[string]bool
 }
 
 // NewRun assembles a run: the global pilot (the parameter server's copy)
-// over a fleet with one worker per shard (see NewFleet), plus heartbeat
-// playback on the fleet's plan when a hub is present. shards must have
+// over a fleet with one worker per shard (see NewFleet). shards must have
 // Cfg.Workers entries; val is the held-out set the server scores the
 // global model on after each round.
 func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) (*Run, error) {
@@ -160,17 +153,10 @@ func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample,
 	if cfg.RegionLink == (netem.Link{}) {
 		cfg.RegionLink = netem.FabricManaged
 	}
-	r := &Run{Cfg: cfg, Global: global, val: val, evicted: map[string]bool{}}
+	r := &Run{Cfg: cfg, Global: global, val: val}
 	var err error
 	if r.Fleet, err = NewFleet("fed", 0xfed, &r.Cfg.FleetConfig, deps, global.Cfg, shards); err != nil {
 		return nil, err
-	}
-	if r.hub != nil {
-		members := make([]edge.Member, len(r.Workers))
-		for i, w := range r.Workers {
-			members[i] = edge.Member{Name: w.Name, ID: w.deviceID}
-		}
-		r.hub.Play(r.Plan, members, func(id string) { r.evicted[id] = true })
 	}
 	r.instrument()
 	return r, nil
@@ -199,14 +185,4 @@ func ShardSamples(samples []pilot.Sample, n int) ([][]pilot.Sample, error) {
 		at += sz
 	}
 	return out, nil
-}
-
-// live reports whether the worker's device is currently connected (a run
-// without a hub treats every worker as live).
-func (r *Run) live(w *Worker) bool {
-	if r.hub == nil || w.deviceID == "" {
-		return true
-	}
-	d, err := r.hub.Device(w.deviceID)
-	return err == nil && d.Status == edge.StatusConnected
 }

@@ -86,9 +86,9 @@ func (c FleetConfig) Validate(name string) error {
 	return err
 }
 
-// Deps are the continuum substrates a run composes with. Net is required;
-// the rest are optional (nil Hub skips device registration, nil Store
-// skips checkpointing, nil Plan runs on a fault-free plan of its own).
+// Deps are the continuum substrates a run composes with. Net and Hub are
+// required; the rest are optional (nil Store skips checkpointing, nil
+// Plan runs on a fault-free plan of its own).
 type Deps struct {
 	Net   *netem.Net
 	Hub   *edge.Hub
@@ -122,6 +122,7 @@ type Worker struct {
 	shard    []pilot.Sample
 	speed    float64     // compute speed factor; higher is faster
 	residual [][]float64 // error feedback for sparsified uploads
+	evicted  bool        // a heartbeat sweep took the device offline this round
 }
 
 // Fleet is the topology-independent half of a run: the workers, and the
@@ -147,15 +148,19 @@ type Fleet struct {
 // the plan's object-store faults, and builds one worker per shard, each
 // with one trainable pilot of architecture arch and a compute speed drawn
 // from cfg.Seed^speedSalt; a worker has no base until its first Start.
-// When a hub is present, every worker registers, flashes and boots a BYOD
-// device; when the fault plan scripts silence windows, the first workers
-// take the scripted device names so the plan's schedule lands on real
-// fleet members. name ("fed" or "gossip") prefixes everything the fleet
-// emits. cfg must be valid; NewFleet fills its zero-valued defaults in
-// place.
+// Every worker registers, flashes and boots a BYOD device, whose
+// heartbeats the hub then plays on the plan's clock; when the fault plan
+// scripts silence windows, the first workers take the scripted device
+// names so the plan's schedule lands on real fleet members. An eviction
+// marks the worker out (see Out) and clears its residual. name ("fed" or
+// "gossip") prefixes everything the fleet emits. cfg must be valid;
+// NewFleet fills its zero-valued defaults in place.
 func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pilot.Config, shards [][]pilot.Sample) (*Fleet, error) {
 	if deps.Net == nil {
 		return nil, fmt.Errorf("%s: nil network", name)
+	}
+	if deps.Hub == nil {
+		return nil, fmt.Errorf("%s: nil hub", name)
 	}
 	if len(shards) != cfg.Workers {
 		return nil, fmt.Errorf("%s: %d shards for %d workers", name, len(shards), cfg.Workers)
@@ -205,9 +210,7 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 	if deps.Obs.Tracer != nil {
 		deps.Obs.Tracer.SetClock(f.Clock.Now)
 		deps.Net.SetTracer(deps.Obs.Tracer)
-		if deps.Hub != nil {
-			deps.Hub.SetTracer(deps.Obs.Tracer)
-		}
+		deps.Hub.SetTracer(deps.Obs.Tracer)
 		if deps.Store != nil {
 			deps.Store.SetTracer(deps.Obs.Tracer)
 		}
@@ -215,6 +218,8 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 
 	scripted := plan.ScriptDevices()
 	speedRNG := rand.New(rand.NewSource(cfg.Seed ^ speedSalt))
+	members := make([]edge.Member, len(shards))
+	byDevice := make(map[string]*Worker, len(shards))
 	for i := range shards {
 		w := &Worker{
 			Idx:   i,
@@ -229,19 +234,19 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 			return nil, fmt.Errorf("%s: worker %d pilot: %w", name, i, err)
 		}
 		w.params = w.Local.Model().Params()
-		if deps.Hub != nil {
-			d, err := deps.Hub.RegisterDevice(w.Name, name+"-fleet")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.FlashImage(d.ID); err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.Boot(d.ID); err != nil {
-				return nil, err
-			}
-			w.deviceID = d.ID
+		d, err := deps.Hub.RegisterDevice(w.Name, name+"-fleet")
+		if err != nil {
+			return nil, err
 		}
+		if _, err := deps.Hub.FlashImage(d.ID); err != nil {
+			return nil, err
+		}
+		if _, err := deps.Hub.Boot(d.ID); err != nil {
+			return nil, err
+		}
+		w.deviceID = d.ID
+		members[i] = edge.Member{Name: w.Name, ID: d.ID}
+		byDevice[d.ID] = w
 		f.Workers = append(f.Workers, w)
 	}
 	if container, _ := f.CheckpointAt(); container != "" {
@@ -249,7 +254,34 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 			return nil, err
 		}
 	}
+	deps.Hub.Play(plan, members, func(id string) {
+		if w := byDevice[id]; w != nil {
+			w.evicted = true
+			w.clearResidual()
+		}
+	})
 	return f, nil
+}
+
+// BeginRound forgets the previous round's evictions and parents the hub's
+// sweeps under the round's span context sc until the returned func runs.
+func (f *Fleet) BeginRound(sc obs.SpanContext) (end func()) {
+	for _, w := range f.Workers {
+		w.evicted = false
+	}
+	f.hub.SetTraceScope(sc)
+	return func() { f.hub.SetTraceScope(obs.SpanContext{}) }
+}
+
+// Out is the one liveness rule: w is out of the round if a sweep evicted
+// its device since the round began (a re-onboarding does not undo that)
+// or the device is not connected on the hub now.
+func (f *Fleet) Out(w *Worker) bool {
+	if w.evicted {
+		return true
+	}
+	d, err := f.hub.Device(w.deviceID)
+	return err != nil || d.Status != edge.StatusConnected
 }
 
 // CheckpointAt names where the fleet's checkpoints land, or two empty
@@ -414,11 +446,11 @@ func (w *Worker) reclaimResidual(enc Encoded) {
 	}
 }
 
-// clearResidual discards the error-feedback accumulator. Called when the
-// worker drops out of a round (eviction or retry-budget exhaustion): the
-// residual was accumulated against a global model the fleet has since
-// moved past, and replaying it on rejoin would inject stale updates. A
-// fresh accumulator is allocated on the next sparsified upload.
+// clearResidual discards the error-feedback accumulator when a sweep
+// evicts the worker or the star drops it from a round: the residual was
+// accumulated against weights the fleet has since moved past, and
+// replaying it on rejoin would inject stale updates. A fresh accumulator
+// is allocated on the next sparsified upload.
 func (w *Worker) clearResidual() { w.residual = nil }
 
 // Checkpoint writes model to the object store under the fault plan's

@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/edge"
 	"repro/internal/netem"
 	"repro/internal/nn"
 	"repro/internal/pilot"
@@ -284,6 +285,20 @@ func TestExportMatchesDeltaFromBitwise(t *testing.T) {
 	}
 }
 
+// TestNewFleetRequiresHub: the hub is the one record of which workers a
+// round has, so a fleet without one is refused, not run with every
+// worker taken as live.
+func TestNewFleetRequiresHub(t *testing.T) {
+	cfg := FleetConfig{Workers: 2, Rounds: 1, LocalEpochs: 1, BatchSize: 1, Seed: 1}
+	shards, err := ShardSamples(fedSamples(t, 4), cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Start: testStart}, testPilotCfg(), shards); err == nil {
+		t.Fatal("NewFleet accepted deps without a hub")
+	}
+}
+
 // TestTrainPoolDeterministic drives Fleet.Train's bounded pool at the
 // test's GOMAXPROCS (verify.sh runs it at 1, 2 and 3): every worker trains
 // exactly once, no more than GOMAXPROCS at a time, the reported error is
@@ -296,7 +311,7 @@ func TestTrainPoolDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Start: testStart}, testPilotCfg(), shards)
+	f, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Hub: edge.NewHub(), Start: testStart}, testPilotCfg(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}

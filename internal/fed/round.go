@@ -116,14 +116,8 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	span := parent.Child("fed-round")
 	span.SetAttr("round", idx)
 	sc := span.Context()
-	// Clock-driven activity during this round (heartbeat sweeps) parents
-	// its spans under the round via the hub's ambient scope.
-	if r.hub != nil {
-		r.hub.SetTraceScope(sc)
-		defer r.hub.SetTraceScope(obs.SpanContext{})
-	}
+	defer r.BeginRound(sc)()
 	rr := RoundResult{Round: idx, ValLoss: -1}
-	clear(r.evicted)
 	states := make([]*wstate, len(r.Workers))
 	for i, w := range r.Workers {
 		states[i] = &wstate{w: w, ok: true}
@@ -142,7 +136,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 	}
 	for _, st := range states {
-		if !r.live(st.w) {
+		if r.Out(st.w) {
 			r.drop(st, &rr, "offline")
 			continue
 		}
@@ -214,7 +208,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 		// A worker whose daemon went silent during training was swept out
 		// of the fleet; it has nothing trustworthy to upload this round.
-		if r.evicted[st.w.deviceID] || !r.live(st.w) {
+		if r.Out(st.w) {
 			r.drop(st, &rr, "offline")
 			continue
 		}
@@ -247,7 +241,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		// The upload itself advances the clock, so the sweep can evict a
 		// worker while its own transfer is in flight; that upload does not
 		// count either.
-		if r.evicted[st.w.deviceID] || !r.live(st.w) {
+		if r.Out(st.w) {
 			r.drop(st, &rr, "offline")
 		}
 	}
@@ -391,14 +385,11 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	return rr, nil
 }
 
-// drop records a worker leaving the current round. rr.Dropped is sorted
-// once at the end of the round, not here — re-sorting on every drop made
-// a mass eviction quadratic at fleet scale. Dropping also discards the
-// worker's error-feedback residual: the worker lost its connection
-// mid-round, and replaying a residual accumulated against an old global
-// model after rejoining would push stale gradient directions into a newer
-// model (a cut straggler, by contrast, stays connected and keeps its
-// deferred update).
+// drop records a worker leaving the current round and clears its
+// residual (a cut straggler, by contrast, stays connected and keeps its
+// deferred update). rr.Dropped is sorted once at the end of the round,
+// not here — re-sorting on every drop made a mass eviction quadratic at
+// fleet scale.
 func (r *Run) drop(st *wstate, rr *RoundResult, reason string) {
 	st.ok = false
 	st.reason = reason

@@ -24,10 +24,10 @@
 // matter which route the news took.
 //
 // The edge learner itself is fed.Fleet, the core the star runs on too:
-// workers and their devices, parallel local training, delta export with
-// error feedback, transfers under retry, and checkpoints. This package
-// owns only what is peer-to-peer: parcels, peer tables, exchanges, store
-// rebuilds and the cloud head.
+// workers, their devices and the one liveness rule, parallel local
+// training, delta export with error feedback, transfers under retry, and
+// checkpoints. This package owns only what is peer-to-peer: parcels, peer
+// tables, exchanges, store rebuilds and the cloud head.
 package gossip
 
 import (
@@ -130,7 +130,7 @@ func (c Config) antiEntropyEvery() int {
 	return c.AntiEntropyEvery
 }
 
-// Deps are the continuum substrates a run composes with: Net is
+// Deps are the continuum substrates a run composes with: Net and Hub are
 // required, the rest optional.
 type Deps = fed.Deps
 
@@ -146,7 +146,7 @@ type worker struct {
 	// caughtUp is the count of leading rounds whose produced parcels this
 	// worker fully holds (monotone: stores are grow-only).
 	caughtUp int
-	// offline marks a scripted silence window covering this round.
+	// offline marks a worker out of this round (see Run.out).
 	offline bool
 	// freeRider marks a store-and-forward-only participant.
 	freeRider bool

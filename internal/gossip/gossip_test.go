@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,7 +136,7 @@ func TestGossipConvergesLikeStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdeps := fed.Deps{Net: netem.NewNet(1), Store: objstore.New(), Obs: obs.NewObserver(), Start: testStart}
+	fdeps := fed.Deps{Net: netem.NewNet(1), Hub: edge.NewHub(), Store: objstore.New(), Obs: obs.NewObserver(), Start: testStart}
 	frun, err := fed.NewRun(fcfg, fdeps, fglobal, fshards, fval)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +298,7 @@ func TestGossipSurvivesCloudPartition(t *testing.T) {
 	fcfg.Rounds = 6
 	fcfg.BatchSize = 8
 	fcfg.RoundGap = 15 * time.Second
-	fdeps := fed.Deps{Net: netem.NewNet(21), Store: objstore.New(), Obs: obs.NewObserver(), Start: testStart}
+	fdeps := fed.Deps{Net: netem.NewNet(21), Hub: edge.NewHub(), Store: objstore.New(), Obs: obs.NewObserver(), Start: testStart}
 	frt := partitionRuntime(t, 21)
 	frt.Start(fdeps.Obs)
 	fdeps.Plan = frt.Plan()
@@ -330,19 +331,21 @@ func TestGossipSurvivesCloudPartition(t *testing.T) {
 }
 
 // TestGossipChurnRejoin silences one worker mid-run and checks the
-// overlay's rejoin story: the silent rounds record it offline, and once
-// the window passes the next round's anti-entropy pulls it back level
-// with the fleet head version.
+// overlay's rejoin story: the rounds after a sweep evicts it record it
+// offline, and once the window passes and it re-onboards the next
+// round's anti-entropy pulls it back level with the fleet head version.
 func TestGossipChurnRejoin(t *testing.T) {
 	cfg := testCfg()
-	cfg.Rounds = 5
-	cfg.RoundGap = 15 * time.Second
+	cfg.Rounds = 7
+	cfg.RoundGap = 60 * time.Second
 	deps := testDeps(t, "", 5)
 	plan := faults.NewPlan(5, testStart)
-	// Rounds start roughly every 15s; this window swallows rounds 1-2.
+	// Rounds start roughly every 60s. The silence outlasts the heartbeat
+	// window, so a sweep evicts the worker before round 3 and it
+	// re-onboards at the first beat after 300s, before round 5.
 	plan.AddSilenceWindow("rejoiner", faults.Window{
 		Start: testStart.Add(10 * time.Second),
-		End:   testStart.Add(40 * time.Second),
+		End:   testStart.Add(300 * time.Second),
 	})
 	deps.Plan = plan
 	r := newTestRun(t, cfg, deps, 45)
@@ -383,6 +386,141 @@ func TestGossipChurnRejoin(t *testing.T) {
 		if !r.workers[0].store.HasAll(keys) {
 			t.Fatalf("rejoiner missing parcels from round %d after rejoin", round)
 		}
+	}
+}
+
+// TestGossipEvictionClearsResidual is the one residual rule in gossip: a
+// sweep that evicts a worker's device clears its top-k error-feedback
+// residual, as the star's drop does, so the first parcel it exports after
+// rejoining defers nothing from before its connection was lost. Each
+// round's hook re-encodes the rejoiner's delta with an empty residual;
+// the parcel it exported must match that encoding bit for bit.
+func TestGossipEvictionClearsResidual(t *testing.T) {
+	cfg := testCfg()
+	cfg.Rounds = 7
+	cfg.RoundGap = 60 * time.Second
+	cfg.Compress = "topk"
+	deps := testDeps(t, "", 5)
+	plan := faults.NewPlan(5, testStart)
+	plan.AddSilenceWindow("rejoiner", faults.Window{
+		Start: testStart.Add(10 * time.Second),
+		End:   testStart.Add(300 * time.Second),
+	})
+	deps.Plan = plan
+	var r *Run
+	fresh := map[int][][]float64{} // round -> worker 0's delta under an empty residual
+	deps.AfterRound = func(round int, _ obs.SpanContext) error {
+		w := r.workers[0]
+		if !w.store.Has(Key{Origin: 0, Round: round}) {
+			return nil
+		}
+		local := fed.Snapshot(w.Local)
+		delta := make([][]float64, len(local))
+		empty := make([][]float64, len(local))
+		for i, vals := range local {
+			delta[i] = make([]float64, len(vals))
+			for j, v := range vals {
+				delta[i][j] = (v - w.Base[i][j]) * w.weight
+			}
+			empty[i] = make([]float64, len(vals))
+		}
+		fresh[round] = r.Codec.EncodeDelta(delta, empty).Values
+		return nil
+	}
+	r = newTestRun(t, cfg, deps, 45)
+	res, err := r.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := func(round int) bool {
+		got := r.workers[0].store.Get(Key{Origin: 0, Round: round}).Values
+		for i := range got {
+			for j := range got[i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(fresh[round][i][j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rejoin, carried, out := -1, -1, false
+	for _, rr := range res.Rounds {
+		switch {
+		case slices.Contains(rr.Offline, 0):
+			out = true
+		case !slices.Contains(rr.Trained, 0):
+		case out && rejoin < 0:
+			rejoin = rr.Round
+		case rr.Round > 0 && slices.Contains(res.Rounds[rr.Round-1].Trained, 0) && carried < 0:
+			carried = rr.Round
+		}
+	}
+	if rejoin < 0 || carried < 0 {
+		t.Fatalf("worker 0 never exported twice in a row (round %d) or never rejoined (round %d)", carried, rejoin)
+	}
+	// The probe sees a residual: a round after an export carries the
+	// previous round's deferred tail.
+	if matches(carried) {
+		t.Fatalf("round %d: the parcel matches an empty residual after a top-k export; the check cannot see residuals", carried)
+	}
+	if !matches(rejoin) {
+		t.Fatalf("round %d: the rejoined worker exported with the residual it had before its eviction", rejoin)
+	}
+}
+
+// TestGossipPartnerEvictedMidExchange checks that gossip reads the
+// fleet's liveness rule mid-round, as the star does: a worker that is
+// connected when the round begins trains, a sweep evicts it while the
+// exchange phase runs (a slow peer mesh stretches that phase across the
+// sweep), and the partners that pick it afterwards bill a probe and count
+// it unreachable.
+func TestGossipPartnerEvictedMidExchange(t *testing.T) {
+	cfg := testCfg()
+	cfg.Rounds = 1
+	cfg.PeerLink = netem.Link{Name: "slow-peer", Latency: 5 * time.Second, Bandwidth: 1e9}
+	deps := testDeps(t, "", 7)
+	plan := faults.NewPlan(7, testStart)
+	// The daemon's last beat is at 15s, so the sweep at 135s is the first
+	// to find it a whole heartbeat window silent.
+	plan.AddSilenceWindow("leaver", faults.Window{
+		Start: testStart.Add(20 * time.Second),
+		End:   testStart.Add(time.Hour),
+	})
+	deps.Plan = plan
+	r := newTestRun(t, cfg, deps, 45)
+	r.Clock.Advance(115 * time.Second)
+	res, err := r.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := res.Rounds[0]
+	if !slices.Contains(rr.Trained, 0) || !slices.Contains(rr.Offline, 0) {
+		t.Fatalf("worker 0 should train and then go offline: trained %v, offline %v", rr.Trained, rr.Offline)
+	}
+	if rr.Unreachable == 0 {
+		t.Fatal("no partner was probed as unreachable")
+	}
+	var buf bytes.Buffer
+	if err := deps.Obs.Tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTraceJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[string]time.Time{}
+	for _, rec := range recs {
+		name := rec.Name
+		if name == "gossip_probe" && rec.Attrs["peer"] != "leaver" {
+			continue
+		}
+		if at, ok := first[name]; !ok || rec.Start.Before(at) {
+			first[name] = rec.Start
+		}
+	}
+	exch, sweep, probe := first["gossip_exchange"], first["edge_sweep"], first["gossip_probe"]
+	if exch.IsZero() || sweep.IsZero() || probe.IsZero() || !exch.Before(sweep) || !sweep.Before(probe) {
+		t.Fatalf("want an exchange, then the evicting sweep, then a probe of the evicted worker; got %v, %v, %v", exch, sweep, probe)
 	}
 }
 

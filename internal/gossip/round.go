@@ -17,7 +17,7 @@ import (
 type RoundResult struct {
 	Round   int
 	Trained []int // workers that produced a parcel this round
-	Offline []int // workers silenced by the fault plan this round
+	Offline []int // workers out of this round, at its start or mid-round (fed.Fleet.Out)
 	// Exchanges counts completed push-pull exchanges (peer and head);
 	// FailedExchanges those aborted by link faults after retry
 	// exhaustion; Unreachable the partner picks that were offline.
@@ -138,26 +138,19 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	span := parent.Child("gossip-round")
 	span.SetAttr("round", idx)
 	sc := span.Context()
+	defer r.BeginRound(sc)()
 	rr := RoundResult{Round: idx, FleetValLoss: -1, HeadValLoss: -1}
 	wallStart := r.Clock.Now()
 
-	// Churn: a worker inside a scripted silence window sits the round out
-	// entirely — no training, no initiating, unreachable as a partner.
-	// Its store survives, so when the window passes the next round's
-	// digest exchanges anti-entropy it back to the fleet head version.
-	for _, w := range r.workers {
-		w.offline = r.Plan.DeviceSilent(w.Name, r.Clock.Now())
-		if w.offline {
-			rr.Offline = append(rr.Offline, w.Idx)
-		}
-	}
-
-	// Local training: every reachable trainer rebuilds its base from its
-	// parcel store (genesis + parcels in canonical order), starts its
-	// trainable model from it, and runs its epochs.
+	// Churn: a worker out when the round begins sits it out entirely; its
+	// store survives for anti-entropy once it re-onboards. Every reachable
+	// trainer rebuilds its base from its parcel store (genesis + parcels
+	// in canonical order), starts its trainable model from it, and runs
+	// its epochs.
 	var trainees []*fed.Worker
 	for _, w := range r.workers {
-		if !w.offline && !w.freeRider {
+		w.offline = false
+		if !r.out(w, &rr) && !w.freeRider {
 			trainees = append(trainees, w.Worker)
 		}
 	}
@@ -211,9 +204,6 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		byName[w.Name] = w
 	}
 	for _, w := range r.workers {
-		if w.offline {
-			continue
-		}
 		rng := rand.New(rand.NewSource(r.Cfg.Seed ^ (int64(idx)*1000003 + int64(w.Idx)*7919 + 1)))
 		partners := w.table.Select(rng, r.Cfg.fanout())
 		if antiEntropy {
@@ -223,6 +213,10 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 		seen := map[string]bool{}
 		for _, p := range partners {
+			// A sweep may evict either end mid-phase.
+			if r.out(w, &rr) {
+				break
+			}
 			if seen[p.Name] {
 				continue
 			}
@@ -233,7 +227,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 				span.EndErr(err)
 				return rr, err
 			}
-			if peer.offline {
+			if r.out(peer, &rr) {
 				// The dial times out: bill one empty-digest probe, record
 				// the dead partner, move on.
 				psp := span.Child("gossip_probe")
@@ -272,7 +266,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// news across the WAN (and pulls anything the head has that the
 	// contact missed). Under a cloud partition the retry budget exhausts
 	// and the round simply proceeds headless.
-	if contact := r.headContact(idx); contact != nil {
+	if contact := r.headContact(idx, &rr); contact != nil {
 		xs, failed, err := r.exchange(span, "head_sync", "head", contact.Name, HeadName, contact.store, r.head.store, r.Cfg.CloudLink)
 		if err != nil {
 			span.EndErr(err)
@@ -403,16 +397,23 @@ func farthestBucket(t *Table) int {
 
 // headContact picks the round's cloud-sync contact: the first reachable
 // worker at or after index round%N (rotating duty, so no single worker
-// pays the WAN bill every round). nil when the whole fleet is silent.
-func (r *Run) headContact(round int) *worker {
-	n := len(r.workers)
-	for off := 0; off < n; off++ {
-		w := r.workers[(round+off)%n]
-		if !w.offline {
+// pays the WAN bill every round). nil when the whole fleet is out.
+func (r *Run) headContact(round int, rr *RoundResult) *worker {
+	for off := range r.workers {
+		if w := r.workers[(round+off)%len(r.workers)]; !r.out(w, rr) {
 			return w
 		}
 	}
 	return nil
+}
+
+// out applies the fleet's liveness rule; w stays offline for the round.
+func (r *Run) out(w *worker, rr *RoundResult) bool {
+	if !w.offline && r.Out(w.Worker) {
+		w.offline = true
+		rr.Offline = append(rr.Offline, w.Idx)
+	}
+	return w.offline
 }
 
 // xferStats accumulates one exchange's billing.

@@ -155,8 +155,9 @@ var replayCases = []replayCase{
 	},
 	{
 		// Gossip with fp16 and a free rider under heartbeat gaps: at 20 s
-		// per sample a round outlasts the silence windows' spacing, so
-		// scripted workers go offline and rejoin between rounds.
+		// per sample a round's training outlasts the heartbeat window, so
+		// sweeps evict the scripted workers mid-round and they re-onboard
+		// once their silence windows close.
 		name: "gossip/fp16/heartbeat-gap", golden: "replay_gossip_fp16_heartbeat_gap_v1.golden",
 		profile: "heartbeat-gap", seed: 3, workers: 4, samples: 60,
 		run: func(t testing.TB, deps fed.Deps, shards [][]pilot.Sample, val []pilot.Sample) []float64 {

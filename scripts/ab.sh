@@ -12,7 +12,7 @@
 # the E14 quantized rows run at GOMAXPROCS 1, the registry rows at 8, and
 # the E14 serving rows set their own. Each side's samples open with a
 # stamp: CPU model, nproc, GOMAXPROCS, Go version, the side's SHA and the
-# filesystem behind TMPDIR. A BASE named twice runs once.
+# type of the filesystem mounted at TMPDIR. A BASE named twice runs once.
 #
 # Run from the repo root: ./scripts/ab.sh BASE...
 set -eu
@@ -31,7 +31,15 @@ trap cleanup EXIT
 trap 'exit 130' INT TERM HUP
 
 cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1 | tr -d '"\\')
-fs=$(stat -f -c %T "${TMPDIR:-/tmp}" 2>/dev/null || echo unknown)
+# The filesystem type of the mount holding TMPDIR, read from mountinfo
+# (statfs cannot tell ext2, ext3 and ext4 apart): the longest mount point
+# that prefixes the directory wins, and a later mount over the same point
+# shadows an earlier one.
+fs=$(d=$(cd "${TMPDIR:-/tmp}" && pwd -P) && awk -v d="${d%/}/" '{
+	mp = ($5 == "/") ? "/" : $5 "/"
+	for (i = 7; $i != "-"; i++) {}
+	if (index(d, mp) == 1 && length(mp) >= best) { best = length(mp); t = $(i + 1) }
+} END { print (t == "" ? "unknown" : t) }' /proc/self/mountinfo 2>/dev/null) || fs=unknown
 stamp() {
 	printf '# stamp {"cpu_model":"%s","nproc":%s,"gomaxprocs":"%s","go_version":"%s","git_sha":"%s","work_fs":"%s"}\n' \
 		"${cpu:-unknown}" "$(getconf _NPROCESSORS_ONLN)" \

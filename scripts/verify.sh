@@ -14,6 +14,11 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+# Every transcript and trace the steps below write lands in one directory
+# that goes whether the run passes or fails.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 130' INT TERM HUP
 
 echo "==> go vet ./..."
 go vet ./...
@@ -56,26 +61,23 @@ go test -count=1 -cpu 1,2,3 \
 # The paper's experiments are benchmarks, and a benchmark that no longer
 # runs is a figure that no longer reproduces: each runs once.
 echo "==> every root benchmark, one iteration"
-bout=$(mktemp)
+bout=$tmp/bench.txt
 go test -run '^$' -bench . -benchtime 1x . >"$bout" 2>&1 || {
     echo "a benchmark failed:" >&2; cat "$bout" >&2; exit 1; }
-rm -f "$bout"
 
 # The examples are programs too, and nothing else runs them: each must
 # exit 0.
 echo "==> examples: go run ./examples/NAME"
 for dir in examples/*/; do
     name=$(basename "$dir")
-    eout=$(mktemp)
+    eout=$tmp/example.txt
     go run "./examples/$name" >"$eout" 2>&1 || {
         echo "example $name failed:" >&2; cat "$eout" >&2; exit 1; }
-    rm -f "$eout"
 done
 
 echo "==> pipeline smoke runs (lossy-wan and fault-free, byte-identical same-seed traces)"
-metrics=$(mktemp)
-out=$(mktemp)
-pt1=$(mktemp) pt2=$(mktemp)
+metrics=$tmp/pipeline.prom out=$tmp/pipeline.txt
+pt1=$tmp/pipeline1.jsonl pt2=$tmp/pipeline2.jsonl
 go run ./cmd/autolearn pipeline -faults lossy-wan -metrics "$metrics" -trace "$pt1" >"$out" 2>&1 || {
     echo "fault-profile pipeline failed:" >&2
     cat "$out" >&2
@@ -114,10 +116,9 @@ cmp -s "$pt1" "$pt2" || {
     echo "fault-free smoke: same-seed pipeline runs exported different trace bytes" >&2
     exit 1
 }
-rm -f "$pt1" "$pt2" "$metrics" "$out"
 
 echo "==> fed-train trace smoke (cross-subsystem spans, byte-identical runs)"
-t1=$(mktemp) t2=$(mktemp) rout=$(mktemp)
+t1=$tmp/fed1.jsonl t2=$tmp/fed2.jsonl rout=$tmp/report.txt
 go run ./cmd/autolearn fed-train -workers 3 -rounds 2 -ticks 240 \
     -faults lossy-wan -seed 1 -trace "$t1" >/dev/null 2>&1 || {
     echo "traced fed-train run failed" >&2; exit 1; }
@@ -138,7 +139,6 @@ for stage in fed-train fed-round fed_local_train fed_upload fed_aggregate \
         exit 1
     fi
 done
-rm -f "$t1" "$t2" "$rout"
 
 echo "==> scenario smoke (library checks, byte-identical replay, probe tolerance)"
 # Every checked-in library file must parse, and its canonical form must
@@ -150,7 +150,7 @@ for scn in scenarios/*.scn; do
         exit 1
     }
 done
-s1=$(mktemp) s2=$(mktemp)
+s1=$tmp/scenario1.jsonl s2=$tmp/scenario2.jsonl
 go run ./cmd/autolearn fed-train -workers 3 -rounds 2 -ticks 240 \
     -scenario scenarios/lossy-wan.scn -seed 1 -trace "$s1" >/dev/null 2>&1 || {
     echo "scenario smoke: scenario-scripted fed-train failed" >&2; exit 1; }
@@ -168,7 +168,6 @@ if [ "$phases" -ne 3 ]; then
     echo "scenario smoke: trace has $phases scenario_phase spans, want 3" >&2
     exit 1
 fi
-rm -f "$s1" "$s2"
 # The throughput probe must agree with what the scenario declares: stock
 # profiles on the clean file, the shaped sag mid-window on lossy-wan.
 go run ./cmd/autolearn scenario probe -file scenarios/clean.scn -at 60s >/dev/null || {
@@ -184,7 +183,7 @@ echo "==> gossip smoke (byte-identical same-seed traces, partition survival)"
 # Same-seed gossip runs must export byte-identical traces: the overlay's
 # whole determinism story (canonical parcel-set merges, seeded peer
 # selection, billed clocks) collapses to one cmp.
-g1=$(mktemp) g2=$(mktemp) gout=$(mktemp) stout=$(mktemp)
+g1=$tmp/gossip1.jsonl g2=$tmp/gossip2.jsonl gout=$tmp/gossip.txt stout=$tmp/star.txt
 go run ./cmd/autolearn fed-train -topology gossip -workers 3 -rounds 2 -ticks 240 \
     -faults lossy-wan -seed 1 -trace "$g1" >/dev/null 2>&1 || {
     echo "gossip smoke: traced gossip fed-train run failed" >&2; exit 1; }
@@ -237,7 +236,6 @@ grep -q '0 aggregated' "$stout" || {
     echo "gossip smoke: partitioned star run still aggregated workers" >&2
     exit 1
 }
-rm -f "$g1" "$g2" "$gout" "$stout"
 
 # Timed rows are judged on this host alone, in one run: the change
 # against its parent and against one pinned baseline commit, so a
