@@ -1044,6 +1044,45 @@ func BenchmarkPilotLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryLoad measures registering that same checkpoint with
+// the serving registry at 1 and 8 replicas: one store fetch and one
+// decode, then a clone per extra replica.
+func BenchmarkRegistryLoad(b *testing.B) {
+	p, err := pilot.New(pilot.DefaultConfig(pilot.Inferred, 64, 48, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := p.Save(&ckpt); err != nil {
+		b.Fatal(err)
+	}
+	st := objstore.New()
+	if err := st.CreateContainer("models"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Put("models", "inferred.ckpt", ckpt.Bytes(), nil); err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("replicas%d", n), func(b *testing.B) {
+			reg, err := serve.NewRegistry(st, "models")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := reg.SetReplicas(n); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := reg.Register("inferred", "inferred.ckpt"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPilotInference measures single-frame inference cost per
 // architecture — the number the placement model prices with ParamCount.
 func BenchmarkPilotInference(b *testing.B) {

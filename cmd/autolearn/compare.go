@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -155,9 +156,13 @@ func cmdTwin(args []string) error {
 	return nil
 }
 
-// cmdHybrid trains a teacher, distills a student, and reports the working
-// hybrid runtime (student on the car, teacher in the cloud, blended).
-func cmdHybrid(args []string) error {
+func cmdHybrid(args []string) error { return interruptible(runHybrid, args) }
+
+// runHybrid trains a teacher, distills a student, and reports the working
+// hybrid runtime (student on the car, teacher in the cloud, blended). It
+// stops at the next phase boundary once ctx is done and returns ctx's
+// error, having removed its work directory.
+func runHybrid(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("hybrid", flag.ExitOnError)
 	shrink := fs.Int("shrink", 8, "distillation shrink factor")
 	blend := fs.Float64("blend", 0.4, "cloud blend weight in [0,1]")
@@ -183,12 +188,20 @@ func cmdHybrid(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("training the teacher ...")
+	if err := phase(ctx, "training the teacher ..."); err != nil {
+		return err
+	}
 	col, err := p.CollectData(core.Simulator, "d", 900)
 	if err != nil {
 		return err
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if _, _, err := p.CleanData(col.TubDir); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	tr, err := p.Train(col.TubDir, pilot.Linear, "V100",
@@ -198,7 +211,9 @@ func cmdHybrid(args []string) error {
 	}
 	dc := pilot.DefaultDistillConfig()
 	dc.Shrink = *shrink
-	fmt.Printf("distilling a %dx smaller student and running the hybrid loop ...\n", *shrink)
+	if err := phase(ctx, "distilling a %dx smaller student and running the hybrid loop ...", *shrink); err != nil {
+		return err
+	}
 	hv, err := p.EvaluateHybrid(tr.ModelObject, core.DefaultPlacementModel(m.Net), dc, *blend, *ticks)
 	if err != nil {
 		return err

@@ -23,11 +23,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -476,7 +479,31 @@ func quantDriftOnSession(pl *pilot.Pilot, res sim.SessionResult) (float64, error
 	return eval.QuantDrift(fout, qout)
 }
 
-func cmdPipeline(args []string) error {
+// phase prints a phase banner unless ctx is done, in which case it
+// returns ctx's error so the command stops at the phase boundary and its
+// deferred clean-up runs.
+func phase(ctx context.Context, format string, args ...any) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	fmt.Printf(format+"\n", args...)
+	return nil
+}
+
+// interruptible runs a command under a context that SIGINT or SIGTERM
+// cancels, for commands that check it between phases.
+func interruptible(run func(context.Context, []string) error, args []string) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return run(ctx, args)
+}
+
+func cmdPipeline(args []string) error { return interruptible(runPipeline, args) }
+
+// runPipeline is the pipeline command. It stops at the next phase
+// boundary once ctx is done and returns ctx's error, having removed its
+// work directory.
+func runPipeline(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("pipeline", flag.ExitOnError)
 	trackName := fs.String("track", "default-oval", "track name")
 	model := fs.String("model", "inferred", "pilot kind")
@@ -517,19 +544,25 @@ func cmdPipeline(args []string) error {
 	if err := p.EnableFaults(rt.Plan()); err != nil {
 		return err
 	}
-	fmt.Println("== phase 1: data collection (simulator path)")
+	if err := phase(ctx, "== phase 1: data collection (simulator path)"); err != nil {
+		return err
+	}
 	col, err := p.CollectData(core.Simulator, "drive-1", 1000)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("   %d records, %d flagged, %d laps, drive time %v\n", col.Records, col.Bad, col.Laps, col.Drive)
-	fmt.Println("== phase 2: tubclean")
+	if err := phase(ctx, "== phase 2: tubclean"); err != nil {
+		return err
+	}
 	marked, remaining, err := p.CleanData(col.TubDir)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("   %d marked, %d remain\n", marked, remaining)
-	fmt.Printf("== phase 3: training %s on %s\n", *model, *gpu)
+	if err := phase(ctx, "== phase 3: training %s on %s", *model, *gpu); err != nil {
+		return err
+	}
 	tr, err := p.Train(col.TubDir, pilot.Kind(*model), testbed.GPUType(*gpu),
 		nn.TrainConfig{Epochs: 5, BatchSize: 32, ValFrac: 0.15, Seed: 2, ClipGrad: 5}, rt.Clock().Now())
 	if err != nil {
@@ -538,7 +571,9 @@ func cmdPipeline(args []string) error {
 	fmt.Printf("   node %s, provision %v, rsync %v, simulated GPU time %v, val loss %.4f\n",
 		tr.Lease.NodeID, tr.Provision, tr.Transfer.Round(time.Millisecond),
 		tr.SimGPUTime.Round(time.Second), tr.History.BestValLoss)
-	fmt.Println("== phase 4: evaluation (edge placement)")
+	if err := phase(ctx, "== phase 4: evaluation (edge placement)"); err != nil {
+		return err
+	}
 	ev, err := p.Evaluate(tr.ModelObject, core.EdgePlacement, core.DefaultPlacementModel(m.Net), 600)
 	if err != nil {
 		return err
@@ -548,7 +583,9 @@ func cmdPipeline(args []string) error {
 	if *profile != "" || *scnFile != "" {
 		// Under faults, also exercise the hybrid edge-cloud path: this is
 		// where cloud deadline misses fall back to the on-device pilot.
-		fmt.Println("== phase 5: hybrid inference under faults")
+		if err := phase(ctx, "== phase 5: hybrid inference under faults"); err != nil {
+			return err
+		}
 		hy, err := p.EvaluateHybrid(tr.ModelObject, core.DefaultPlacementModel(m.Net),
 			pilot.DefaultDistillConfig(), 0.4, 600)
 		if err != nil {

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCmdTracks(t *testing.T) {
@@ -89,6 +92,45 @@ func TestCollectCleanTrainEvaluateFlow(t *testing.T) {
 	}
 	if err := cmdEvaluate([]string{"-model", ckpt, "-ticks", "200", "-quant", "int4"}); err == nil {
 		t.Fatal("evaluate accepted unsupported quantization mode")
+	}
+}
+
+// TestInterruptRemovesWorkDir: a pipeline or hybrid run whose context
+// is canceled (Ctrl-C) once its work directory exists stops at the next
+// phase boundary with context.Canceled and leaves TMPDIR empty.
+func TestInterruptRemovesWorkDir(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, []string) error
+	}{
+		{"pipeline", runPipeline},
+		{"hybrid", runHybrid},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				defer cancel()
+				for ctx.Err() == nil {
+					if entries, _ := os.ReadDir(tmp); len(entries) > 0 {
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
+			if err := tc.run(ctx, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s returned %v, want context.Canceled", tc.name, err)
+			}
+			entries, err := os.ReadDir(tmp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				t.Errorf("%s left %s in TMPDIR", tc.name, e.Name())
+			}
+		})
 	}
 }
 

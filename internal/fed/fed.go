@@ -155,7 +155,7 @@ func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample,
 	}
 	r := &Run{Cfg: cfg, Global: global, val: val}
 	var err error
-	if r.Fleet, err = NewFleet("fed", 0xfed, &r.Cfg.FleetConfig, deps, global.Cfg, shards); err != nil {
+	if r.Fleet, err = NewFleet("fed", 0xfed, &r.Cfg.FleetConfig, deps, global, shards); err != nil {
 		return nil, err
 	}
 	r.instrument()

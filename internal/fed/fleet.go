@@ -114,7 +114,7 @@ type Deps struct {
 type Worker struct {
 	Idx   int          // fleet position; billing and reductions run in this order
 	Name  string       // device name (a scripted one when the fault plan names devices)
-	Local *pilot.Pilot // trainable copy, built once and never replaced
+	Local *pilot.Pilot // trainable clone of the run's pilot, made once and never replaced
 	Base  [][]float64  // the round's starting weights, which Local is diffed against
 
 	deviceID string
@@ -146,8 +146,10 @@ type Fleet struct {
 // NewFleet wires deps onto the fault plan's virtual clock (a fault-free
 // plan anchored at deps.Start when deps.Plan is nil), arms the store with
 // the plan's object-store faults, and builds one worker per shard, each
-// with one trainable pilot of architecture arch and a compute speed drawn
-// from cfg.Seed^speedSalt; a worker has no base until its first Start.
+// with a clone of proto (the star's global, gossip's genesis) as its
+// trainable pilot and a compute speed drawn from cfg.Seed^speedSalt; a
+// clone shares no slice with proto or another worker, and a worker has
+// no base until its first Start.
 // Every worker registers, flashes and boots a BYOD device, whose
 // heartbeats the hub then plays on the plan's clock; when the fault plan
 // scripts silence windows, the first workers take the scripted device
@@ -155,7 +157,7 @@ type Fleet struct {
 // marks the worker out (see Out) and clears its residual. name ("fed" or
 // "gossip") prefixes everything the fleet emits. cfg must be valid;
 // NewFleet fills its zero-valued defaults in place.
-func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pilot.Config, shards [][]pilot.Sample) (*Fleet, error) {
+func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, proto *pilot.Pilot, shards [][]pilot.Sample) (*Fleet, error) {
 	if deps.Net == nil {
 		return nil, fmt.Errorf("%s: nil network", name)
 	}
@@ -230,7 +232,7 @@ func NewFleet(name string, speedSalt int64, cfg *FleetConfig, deps Deps, arch pi
 		if i < len(scripted) {
 			w.Name = scripted[i]
 		}
-		if w.Local, err = pilot.New(arch); err != nil {
+		if w.Local, err = proto.Clone(); err != nil {
 			return nil, fmt.Errorf("%s: worker %d pilot: %w", name, i, err)
 		}
 		w.params = w.Local.Model().Params()

@@ -285,6 +285,53 @@ func TestExportMatchesDeltaFromBitwise(t *testing.T) {
 	}
 }
 
+func testPilot(t *testing.T) *pilot.Pilot {
+	t.Helper()
+	p, err := pilot.New(testPilotCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestNewFleetClonesBitwise: every worker's pilot starts as the bits of
+// the pilot the fleet was built from, not a fresh initialization of its
+// config, and shares no param backing array with it or another worker.
+func TestNewFleetClonesBitwise(t *testing.T) {
+	cfg := FleetConfig{Workers: 4, Rounds: 1, LocalEpochs: 1, BatchSize: 1, Seed: 1}
+	shards, err := ShardSamples(fedSamples(t, 8), cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto := testPilot(t)
+	for _, p := range proto.Model().Params() {
+		for j := range p.W.Data {
+			p.W.Data[j] = p.W.Data[j]/2 + float64(j)
+		}
+	}
+	f, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Hub: edge.NewHub(), Start: testStart}, proto, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Snapshot(proto)
+	owner := map[*float64]string{}
+	claim := func(who string, p *pilot.Pilot) {
+		for i, prm := range p.Model().Params() {
+			if prev, ok := owner[&prm.W.Data[0]]; ok {
+				t.Fatalf("%s param %d shares its backing array with %s", who, i, prev)
+			}
+			owner[&prm.W.Data[0]] = fmt.Sprintf("%s param %d", who, i)
+		}
+	}
+	claim("prototype", proto)
+	for _, w := range f.Workers {
+		if err := sameBits(Snapshot(w.Local), want); err != nil {
+			t.Fatalf("worker %d does not start from the prototype's weights: %v", w.Idx, err)
+		}
+		claim(fmt.Sprintf("worker %d", w.Idx), w.Local)
+	}
+}
+
 // TestNewFleetRequiresHub: the hub is the one record of which workers a
 // round has, so a fleet without one is refused, not run with every
 // worker taken as live.
@@ -294,7 +341,7 @@ func TestNewFleetRequiresHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Start: testStart}, testPilotCfg(), shards); err == nil {
+	if _, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Start: testStart}, testPilot(t), shards); err == nil {
 		t.Fatal("NewFleet accepted deps without a hub")
 	}
 }
@@ -311,7 +358,7 @@ func TestTrainPoolDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Hub: edge.NewHub(), Start: testStart}, testPilotCfg(), shards)
+	f, err := NewFleet("fed", 1, &cfg, Deps{Net: netem.NewNet(1), Hub: edge.NewHub(), Start: testStart}, testPilot(t), shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,16 +203,17 @@ func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample
 	}
 	r := &Run{Cfg: cfg, val: val, head: &headState{store: NewStore()}}
 	var err error
-	if r.Fleet, err = fed.NewFleet("gossip", 0x905512, &r.Cfg.FleetConfig, deps, genesis.Cfg, shards); err != nil {
+	if r.Fleet, err = fed.NewFleet("gossip", 0x905512, &r.Cfg.FleetConfig, deps, genesis, shards); err != nil {
 		return nil, err
 	}
 
-	// Genesis weights: every rebuild starts from these exact bits.
+	// Genesis weights: every rebuild starts from these exact bits, and
+	// the head holds them until its first sync.
 	r.initVals = fed.Snapshot(genesis)
-	if r.union, err = pilot.New(genesis.Cfg); err != nil {
+	if r.union, err = genesis.Clone(); err != nil {
 		return nil, fmt.Errorf("gossip: union pilot: %w", err)
 	}
-	if r.head.model, err = pilot.New(genesis.Cfg); err != nil {
+	if r.head.model, err = genesis.Clone(); err != nil {
 		return nil, fmt.Errorf("gossip: head pilot: %w", err)
 	}
 

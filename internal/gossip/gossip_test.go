@@ -330,6 +330,56 @@ func TestGossipSurvivesCloudPartition(t *testing.T) {
 	}
 }
 
+// TestGossipHeadStartsAtGenesis: until its first sync the cloud head
+// holds genesis, whatever genesis's weights are, not a fresh
+// initialization of genesis's config. With the WAN partitioned from 0 s
+// the head never syncs, so its round-0 loss is genesis's own.
+func TestGossipHeadStartsAtGenesis(t *testing.T) {
+	cfg := testCfg()
+	cfg.Rounds = 1
+	deps := testDeps(t, "", 23)
+	s, err := scenario.ParseString("scenario v1\nname head-cut\nlink campus-wan\nphase 0s..2h partition link=campus-wan\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := scenario.NewRuntime(s, 23, testStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(deps.Obs)
+	deps.Plan = rt.Plan()
+	rt.Attach(deps.Net)
+	shards, val := splitShards(t, gossipSamples(t, 45), cfg.Workers)
+	genesis, err := pilot.New(testPilotCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prm := range genesis.Model().Params() {
+		for j := range prm.W.Data {
+			prm.W.Data[j] /= 2
+		}
+	}
+	want, err := genesis.Validate(val, cfg.BatchSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRun(cfg, deps, genesis, shards, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := res.Rounds[0]
+	if rr.HeadSynced {
+		t.Fatal("the head synced through a WAN partitioned from 0 s")
+	}
+	if rr.HeadValLoss != want {
+		t.Fatalf("unsynced head scores %.6f, genesis %.6f", rr.HeadValLoss, want)
+	}
+}
+
 // TestGossipChurnRejoin silences one worker mid-run and checks the
 // overlay's rejoin story: the rounds after a sweep evicts it record it
 // offline, and once the window passes and it re-onboards the next

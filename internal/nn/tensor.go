@@ -3,6 +3,14 @@
 // recurrent layers, losses, the Adam optimizer, a mini-batch trainer and
 // parameter serialization. It is deliberately CPU-only and deterministic
 // given a seed; multi-core parallelism is used inside the heavy kernels.
+//
+// Sequential.Clone is the one way to copy a model. A clone gets fresh
+// slices for each param's values and shape, with its name and Frozen
+// flag, and each layer's config: a Dropout's seed without its generator,
+// so the clone's masks start where a freshly built layer's would, and a
+// BatchNorm's running statistics, which are frozen params. It copies no
+// gradient, scratch buffer or forward cache and shares no slice with its
+// source, so the two train and infer independently.
 package nn
 
 import (

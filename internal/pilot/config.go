@@ -111,7 +111,65 @@ func (c Config) Validate() error {
 	if c.MaxThrottle <= c.MinThrottle {
 		return fmt.Errorf("pilot: MaxThrottle must exceed MinThrottle")
 	}
+	return c.checkWeightSizes()
+}
+
+// maxWeightElems caps the elements of any one weight tensor a config may
+// ask buildModel for: 1<<27 float64s are 1 GiB. E14's largest pilot,
+// 128x96 with a 2048-unit trunk, needs about 21.6M.
+const maxWeightElems = 1 << 27
+
+// checkWeightSizes rejects a config for which buildModel would allocate
+// a weight tensor of more than maxWeightElems elements, so a huge camera
+// or trunk is an error here, not a failed allocation in New or Load.
+// Each tensor is listed by the factors of its element count, and fits
+// stops before a product could overflow; a factor that is a sum adds
+// saturated terms, which neither overflow nor fall back under the cap.
+// Biases and batch-norm vectors are never larger than the weight beside
+// them. It runs after the other checks in Validate, so every factor is
+// positive.
+func (c Config) checkWeightSizes() error {
+	sat := func(n int) int { return min(n, maxWeightElems+1) }
+	du, f1 := c.DenseUnits, c.ConvFilters1
+	var tensors [][]int
+	if c.Kind == Conv3D {
+		oh, ow := convOut(c.Height, 5, 2), convOut(c.Width, 5, 2)
+		tensors = [][]int{{f1, c.Channels, 2, 5, 5}, {f1, c.SeqLen - 1, oh, ow, du}}
+	} else {
+		h2, w2 := convOut(convOut(c.Height, 5, 2), 3, 2), convOut(convOut(c.Width, 5, 2), 3, 2)
+		f2 := c.ConvFilters2
+		tensors = [][]int{{f1, c.Channels, 5, 5}, {f2, f1, 3, 3}, {f2, h2, w2, du}}
+	}
+	head := []int{du, 2}
+	switch c.Kind {
+	case Inferred:
+		head = []int{du, 1}
+	case Categorical:
+		head = []int{du, sat(c.AngleBins) + sat(c.ThrottleBins)}
+	case Memory:
+		tensors = append(tensors, []int{sat(du) + 2*sat(c.MemoryLen), du})
+	case RNN:
+		tensors = append(tensors, []int{du, 4, du}) // the LSTM's wx and wh
+	}
+	for _, dims := range append(tensors, head) {
+		if !fits(dims) {
+			return fmt.Errorf("pilot: config needs a weight tensor of %v elements, over the %d limit", dims, maxWeightElems)
+		}
+	}
 	return nil
+}
+
+// fits reports whether the product of dims stays within maxWeightElems,
+// checking each step before it multiplies.
+func fits(dims []int) bool {
+	n := 1
+	for _, d := range dims {
+		if d < 1 || n > maxWeightElems/d {
+			return false
+		}
+		n *= d
+	}
+	return true
 }
 
 // marshal encodes the config for checkpoint metadata.

@@ -185,5 +185,44 @@ func Load(r io.Reader) (*Pilot, error) {
 	return p, nil
 }
 
+// Clone returns a deep copy of the pilot that shares no slice with p
+// (see nn.Sequential.Clone): the same bits as New of p's config given
+// p's weights, without a second He initialization or a checkpoint
+// decode. A quantized pilot's clone quantizes its own weights in the
+// same mode, which gives the int8 weights p holds.
+func (p *Pilot) Clone() (*Pilot, error) {
+	model, err := cloneModel(p.model)
+	if err != nil {
+		return nil, err
+	}
+	c := &Pilot{Cfg: p.Cfg, model: model, loss: p.loss}
+	if p.quantMode != "" {
+		if err := c.EnableQuant(p.quantMode); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// cloneModel dispatches over the two model shapes the six pilot kinds
+// produce, as quantizeModel does.
+func cloneModel(m nn.Model) (nn.Model, error) {
+	switch v := m.(type) {
+	case *nn.Sequential:
+		return v.Clone()
+	case *memoryModel:
+		enc, err := v.encoder.Clone()
+		if err != nil {
+			return nil, err
+		}
+		head, err := v.head.Clone()
+		if err != nil {
+			return nil, err
+		}
+		return &memoryModel{cfg: v.cfg, encoder: enc, head: head}, nil
+	}
+	return nil, fmt.Errorf("pilot: cannot clone model type %T", m)
+}
+
 // paramsOf is a tiny alias making intent explicit at call sites.
 func paramsOf(m nn.Model) []*nn.Param { return m.Params() }

@@ -193,6 +193,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("inverted throttle bounds accepted")
 	}
+	// A 1<<20 square camera asks the encoder's dense layer for about
+	// 7e13 weights: an error, not a makeslice panic.
+	if _, err := New(DefaultConfig(Linear, 1<<20, 1<<20, 1)); err == nil {
+		t.Error("1<<20 x 1<<20 camera accepted")
+	}
+	// E14's largest pilot (128x96, 2048-unit trunk, about 21.6M weights
+	// in one tensor) stays under the cap.
+	e14 := DefaultConfig(Linear, 128, 96, 1)
+	e14.ConvFilters1, e14.ConvFilters2, e14.DenseUnits = 8, 16, 2048
+	if err := e14.Validate(); err != nil {
+		t.Errorf("E14's 128x96 pilot rejected: %v", err)
+	}
 }
 
 func TestSamplesFromRecordsWindows(t *testing.T) {
@@ -371,6 +383,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"invalid config":  save(paramsOf(pf.model), config(small)),
 		"param count":     save(params[:len(params)-1], config(base)),
 		"param size":      save(paramsOf(pw.model), config(base)),
+		"huge camera":     save(params, config(DefaultConfig(Linear, 1<<20, 1<<20, 1))),
 	}
 	for _, n := range []int{0, 1, len(good) / 4, len(good) / 2, len(good) - 1} {
 		cases[fmt.Sprintf("truncated at %d", n)] = good[:n]

@@ -27,9 +27,9 @@ type Registry struct {
 	tracer *obs.Tracer
 
 	// replicas is how many independent pilot instances each checkpoint
-	// decodes into (each shard's scheduler owns one, so forward passes
-	// run concurrently without sharing mutable layer state). quant, when
-	// set, enables int8 inference on every loaded instance.
+	// loads into (each shard's scheduler owns one, so forward passes run
+	// concurrently without sharing mutable layer state). quant, when set,
+	// enables int8 inference on every loaded instance.
 	replicas int
 	quant    string
 
@@ -65,7 +65,7 @@ func NewRegistry(store *objstore.Store, container string) (*Registry, error) {
 	return &Registry{store: store, container: container, models: map[string]*modelEntry{}, replicas: 1}, nil
 }
 
-// SetReplicas sets how many pilot instances each model decodes into.
+// SetReplicas sets how many pilot instances each model loads into.
 // Models already registered with a different count are reloaded from the
 // store so every shard has its own instance. n must be in [1, MaxReplicas].
 func (r *Registry) SetReplicas(n int) error {
@@ -149,10 +149,12 @@ func childCtx(span *obs.Span, sc obs.SpanContext) obs.SpanContext {
 	return sc
 }
 
-// load fetches the named object once and decodes it into the configured
-// number of independent pilot instances, enabling quantization on each
-// when a mode is set. The store fetch continues sc (the object store
-// emits its own child span when it has a tracer attached).
+// load fetches the named object once, decodes it once, enables
+// quantization when a mode is set, and clones the result into the other
+// replicas, so every shard owns an independent instance with the decoded
+// pilot's bits (a clone of a quantized pilot quantizes its own weights).
+// The store fetch continues sc (the object store emits its own child
+// span when it has a tracer attached).
 func (r *Registry) load(sc obs.SpanContext, object string) ([]*pilot.Pilot, string, error) {
 	data, info, err := r.store.GetTraced(sc, r.container, object)
 	if err != nil {
@@ -161,18 +163,22 @@ func (r *Registry) load(sc obs.SpanContext, object string) ([]*pilot.Pilot, stri
 	r.mu.RLock()
 	n, quant := r.replicas, r.quant
 	r.mu.RUnlock()
-	pilots := make([]*pilot.Pilot, n)
-	for i := range pilots {
-		p, err := pilot.Load(bytes.NewReader(data))
+	p, err := pilot.Load(bytes.NewReader(data))
+	if err != nil {
+		return nil, "", fmt.Errorf("serve: decode %s/%s: %w", r.container, object, err)
+	}
+	if quant != "" {
+		if err := p.EnableQuant(quant); err != nil {
+			return nil, "", fmt.Errorf("serve: quantize %s/%s: %w", r.container, object, err)
+		}
+	}
+	pilots := []*pilot.Pilot{p}
+	for len(pilots) < n {
+		c, err := p.Clone()
 		if err != nil {
-			return nil, "", fmt.Errorf("serve: decode %s/%s: %w", r.container, object, err)
+			return nil, "", fmt.Errorf("serve: replicate %s/%s: %w", r.container, object, err)
 		}
-		if quant != "" {
-			if err := p.EnableQuant(quant); err != nil {
-				return nil, "", fmt.Errorf("serve: quantize %s/%s: %w", r.container, object, err)
-			}
-		}
-		pilots[i] = p
+		pilots = append(pilots, c)
 	}
 	return pilots, info.ETag, nil
 }

@@ -50,13 +50,14 @@ go test -race ./...
 
 # nn's kernels split their work across GOMAXPROCS workers by default,
 # and so does the fleet's trainer pool, and no output may depend on the
-# split (README, "invariant to SetMaxWorkers"): the bitwise kernel tests
-# and the goldens run at GOMAXPROCS 1, 2 and 3.
+# split (README, "invariant to SetMaxWorkers"): the bitwise kernel tests,
+# the clone tests, the serving replicas and the goldens run at
+# GOMAXPROCS 1, 2 and 3.
 echo "==> bitwise and golden tests at -cpu 1,2,3"
 go test -count=1 -cpu 1,2,3 \
     -run 'Bitwise|Golden|Determinis|MatchReference|MatchesPortable|KBlocks|ChaosPipeline|FromCheckpoint' \
     . ./internal/nn/... ./internal/core ./internal/scenario ./internal/pilot \
-    ./internal/fed ./internal/gossip
+    ./internal/fed ./internal/gossip ./internal/serve
 
 # The paper's experiments are benchmarks, and a benchmark that no longer
 # runs is a figure that no longer reproduces: each runs once.
