@@ -328,26 +328,50 @@ func BenchmarkE1SixModels(b *testing.B) {
 
 // ---------------------------------------------------------------- E2 ----
 
+// e2Job is E2's training job: a full 50k-record dataset (the top of the
+// paper's 10-50k range) through a DonkeyCar-scale model.
+var e2Job = testbed.TrainingJob{Samples: 50_000, ParamCount: 5_000_000, Epochs: 30, BatchSize: 64}
+
+// e2GPUs are the SKUs the paper lists, in DESIGN.md §4's order: each
+// trains e2Job faster than the next.
+var e2GPUs = []testbed.GPUType{testbed.A100, testbed.V100NVLink, testbed.V100, testbed.RTX6000, testbed.P100}
+
+// e2Run models e2Job's training time on one GPU of each SKU in e2GPUs.
+// It calls no tb.Helper: BenchmarkE2GPUSweep times each call, and Helper
+// would cost more than the five calls it wraps.
+func e2Run(tb testing.TB) []time.Duration {
+	durations := make([]time.Duration, len(e2GPUs))
+	for j, g := range e2GPUs {
+		inst := &testbed.Instance{GPU: g, GPUCount: 1}
+		d, err := inst.TrainingTime(e2Job)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		durations[j] = d
+	}
+	return durations
+}
+
+// e2Rows returns E2's modelled numbers, one row per SKU: the training
+// time BenchmarkE2GPUSweep prints, in seconds.
+func e2Rows() []modelledRow {
+	rows := make([]modelledRow, len(e2GPUs))
+	for j, g := range e2GPUs {
+		rows[j] = modelledRow{string(g), func(tb testing.TB) []metric {
+			return []metric{{"train_s", e2Run(tb)[j].Seconds()}}
+		}}
+	}
+	return rows
+}
+
 // BenchmarkE2GPUSweep reproduces the §3.3 GPU-node sweep: the same
 // training job timed on every SKU the paper lists.
 func BenchmarkE2GPUSweep(b *testing.B) {
-	// A full 50k-record dataset (the top of the paper's 10-50k range)
-	// through a DonkeyCar-scale model.
-	job := testbed.TrainingJob{Samples: 50_000, ParamCount: 5_000_000, Epochs: 30, BatchSize: 64}
-	gpus := []testbed.GPUType{testbed.A100, testbed.V100NVLink, testbed.V100, testbed.RTX6000, testbed.P100}
 	for i := 0; i < b.N; i++ {
-		durations := make([]time.Duration, len(gpus))
-		for j, g := range gpus {
-			inst := &testbed.Instance{GPU: g, GPUCount: 1}
-			d, err := inst.TrainingTime(job)
-			if err != nil {
-				b.Fatal(err)
-			}
-			durations[j] = d
-		}
+		durations := e2Run(b)
 		tableOnce("e2", func() {
-			fmt.Printf("\n[E2] training job: %d samples x %d params x %d epochs\n", job.Samples, job.ParamCount, job.Epochs)
-			for j, g := range gpus {
+			fmt.Printf("\n[E2] training job: %d samples x %d params x %d epochs\n", e2Job.Samples, e2Job.ParamCount, e2Job.Epochs)
+			for j, g := range e2GPUs {
 				fmt.Printf("[E2] %-12s %8v (%.2fx V100)\n", g, durations[j].Round(time.Second),
 					float64(durations[2])/float64(durations[j]))
 			}
@@ -1184,6 +1208,7 @@ type modelledBenchmark struct {
 // the order the benchmarks run them.
 func modelledBenchmarks() []modelledBenchmark {
 	return []modelledBenchmark{
+		{"BenchmarkE2GPUSweep", e2Rows()},
 		{"BenchmarkE11Federated", e11Rows()},
 		{"BenchmarkE12FleetScale", e12Rows()},
 		{"BenchmarkE13Scenario", e13Rows()},

@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -513,6 +514,13 @@ func runPipeline(ctx context.Context, args []string) error {
 	of := addObsFlags(fs)
 	fs.Parse(args)
 
+	// Reject flag mistakes before the drive is collected.
+	if !slices.Contains(pilot.AllKinds(), pilot.Kind(*model)) {
+		return fmt.Errorf("pipeline: unknown -model %q (have %v)", *model, pilot.AllKinds())
+	}
+	if _, err := testbed.ThroughputFactor(testbed.GPUType(*gpu)); err != nil {
+		return fmt.Errorf("pipeline: -gpu: %w", err)
+	}
 	cfg := core.DefaultConfig()
 	cfg.Track = *trackName
 	rt, err := faultRuntime("pipeline", *profile, *scnFile, cfg.Seed)

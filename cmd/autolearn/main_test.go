@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestCmdTracks(t *testing.T) {
@@ -134,6 +137,133 @@ func TestInterruptRemovesWorkDir(t *testing.T) {
 	}
 }
 
+// stdoutOf runs fn with os.Stdout sent to a file and returns what fn
+// printed, with fn's error.
+func stdoutOf(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	runErr := fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// TestCmdPipelineTraces runs the pipeline fault-free and under the
+// lossy-wan profile, twice each: every run completes and prints its fault
+// tally, only the lossy-wan runs fall back to the on-device pilot,
+// same-seed runs export byte-identical traces, and no run leaves its work
+// directory in TMPDIR.
+func TestCmdPipelineTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name      string
+		args      []string
+		fallbacks bool
+	}{
+		{"fault-free", nil, false},
+		{"lossy-wan", []string{"-faults", "lossy-wan"}, true},
+	} {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		var traces [2][]byte
+		for i := range traces {
+			trace := filepath.Join(dir, c.name+strconv.Itoa(i)+".jsonl")
+			metrics := filepath.Join(dir, c.name+strconv.Itoa(i)+".prom")
+			out, err := stdoutOf(t, func() error {
+				return runPipeline(context.Background(), append(c.args, "-trace", trace, "-metrics", metrics))
+			})
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", c.name, err, out)
+			}
+			if !strings.Contains(out, "\n== faults: ") {
+				t.Errorf("%s: run printed no fault tally:\n%s", c.name, out)
+			}
+			if got := promValue(t, metrics, "hybrid_fallbacks_total"); (got > 0) != c.fallbacks {
+				t.Errorf("%s: hybrid_fallbacks_total = %v, want fallbacks %v", c.name, got, c.fallbacks)
+			}
+			if traces[i], err = os.ReadFile(trace); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(traces[0]) == 0 || !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("%s: same-seed runs exported different traces (%d vs %d bytes)",
+				c.name, len(traces[0]), len(traces[1]))
+		}
+		entries, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%s: run left %s in TMPDIR", c.name, e.Name())
+		}
+	}
+}
+
+// TestCmdPipelineRejectsFlagMistakes pins pipeline's up-front checks: an
+// unknown pilot kind or GPU SKU, an unknown fault profile, a missing
+// scenario file, and -faults with -scenario all fail, naming the mistake,
+// before any phase runs.
+func TestCmdPipelineRejectsFlagMistakes(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-model", "nosuch"}, "-model"},
+		{[]string{"-gpu", "H100"}, "-gpu"},
+		{[]string{"-faults", "nope"}, "unknown fault profile"},
+		{[]string{"-scenario", "no/such.scn"}, "no such file"},
+		{[]string{"-faults", "lossy-wan", "-scenario", "scenarios/clean.scn"}, "mutually exclusive"},
+	}
+	for _, c := range cases {
+		out, err := stdoutOf(t, func() error { return runPipeline(context.Background(), c.args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("pipeline %v: got %v, want an error naming %q", c.args, err, c.want)
+		}
+		if strings.Contains(out, "== phase") {
+			t.Errorf("pipeline %v: ran phases before rejecting its flags:\n%s", c.args, out)
+		}
+	}
+}
+
+// TestCmdScenarioProbe probes library scenarios: the clean link and
+// lossy-wan's shaped sag measure as declared, a partitioned link is
+// reported down, and a link the file does not declare or an instant
+// before the run starts is rejected.
+func TestCmdScenarioProbe(t *testing.T) {
+	lib := func(name string) string { return filepath.Join("..", "..", "scenarios", name+".scn") }
+	for _, c := range []struct {
+		args []string
+		want string // "" = the probe passes
+	}{
+		{[]string{"-file", lib("clean"), "-at", "60s"}, ""},
+		{[]string{"-file", lib("lossy-wan"), "-at", "90s"}, ""},
+		{[]string{"-file", lib("cloud-partition"), "-at", "60s"}, "1 of 1 links down"},
+		{[]string{"-file", lib("clean"), "-link", "nosuch"}, "-link"},
+		{[]string{"-file", lib("lossy-wan"), "-link", "home-broadband", "-at", "90s"}, "-link"},
+		{[]string{"-file", lib("clean"), "-at", "-90s"}, "-at"},
+	} {
+		err := cmdScenarioProbe(c.args)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("scenario probe %v: %v", c.args, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("scenario probe %v: got %v, want an error naming %q", c.args, err, c.want)
+		}
+	}
+}
+
 // TestCmdFedTrainRejectsFlagMistakes pins fed-train's up-front checks: a
 // flag of the other topology, an unknown topology, peer link or fault
 // profile, a missing scenario file, and -faults with -scenario all fail
@@ -211,28 +341,68 @@ func TestCmdFedTrainStoreFaults(t *testing.T) {
 	}
 }
 
-// TestCmdFedTrainFaultFree runs both topologies without -faults or
-// -scenario: the run is the empty scenario, so the fleet, its checkpoints
-// and the serving hook all run under the fault-free plan, and two
-// same-seed runs export byte-identical traces.
-func TestCmdFedTrainFaultFree(t *testing.T) {
+// traceSpanNames reads run's JSONL trace and returns the names of its
+// spans. The trace must hold spans and no orphan: obs.WriteTraceReport
+// fails on a span whose parent the file lacks.
+func traceSpanNames(t *testing.T, run string, trace []byte) map[string]bool {
+	t.Helper()
+	recs, err := obs.ReadTraceJSONL(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatalf("%s: %v", run, err)
+	}
+	if len(recs) == 0 {
+		t.Fatalf("%s: trace holds no spans", run)
+	}
+	if err := obs.WriteTraceReport(io.Discard, recs); err != nil {
+		t.Fatalf("%s: %v", run, err)
+	}
+	names := map[string]bool{}
+	for _, r := range recs {
+		names[r.Name] = true
+	}
+	return names
+}
+
+// TestCmdFedTrainTraces runs each topology fault-free and the star under
+// the lossy-wan profile, twice each: same-seed runs export byte-identical
+// traces, and a run's trace is a tree with no orphan that holds every
+// stage of its topology, across the fleet, netem, the object store and
+// the serving hook.
+func TestCmdFedTrainTraces(t *testing.T) {
+	star := []string{"fed-train", "fed-round", "fed_local_train", "fed_upload", "fed_aggregate",
+		"fed_checkpoint", "netem_transfer", "objstore_put", "serve_reload"}
+	gossip := []string{"gossip-train", "gossip-round", "gossip_local_train", "gossip_exchange",
+		"gossip_validate", "netem_transfer", "serve_reload"}
 	dir := t.TempDir()
-	for _, topology := range []string{"star", "gossip"} {
+	for _, c := range []struct {
+		name  string
+		args  []string
+		spans []string
+	}{
+		{"star", []string{"-workers", "2"}, star},
+		{"gossip", []string{"-topology", "gossip", "-workers", "2"}, gossip},
+		{"star-lossy-wan", []string{"-faults", "lossy-wan", "-workers", "3"}, star},
+	} {
 		var traces [2][]byte
 		for i := range traces {
-			path := filepath.Join(dir, topology+strconv.Itoa(i)+".jsonl")
-			if err := cmdFedTrain([]string{"-topology", topology, "-workers", "2", "-rounds", "2",
-				"-ticks", "240", "-trace", path}); err != nil {
-				t.Fatalf("%s: %v", topology, err)
+			path := filepath.Join(dir, c.name+strconv.Itoa(i)+".jsonl")
+			if err := cmdFedTrain(append(c.args, "-rounds", "2", "-ticks", "240", "-trace", path)); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
 			var err error
 			if traces[i], err = os.ReadFile(path); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if len(traces[0]) == 0 || !bytes.Equal(traces[0], traces[1]) {
-			t.Errorf("%s: same-seed fault-free runs exported different traces (%d vs %d bytes)",
-				topology, len(traces[0]), len(traces[1]))
+		if !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("%s: same-seed runs exported different traces (%d vs %d bytes)",
+				c.name, len(traces[0]), len(traces[1]))
+		}
+		names := traceSpanNames(t, c.name, traces[0])
+		for _, span := range c.spans {
+			if !names[span] {
+				t.Errorf("%s: trace has no %s span", c.name, span)
+			}
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -100,8 +103,8 @@ func cmdScenarioCheck(args []string) error {
 func cmdScenarioProbe(args []string) error {
 	fs := flag.NewFlagSet("scenario probe", flag.ExitOnError)
 	file := fs.String("file", "", "scenario file (required)")
-	at := fs.Duration("at", 0, "instant into the scripted run to probe at")
-	link := fs.String("link", "", "probe one declared link (empty = all)")
+	at := fs.Duration("at", 0, "instant into the scripted run to probe at (0 or later)")
+	link := fs.String("link", "", "probe one link the file declares (empty = all)")
 	tol := fs.Float64("tol", 0.25, "relative tolerance for the declared-vs-measured check")
 	bytes := fs.Int64("bytes", 0, "payload per bulk transfer (0 = probe default)")
 	seed := fs.Int64("seed", 1, "run seed (a seed directive in the file wins)")
@@ -109,25 +112,39 @@ func cmdScenarioProbe(args []string) error {
 	if *file == "" {
 		return fmt.Errorf("scenario probe: -file is required")
 	}
+	if *at < 0 {
+		return fmt.Errorf("scenario probe: -at %v is before the scripted run starts", *at)
+	}
 	rt, err := loadScenarioRuntime(*file, *seed)
 	if err != nil {
 		return err
+	}
+	names := rt.Scenario().LinkNames()
+	if len(names) == 0 {
+		return fmt.Errorf("scenario probe: %s declares no links", *file)
+	}
+	if *link != "" {
+		if !slices.Contains(names, *link) {
+			return fmt.Errorf("scenario probe: -link %q is not declared in %s (declared: %s)",
+				*link, *file, strings.Join(names, ", "))
+		}
+		names = []string{*link}
 	}
 	net := netem.NewNet(rt.Seed())
 	rt.Attach(net)
 	rt.Clock().Advance(*at)
 
-	names := rt.Scenario().LinkNames()
-	if *link != "" {
-		names = []string{*link}
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("scenario probe: %s declares no links", *file)
-	}
-	var failed int
+	var down, failed int
 	for _, name := range names {
+		// A declared link netem does not stock runs on ByName's generic
+		// profile, as it does under the scenario's shaper.
 		base, _ := netem.ByName(name)
 		res, err := net.Probe(base, netem.ProbeConfig{Bytes: *bytes})
+		if errors.Is(err, netem.ErrLinkDown) {
+			down++
+			fmt.Printf("%-16s at %v: DOWN (partitioned)\n", name, *at)
+			continue
+		}
 		if err != nil {
 			failed++
 			fmt.Printf("%-16s at %v: PROBE FAILED: %v\n", name, *at, err)
@@ -144,8 +161,8 @@ func cmdScenarioProbe(args []string) error {
 			scenario.FormatBandwidth(res.MeasuredBandwidth), res.MeasuredRTT.Round(time.Microsecond), res.MeasuredLoss,
 			res.Retransmits, verdict)
 	}
-	if failed > 0 {
-		return fmt.Errorf("scenario probe: %d of %d links out of tolerance", failed, len(names))
+	if down > 0 || failed > 0 {
+		return fmt.Errorf("scenario probe: %d of %d links down, %d out of tolerance", down, len(names), failed)
 	}
 	return nil
 }

@@ -1,10 +1,15 @@
 package netem
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 )
+
+// ErrLinkDown is Probe's refusal of a link that is partitioned at probe
+// time: a down link has no throughput to measure.
+var ErrLinkDown = errors.New("link is down")
 
 // ProbeConfig sizes a throughput probe. The zero value selects the
 // defaults: 4 bulk transfers of 8 MiB plus 8 small RPCs — large enough
@@ -87,8 +92,8 @@ func (r ProbeResult) Check(tol float64) error {
 // Probe measures the link as currently shaped and faulted: bulk
 // transfers for bandwidth and loss, small RPCs for round-trip time. It
 // rides the normal transfer path, so probe traffic shows up in the
-// netem counters like any other traffic. Fails when the link is
-// partitioned at probe time.
+// netem counters like any other traffic. Fails with ErrLinkDown when the
+// link is partitioned at probe time.
 func (n *Net) Probe(l Link, cfg ProbeConfig) (ProbeResult, error) {
 	if err := l.Validate(); err != nil {
 		return ProbeResult{}, err
@@ -99,7 +104,7 @@ func (n *Net) Probe(l Link, cfg ProbeConfig) (ProbeResult, error) {
 		return ProbeResult{}, fmt.Errorf("netem: probe %s: %w", l.Name, err)
 	}
 	if !ok {
-		return ProbeResult{}, fmt.Errorf("netem: probe %s: link is down", l.Name)
+		return ProbeResult{}, fmt.Errorf("netem: probe %s: %w", l.Name, ErrLinkDown)
 	}
 	res := ProbeResult{Link: l.Name, Declared: eff, Transfers: cfg.Transfers}
 	var moved float64

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -193,7 +194,7 @@ func TestProbeDownLinkFails(t *testing.T) {
 	sh.add(t0, LinkShape{Down: true})
 	n := NewNet(1)
 	n.SetShaper(sh, func() time.Time { return t0 })
-	if _, err := n.Probe(CampusWAN, ProbeConfig{}); err == nil {
-		t.Fatal("probe of a partitioned link succeeded")
+	if _, err := n.Probe(CampusWAN, ProbeConfig{}); !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("probe of a partitioned link returned %v, want ErrLinkDown", err)
 	}
 }

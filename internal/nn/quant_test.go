@@ -126,8 +126,7 @@ func TestQuantizeZeroColumn(t *testing.T) {
 
 // buildQuantTestSeq assembles the Linear-pilot shape in miniature:
 // conv → relu → conv → relu → flatten → dense → relu → dropout →
-// dense → tanh, with the second conv wide enough to cross the
-// quantize-a-conv thresholds.
+// dense → tanh.
 func buildQuantTestSeq(t *testing.T, seed int64) *Sequential {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -135,7 +134,7 @@ func buildQuantTestSeq(t *testing.T, seed int64) *Sequential {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv2, err := NewConv2D(4, 12, 3, 2, rng) // patch 36 < qConvMinPatch: stays float
+	conv2, err := NewConv2D(4, 12, 3, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +193,8 @@ func TestQuantizeSequentialAccuracy(t *testing.T) {
 }
 
 // TestQuantizeSequentialStructure pins the rewrite rules: Dense becomes
-// QDense, a small conv stays shared float, Dropout disappears, and the
-// float model is left untouched.
+// QDense, a conv stays shared float, Dropout disappears, and the float
+// model is left untouched.
 func TestQuantizeSequentialStructure(t *testing.T) {
 	s := buildQuantTestSeq(t, 4)
 	nLayers := len(s.Layers)
@@ -209,13 +208,11 @@ func TestQuantizeSequentialStructure(t *testing.T) {
 	if len(qs.Layers) != nLayers-1 {
 		t.Fatalf("quantized model has %d layers, want %d (dropout removed)", len(qs.Layers), nLayers-1)
 	}
-	var qdense, qconv, dense, conv, dropout int
+	var qdense, dense, conv, dropout int
 	for _, l := range qs.Layers {
 		switch l.(type) {
 		case *QDense:
 			qdense++
-		case *QConv2D:
-			qconv++
 		case *Dense:
 			dense++
 		case *Conv2D:
@@ -227,8 +224,8 @@ func TestQuantizeSequentialStructure(t *testing.T) {
 	if qdense != 2 || dense != 0 {
 		t.Errorf("got %d QDense and %d Dense, want 2 and 0", qdense, dense)
 	}
-	if conv != 2 || qconv != 0 {
-		t.Errorf("got %d float Conv2D and %d QConv2D, want 2 and 0 (both below thresholds)", conv, qconv)
+	if conv != 2 {
+		t.Errorf("got %d float Conv2D, want 2 (convs stay float)", conv)
 	}
 	if dropout != 0 {
 		t.Errorf("dropout survived quantization")
@@ -248,98 +245,6 @@ func TestQuantizeSequentialStructure(t *testing.T) {
 	}
 }
 
-// TestQConv2DAboveThreshold: a conv wide and deep enough crosses the
-// thresholds, quantizes, and tracks the float layer within the analytic
-// bound scaled by the conv's own operands.
-func TestQConv2DAboveThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	conv, err := NewConv2D(8, 64, 3, 1, rng) // patch 72, OutC 64
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSequential(conv, &ReLU{}, &Flatten{}, NewDense(64*6*6, 2, rng))
-	qs, err := QuantizeSequential(s, QuantInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := qs.Layers[0].(*QConv2D); !ok {
-		t.Fatalf("first layer is %T, want *QConv2D", qs.Layers[0])
-	}
-	x := NewTensor(3, 8, 8, 8)
-	x.RandNormal(rng, 1)
-	want, err := s.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := qs.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Data {
-		if d := math.Abs(got.Data[i] - want.Data[i]); d > 0.5 {
-			t.Fatalf("element %d drifts %v", i, d)
-		}
-	}
-}
-
-// TestQConv2DMatchesReferenceBitwise runs QConv2D's per-image layout
-// and activation pass on the TestQConv2DAboveThreshold shape, and at a
-// batch of 32 that splits across workers, at 1–3 workers against the
-// whole-batch loop it replaced (im2col, quantize, int8 product, then a
-// serial transpose with dequantization and bias, then ReLU), bit for
-// bit, including the ReLU mask.
-func TestQConv2DMatchesReferenceBitwise(t *testing.T) {
-	defer SetMaxWorkers(SetMaxWorkers(1))
-	rng := rand.New(rand.NewSource(6))
-	conv, err := NewConv2D(8, 64, 3, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specialFill(rng, conv.b.W.Data, false)
-	qc, err := NewQConv2D(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{3, 32} {
-		x := NewTensor(n, 8, 8, 8)
-		x.RandNormal(rng, 1)
-		oh, ow, patch, nf := 6, 6, 72, 64
-		m := n * oh * ow
-		cols := NewTensor(m, patch)
-		refIm2col(conv, x, cols, n, 8, 8, oh, ow)
-		au, rowSum, acc := make([]uint8, m*patch), make([]int32, m), make([]int32, m*nf)
-		scale := quantizeActs(cols.Data, m, patch, au, rowSum)
-		qgemmBiased(au, rowSum, m, qc.q, acc)
-		want := NewTensor(n, nf, oh, ow)
-		for i := 0; i < n; i++ {
-			for p := 0; p < oh*ow; p++ {
-				row := acc[(i*oh*ow+p)*nf:]
-				for f := 0; f < nf; f++ {
-					want.Data[((i*nf+f)*oh*ow)+p] = float64(row[f])*(scale*qc.q.Scale[f]) + conv.b.W.Data[f]
-				}
-			}
-		}
-		wantMask := refReLU(want.Data)
-
-		for workers := 1; workers <= 3; workers++ {
-			SetMaxWorkers(workers)
-			var relu ReLU
-			got, err := qc.forward(x, &relu, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i := firstDiff(got.Data, want.Data); i >= 0 {
-				t.Fatalf("n=%d workers=%d: element %d is %v, reference %v", n, workers, i, got.Data[i], want.Data[i])
-			}
-			for i := range wantMask {
-				if relu.mask[i] != wantMask[i] {
-					t.Fatalf("n=%d workers=%d: relu mask[%d] is %v, reference %v", n, workers, i, relu.mask[i], wantMask[i])
-				}
-			}
-		}
-	}
-}
-
 // TestQuantInferenceOnly: the quantized layers refuse Backward, and the
 // unknown-mode and no-quantizable-layer paths error cleanly.
 func TestQuantInferenceOnly(t *testing.T) {
@@ -350,17 +255,6 @@ func TestQuantInferenceOnly(t *testing.T) {
 	}
 	if _, err := qd.Backward(NewTensor(1, 3)); err == nil {
 		t.Error("QDense.Backward succeeded, want inference-only error")
-	}
-	conv, err := NewConv2D(8, 16, 3, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qc, err := NewQConv2D(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qc.Backward(NewTensor(1, 16, 6, 6)); err == nil {
-		t.Error("QConv2D.Backward succeeded, want inference-only error")
 	}
 	if _, err := QuantizeSequential(NewSequential(&ReLU{}), QuantInt8); err == nil {
 		t.Error("quantizing a model with no quantizable layers succeeded")

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 const fullScenario = `# exercise every directive
@@ -193,7 +195,8 @@ func TestFormatBandwidthUnits(t *testing.T) {
 	}
 }
 
-// Every library scenario must parse, validate, and round-trip.
+// Every library scenario must parse, validate, round-trip, and build the
+// runtime the CLI runs it on.
 func TestLibraryScenarios(t *testing.T) {
 	paths, err := filepath.Glob("../../scenarios/*.scn")
 	if err != nil || len(paths) < 5 {
@@ -209,6 +212,9 @@ func TestLibraryScenarios(t *testing.T) {
 		s2, err := ParseString(Format(s))
 		if err != nil || !reflect.DeepEqual(s, s2) {
 			t.Fatalf("%s does not round-trip: %v", path, err)
+		}
+		if _, err := NewRuntime(s, 1, faults.Epoch); err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
 	for _, want := range []string{"clean", "lossy-wan", "region-partition", "flash-crowd", "cascading-outage"} {

@@ -12,9 +12,10 @@ import (
 )
 
 // TestModelledGolden runs every benchmark row that reports a modelled
-// number (E11, E12, E13 and E15's round wall, wire bytes, losses,
-// transitions, convergence and partition survival, and E14's int8
-// drift) and compares the numbers, at full precision, with
+// number (E2's training time per GPU SKU, E11, E12, E13 and E15's round
+// wall, wire bytes, losses, transitions, convergence and partition
+// survival, and E14's int8 drift) and compares the numbers, at full
+// precision, with
 // testdata/modelled.golden (regenerate with UPDATE_GOLDEN=1). The seed
 // and the virtual clock fix them, so any difference is a change in
 // behaviour, not host noise. It then asserts the experiments' headline
@@ -60,6 +61,12 @@ func TestModelledGolden(t *testing.T) {
 			t.Fatalf("no modelled metric %q", key)
 		}
 		return v
+	}
+	for j := 1; j < len(e2GPUs); j++ {
+		fast, slow := e2GPUs[j-1], e2GPUs[j]
+		if f, s := at("BenchmarkE2GPUSweep/"+string(fast)+" train_s"), at("BenchmarkE2GPUSweep/"+string(slow)+" train_s"); f >= s {
+			t.Errorf("E2: %s trains in %vs, not faster than %s's %vs", fast, f, slow, s)
+		}
 	}
 	if q, s := at("BenchmarkE11Federated/quorum/raw/lossy-wan round_ms"), at("BenchmarkE11Federated/sync/raw/lossy-wan round_ms"); q >= s {
 		t.Errorf("E11: quorum round_ms %v not below sync %v under lossy-wan", q, s)
